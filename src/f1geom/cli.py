@@ -151,15 +151,7 @@ def cmd_zeta(args) -> int:
     if args.counting:
         N = parse_counting_polynomial(args.counting)
     elif args.input:
-        with open(args.input) as fh:
-            data = json.load(fh)
-        samples = {}
-        entries = data["counts"] if isinstance(data, dict) and "counts" in data else data
-        for entry in entries:
-            if isinstance(entry, dict):
-                samples[entry["q"]] = entry["count"]
-            else:
-                samples[entry[0]] = entry[1]
+        samples = _count_samples(args.input)
         bound = args.degree_bound if args.degree_bound is not None else len(samples) - 1
         N = fit_counting_polynomial(samples, bound)
     else:
@@ -172,6 +164,29 @@ def cmd_zeta(args) -> int:
         "roots": [[k, m] for k, m in z.roots],
     }
     return _emit(report, args.json, True)
+
+
+def _count_samples(path) -> dict:
+    """{q: N(q)} from a JSON list of {"q", "count"} objects or [q, count]
+    pairs, bare or under a "counts" key."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno, e.colno) from e
+    entries = data.get("counts") if isinstance(data, dict) else data
+    if not isinstance(entries, list):
+        raise CliError(f"{path} must hold a list of count samples, bare or under 'counts'")
+    samples = {}
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            entry = [entry.get("q"), entry.get("count")]
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(x, int) for x in entry)):
+            raise CliError(f"{path}: sample {i} must be {{'q': q, 'count': N}} or [q, N]"
+                           " with integer entries")
+        samples[entry[0]] = entry[1]
+    return samples
 
 
 def cmd_torify(args) -> int:
@@ -462,7 +477,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ParseError, ValidationError, ValueError) as e:
+    except (CliError, ParseError, ValidationError, ValueError, OSError) as e:
         payload = {"schema": SCHEMA, "status": "error", "error": str(e)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 2

@@ -36,6 +36,17 @@ class ResourceCapError(ConeError):
     pass
 
 
+def signed_rows(rays, lineality) -> list[list[int]]:
+    """cone(rays) + span(lineality) as one list of generators: each ray,
+    then +v and -v for each lineality vector, in that order.  Read as
+    inequality rows a.x >= 0, the list cuts out the dual cone."""
+    rows = [list(r) for r in rays]
+    for v in lineality:
+        rows.append(list(v))
+        rows.append([-x for x in v])
+    return rows
+
+
 def _canonical_rays(rays, rank):
     out = set()
     for r in rays:
@@ -75,11 +86,14 @@ class RationalCone:
 
     @cached_property
     def _dual_data(self):
-        rows = [list(r) for r in self.rays]
-        for v in self.lineality:
-            rows.append(list(v))
-            rows.append([-x for x in v])
-        return double_description(rows, self.rank)
+        return double_description(signed_rows(self.rays, self.lineality), self.rank)
+
+    @property
+    def inequalities(self) -> list[list[int]]:
+        """Rows a with a.x >= 0 exactly on the cone: the facet normals, then
+        both signs of each equation."""
+        lin, normals = self._dual_data
+        return signed_rows(normals, lin)
 
     @property
     def facet_normals(self) -> tuple[tuple[int, ...], ...]:
@@ -103,10 +117,6 @@ class RationalCone:
             raise ConeError("dimension mismatch")
         lin, rays = self._dual_data
         return all(dot(u, x) >= 0 for u in rays) and all(dot(v, x) == 0 for v in lin)
-
-    def relative_interior_contains(self, x) -> bool:
-        lin, rays = self._dual_data
-        return all(dot(u, x) > 0 for u in rays) and all(dot(v, x) == 0 for v in lin)
 
     def __str__(self):
         lin = f" + lines{list(self.lineality)}" if self.lineality else ""
@@ -136,13 +146,7 @@ def double_description(ineq_rows: list, n: int):
         return tuple(tuple(v) for v in lin), ()
 
     # lattice coordinates splitting off the (saturated) kernel
-    if l:
-        B = transpose([list(v) for v in lin])  # n x l
-        U, _, _ = smith_normal_form(B)
-        Uinv = unimodular_inverse(U)
-        lift_cols = [[Uinv[i][l + j] for i in range(n)] for j in range(d)]
-    else:
-        lift_cols = [[1 if i == j else 0 for i in range(n)] for j in range(d)]
+    _, lift_cols = _lineality_complement(lin, n)
 
     # inequalities in quotient coordinates: b.y >= 0 with b_j = a . lift_col_j
     ineqs = []
@@ -195,6 +199,36 @@ def double_description(ineq_rows: list, n: int):
         for r in rays
     )
     return tuple(tuple(v) for v in lin), tuple(lifted)
+
+
+def _lineality_complement(lin, n: int):
+    """Split Z^n along the saturated lattice spanned by ``lin``.
+
+    Returns (proj, lift_cols): the n - l rows of an integer projection
+    onto a complement, and n - l columns lifting it back, so that
+    proj . lift_col_j = e_j and proj kills lin.
+    """
+    if not lin:
+        return identity_matrix(n), identity_matrix(n)
+    l = len(lin)
+    U, _, _ = smith_normal_form(transpose([list(v) for v in lin]))  # n x l
+    Uinv = unimodular_inverse(U)
+    return U[l:], [[Uinv[i][l + j] for i in range(n)] for j in range(n - l)]
+
+
+def intersection(cone_list, rank: int) -> RationalCone:
+    """The intersection of cones of the given rank (all of Q^rank if none)."""
+    rows = [a for c in cone_list for a in c.inequalities]
+    lin, rays = double_description(rows, rank)
+    return RationalCone(rank, rays, lin)
+
+
+def pullback_generators(rows, basis) -> tuple[tuple[int, ...], ...]:
+    """Monoid generators of {c in Z^k : a . (sum_j c_j basis_j) >= 0 for all rows a},
+    as coefficient vectors c over the k basis vectors."""
+    k = len(basis)
+    lin, rays = double_description([[dot(a, b) for b in basis] for a in rows], k)
+    return lattice_monoid_generators(RationalCone(k, rays, lin))
 
 
 def dual_cone(sigma: RationalCone) -> RationalCone:
@@ -347,11 +381,7 @@ def lattice_monoid_generators(sigma: RationalCone) -> tuple[tuple[int, ...], ...
     if not lin:
         return _hilbert_vectors(sigma)
     l = len(lin)
-    B = transpose([list(v) for v in lin])
-    U, _, _ = smith_normal_form(B)
-    Uinv = unimodular_inverse(U)
-    proj = [U[l + j] for j in range(n - l)]
-    lift_cols = [[Uinv[i][l + j] for i in range(n)] for j in range(n - l)]
+    proj, lift_cols = _lineality_complement(lin, n)
     gens = set()
     if n - l > 0:
         proj_rays = set()

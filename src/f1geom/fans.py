@@ -16,7 +16,9 @@ from functools import cached_property
 from .cones import (
     RationalCone,
     _dual_uncapped,
+    intersection,
     lattice_monoid_generators,
+    signed_rows,
 )
 from .intlinalg import dot, primitive_vector, quotient_invariants, rat_rank
 from .monoid import (
@@ -102,28 +104,11 @@ def _check_intersections(fan: Fan):
         ca, cb = fan.cone_obj(a), fan.cone_obj(b)
         cc = fan.cone_obj(common)
         # the geometric intersection must be the common-face cone
-        for v in _intersection_rays(ca, cb):
+        inter = intersection((ca, cb), fan.rank)
+        for v in signed_rows(inter.rays, inter.lineality):
             if not cc.contains(v):
                 raise FanError(
                     f"cones {sorted(a)} and {sorted(b)} do not meet in a common face")
-
-
-def _intersection_rays(ca: RationalCone, cb: RationalCone):
-    from .cones import double_description
-
-    rows = []
-    for c in (ca, cb):
-        lin, rays = c._dual_data
-        rows.extend(list(u) for u in rays)
-        for v in lin:
-            rows.append(list(v))
-            rows.append([-x for x in v])
-    lin, rays = double_description(rows, ca.rank)
-    out = list(rays)
-    for v in lin:
-        out.append(tuple(v))
-        out.append(tuple(-x for x in v))
-    return out
 
 
 # --- standard fans -------------------------------------------------------------

@@ -166,17 +166,11 @@ def unimodular_inverse(U: list[list[int]]) -> list[list[int]]:
     n = len(U)
     M = [[Fraction(U[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
          for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    out = [[M[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
+    if len(_eliminate(M, n)) < n:
+        raise ValueError("matrix is singular")
+    out = [row[n:] for row in M]
+    if any(x.denominator != 1 for row in out for x in row):
+        raise ValueError("matrix is not unimodular")
     return [[int(x) for x in row] for row in out]
 
 
@@ -271,25 +265,35 @@ def quotient_invariants(ambient_rank: int, sub_basis: list[list[int]]):
 
 # --- rational helpers (Fractions) -------------------------------------------
 
-def rat_rank(rows: list[list]) -> int:
-    M = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(M[0]) if M else 0
+def _eliminate(M: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of M in place over its first ncols columns.
+
+    Afterwards the pivot rows come first, each pivot is 1 and the rest of
+    its column is 0; trailing columns (a right-hand side or an identity
+    block) are carried along.  Returns the pivot columns.
+    """
+    pivots: list[int] = []
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
+        row = len(pivots)
+        if row == len(M):
+            break
+        piv = next((r for r in range(row, len(M)) if M[r][col] != 0), None)
         if piv is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = Fraction(1) / M[rank][col]
-        M[rank] = [x * inv for x in M[rank]]
+        M[row], M[piv] = M[piv], M[row]
+        inv = Fraction(1) / M[row][col]
+        M[row] = [x * inv for x in M[row]]
         for r in range(len(M)):
-            if r != rank and M[r][col] != 0:
+            if r != row and M[r][col] != 0:
                 f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
-        rank += 1
-        if rank == len(M):
-            break
-    return rank
+                M[r] = [a - f * b for a, b in zip(M[r], M[row])]
+        pivots.append(col)
+    return pivots
+
+
+def rat_rank(rows: list[list]) -> int:
+    M = [[Fraction(x) for x in row] for row in rows]
+    return len(_eliminate(M, len(M[0]) if M else 0))
 
 
 def rat_solve(cols: list[list], b: list):
@@ -300,24 +304,9 @@ def rat_solve(cols: list[list], b: list):
     m = len(b)
     n = len(cols)
     M = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = Fraction(1) / M[row][col]
-        M[row] = [x * inv for x in M[row]]
-        for r in range(m):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b_ for a, b_ in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if M[r][n] != 0:
-            return None
+    pivots = _eliminate(M, n)
+    if any(M[r][n] != 0 for r in range(len(pivots), m)):
+        return None
     x = [Fraction(0)] * n
     for r, col in enumerate(pivots):
         x[col] = M[r][n]

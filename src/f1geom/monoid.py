@@ -21,11 +21,10 @@ from functools import cached_property
 from math import gcd
 
 from . import cones
-from .cones import RationalCone, lattice_monoid_generators
+from .cones import RationalCone
 from .intlinalg import (
     column_lattice_basis,
     dot,
-    identity_matrix,
     kernel_basis,
     rat_rank,
     solve_integer,
@@ -61,10 +60,6 @@ class AbelianGroup:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
-
-    @property
-    def is_torsion_free(self) -> bool:
-        return not self.invariant_factors
 
     @property
     def order(self):
@@ -139,6 +134,17 @@ class AffineMonoid:
     def op(self, a, b) -> tuple[int, ...]:
         return self._reduce(tuple(x + y for x, y in zip(a, b)))
 
+    def lattice_matrix(self, vectors) -> list[list[int]]:
+        """Matrix whose columns are the given vectors, then the torsion
+        relations d_j e_j; its column lattice is the lift to Z^width of the
+        subgroup the vectors generate.  Empty when it has no columns."""
+        cols = [list(g) for g in vectors]
+        for j, d in enumerate(self.torsion):
+            rel = [0] * self.width
+            rel[self.ambient_rank + j] = d
+            cols.append(rel)
+        return transpose(cols)
+
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.width
 
@@ -177,18 +183,6 @@ class AffineMonoid:
 
     # -- membership
 
-    def in_quotient_group(self, v) -> bool:
-        """Is v in the subgroup of the ambient generated by the monoid?"""
-        v = self._reduce(tuple(v))
-        cols = [list(g) for g in self.generators]
-        for j, d in enumerate(self.torsion):
-            rel = [0] * self.width
-            rel[self.ambient_rank + j] = d
-            cols.append(rel)
-        if not cols:
-            return not any(v)
-        return solve_integer(transpose(cols), list(v)) is not None
-
     def contains(self, v) -> bool:
         """Exact monoid membership: v = sum n_i g_i with n_i >= 0."""
         v = self._reduce(tuple(v))
@@ -199,7 +193,7 @@ class AffineMonoid:
         f = self.free_part(v)
         if any(f) and not self.recession_cone.contains(f):
             return False
-        unit_idx = set(self.unit_generator_indices)
+        unit_idx = self.unit_generator_indices
         nonunit = [i for i in range(len(self.generators)) if i not in unit_idx]
         # strictly positive functional on the pointed quotient of the cone
         normals = self.recession_cone.facet_normals
@@ -207,20 +201,13 @@ class AffineMonoid:
         weights = [dot(weight_vec, self.free_part(self.generators[i])) for i in nonunit]
         assert all(w > 0 for w in weights)
         budget = dot(weight_vec, f)
-
-        def unit_solvable(rem) -> bool:
-            cols = [list(self.generators[i]) for i in unit_idx]
-            for j, d in enumerate(self.torsion):
-                rel = [0] * self.width
-                rel[self.ambient_rank + j] = d
-                cols.append(rel)
-            if not cols:
-                return not any(rem)
-            return solve_integer(transpose(cols), list(rem)) is not None
+        unit_matrix = self.lattice_matrix(self.generators[i] for i in unit_idx)
 
         def search(k, rem, rem_budget) -> bool:
             if k == len(nonunit):
-                return unit_solvable(rem)
+                if not unit_matrix:
+                    return not any(rem)
+                return solve_integer(unit_matrix, list(rem)) is not None
             g = self.generators[nonunit[k]]
             w = weights[k]
             top = rem_budget // w
@@ -434,26 +421,7 @@ def _finite_group_invariants(M: TableMonoid, group_elements) -> tuple[int, ...]:
     return tuple(sorted(list(sub) + [order(top)]))
 
 
-# --- ideals and primes --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Ideal:
-    """Ideal generated by a finite subset: union of g*A over the generators."""
-
-    owner: object
-    generators: tuple
-
-    def contains(self, x) -> bool:
-        A = self.owner
-        if isinstance(A, AffineMonoid):
-            return any(
-                A.contains(tuple(a - b for a, b in zip(A._reduce(x), g)))
-                for g in self.generators
-            )
-        return any(
-            any(A.op(g, a) == x for a in A.elements) for g in self.generators
-        )
-
+# --- primes ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PrimeIdeal:
@@ -478,13 +446,6 @@ class PrimeIdeal:
         if self.face is not None:
             return (-self.owner._face_dim(self.face), self.face)
         return (len(self.elements), tuple(sorted(map(str, self.elements))))
-
-    def complement_submonoid(self):
-        if self.face is not None:
-            return self.owner.face_submonoid(self.face)
-        keep = [a for a in self.owner.elements if a not in self.elements]
-        table = {(a, b): self.owner.op(a, b) for a in keep for b in keep}
-        return TableMonoid.make(keep, table, identity=self.owner.identity)
 
     def contains(self, x) -> bool:
         if self.face is not None:
@@ -629,29 +590,20 @@ class MonoidHom:
 def _relation_lattice(A: AffineMonoid) -> list[list[int]]:
     """Basis of {z : sum z_i g_i = 0 in the ambient group}, restricted to
     the generator coordinates."""
-    cols = [list(g) for g in A.generators]
-    t = len(A.torsion)
-    for j, d in enumerate(A.torsion):
-        rel = [0] * A.width
-        rel[A.ambient_rank + j] = d
-        cols.append(rel)
-    if not cols:
+    M = A.lattice_matrix(A.generators)
+    if not M:
         return []
-    full = kernel_basis(transpose(cols))
+    full = kernel_basis(M)
     return [z[: len(A.generators)] for z in full]
 
 
 def _group_coordinates(A: AffineMonoid, x):
     """Integer coordinates of x over the generators, inside Quot(A)."""
     x = A._reduce(tuple(x))
-    cols = [list(g) for g in A.generators]
-    for j, d in enumerate(A.torsion):
-        rel = [0] * A.width
-        rel[A.ambient_rank + j] = d
-        cols.append(rel)
-    if not cols:
+    M = A.lattice_matrix(A.generators)
+    if not M:
         return [] if not any(x) else None
-    sol = solve_integer(transpose(cols), list(x))
+    sol = solve_integer(M, list(x))
     if sol is None:
         return None
     return sol[: len(A.generators)]
@@ -675,21 +627,12 @@ def localize(A, p: PrimeIdeal):
         loc = AffineMonoid.make(A.ambient_rank, gens, torsion=A.torsion, pointed=A.pointed)
         hom = MonoidHom.affine(A, loc, A.generators)
         return loc, hom
-    return _localize_table(A, [a for a in A.elements if a not in p.elements])
-
-
-def localize_at_submonoid(A: TableMonoid, S) -> tuple[TableMonoid, MonoidHom]:
-    S = list(S)
-    if A.identity not in S:
-        raise MonoidError("localization set must contain the identity")
-    for a in S:
-        for b in S:
-            if A.op(a, b) not in S:
-                raise MonoidError("localization set must be multiplicatively closed")
-    return _localize_table(A, S)
+    loc, hom, _ = _localize_table(A, [a for a in A.elements if a not in p.elements])
+    return loc, hom
 
 
 def _localize_table(A: TableMonoid, S):
+    """(S^{-1}A, canonical hom, labels) with labels[(a, s)] the element a/s."""
     pairs = [(a, s) for a in A.elements for s in S]
 
     def equivalent(p1, p2):
@@ -720,7 +663,7 @@ def _localize_table(A: TableMonoid, S):
     zero = labels[(A.zero, A.identity)] if A.pointed else None
     loc = TableMonoid.make(elements, table, identity=ident, zero=zero)
     hom = MonoidHom.table(A, loc, {a: labels[(a, A.identity)] for a in A.elements})
-    return loc, hom
+    return loc, hom, labels
 
 
 def group_completion(A: AffineMonoid) -> AbelianGroup:
@@ -739,14 +682,10 @@ def saturation_generators(A: AffineMonoid, cone=None) -> tuple[tuple[int, ...], 
     """
     if cone is None:
         cone = A.recession_cone
-    cols = [list(g) for g in A.generators]
-    for j, d in enumerate(A.torsion):
-        rel = [0] * A.width
-        rel[A.ambient_rank + j] = d
-        cols.append(rel)
-    if not cols:
+    M = A.lattice_matrix(A.generators)
+    if not M:
         return ()
-    basis = column_lattice_basis(transpose(cols))  # basis of lifts of Quot(A)
+    basis = column_lattice_basis(M)  # basis of lifts of Quot(A)
     # basis members with zero free part are torsion elements of Quot(A) and
     # enter the saturation as a group; the rest carry the cone condition
     free_members = [tuple(b) for b in basis if any(b[: A.ambient_rank])]
@@ -759,21 +698,8 @@ def saturation_generators(A: AffineMonoid, cone=None) -> tuple[tuple[int, ...], 
             out.add(A._reduce(tuple(-x for x in red)))
     if free_members:
         # pull the cone back through the free parts of the basis
-        pullback_rows = []
-        lin, rays = cone._dual_data
-        for u in rays:
-            pullback_rows.append([dot(u, A.free_part(b)) for b in free_members])
-        for v in lin:
-            row = [dot(v, A.free_part(b)) for b in free_members]
-            pullback_rows.append(row)
-            pullback_rows.append([-x for x in row])
-        if pullback_rows:
-            plin, prays = cones.double_description(pullback_rows, len(free_members))
-        else:
-            plin = tuple(tuple(r) for r in identity_matrix(len(free_members)))
-            prays = ()
-        qcone = RationalCone(len(free_members), prays, plin)
-        for h in lattice_monoid_generators(qcone):
+        for h in cones.pullback_generators(cone.inequalities,
+                                           [A.free_part(b) for b in free_members]):
             vec = (0,) * A.width
             for c, b in zip(h, free_members):
                 vec = tuple(a + c * x for a, x in zip(vec, b))

@@ -9,28 +9,30 @@ diagrams of affine spectra along localizations.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cones import RationalCone, double_description
+from .cones import intersection, pullback_generators
 from .intlinalg import (
+    column_lattice_basis,
     diagonal_of,
     dot,
     kernel_basis,
     smith_normal_form,
-    transpose,
+    unimodular_inverse,
 )
 from .monoid import (
     AffineMonoid,
-    MonoidError,
     MonoidHom,
     PrimeIdeal,
     TableMonoid,
     _localize_table,
+    adjoin_zero,
     localize,
     primes,
+    saturation_generators,
 )
-from . import cones as _cones
 
 
 class SchemeError(ValueError):
@@ -86,14 +88,6 @@ class SpecSpace:
                 if self.is_open(combo):
                     yield combo
 
-    def v_of(self, ideal_generators) -> tuple[PrimeIdeal, ...]:
-        """V(a): primes containing every generator of the ideal."""
-        out = []
-        for p in self.points:
-            if all(p.contains(g) for g in ideal_generators):
-                out.append(p)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class StructureSheaf:
@@ -106,9 +100,6 @@ class StructureSheaf:
 
     def stalk(self, p: PrimeIdeal):
         return self.stalks[p.key]
-
-    def localization_hom(self, p: PrimeIdeal) -> MonoidHom:
-        return self._homs[p.key]
 
     def restriction(self, q: PrimeIdeal, p: PrimeIdeal) -> MonoidHom:
         """Restriction A_q -> A_p for p <= q (further localization)."""
@@ -170,25 +161,7 @@ class StructureSheaf:
 
 def _lattice_cone_members(A: AffineMonoid, cone_list):
     """Generators of {x in Quot(A) : free(x) in every cone of cone_list}."""
-    from .monoid import saturation_generators
-
-    rows = []
-    for c in cone_list:
-        lin, rays = c._dual_data
-        rows.extend(list(u) for u in rays)
-        for v in lin:
-            rows.append(list(v))
-            rows.append([-x for x in v])
-    if not rows:
-        inter = RationalCone.make(
-            [], rank=A.ambient_rank,
-            lineality=[[1 if j == i else 0 for j in range(A.ambient_rank)]
-                       for i in range(A.ambient_rank)],
-        )
-    else:
-        lin, rays = double_description(rows, A.ambient_rank)
-        inter = RationalCone(A.ambient_rank, rays, lin)
-    return saturation_generators(A, cone=inter)
+    return saturation_generators(A, cone=intersection(cone_list, A.ambient_rank))
 
 
 def spec(A):
@@ -201,28 +174,15 @@ def spec(A):
             loc, hom = localize(A, p)
         else:
             comp = [a for a in A.elements if a not in p.elements]
-            loc, hom, labelreps = _localize_table_with_reps(A, comp)
-            reps[p.key] = labelreps
+            loc, hom, labels = _localize_table(A, comp)
+            # each label's representative is its first fraction a/s
+            reps[p.key] = {}
+            for a in A.elements:
+                for s in comp:
+                    reps[p.key].setdefault(labels[(a, s)], (a, s))
         stalks[p.key] = loc
         homs[p.key] = hom
     return space, StructureSheaf(space, stalks, homs, reps)
-
-
-def _localize_table_with_reps(A: TableMonoid, S):
-    loc, hom = _localize_table(A, S)
-    reps = {}
-    for a in A.elements:
-        for s in S:
-            label = _table_fraction_label(loc, hom, a, s)
-            reps.setdefault(label, (a, s))
-    return loc, hom, reps
-
-
-def _table_fraction_label(loc, hom, a, s):
-    # a/s = phi(a) * phi(s)^{-1}; s comes from the inverted set
-    img_a, img_s = hom.apply(a), hom.apply(s)
-    inv = next(t for t in loc.elements if loc.op(img_s, t) == loc.identity)
-    return loc.op(img_a, inv)
 
 
 # --- morphisms of spectra -------------------------------------------------------
@@ -508,7 +468,7 @@ def _validate_gluing(charts, rec: GluingData):
     _, D, _ = smith_normal_form(T)
     if any(d != 1 for d in diagonal_of(D)):
         raise GluingError("iso matrix is not a lattice isomorphism")
-    Tinv = _int_inverse(T)
+    Tinv = unimodular_inverse(T)
     for g in loc_a.generators:
         img = tuple(dot(row, g) for row in T)
         if not loc_b.contains(img):
@@ -517,12 +477,6 @@ def _validate_gluing(charts, rec: GluingData):
         img = tuple(dot(row, h) for row in Tinv)
         if not loc_a.contains(img):
             raise GluingError(f"inverse iso does not map the overlap into chart {rec.chart_a}")
-
-
-def _int_inverse(T):
-    from .intlinalg import unimodular_inverse
-
-    return unimodular_inverse(T)
 
 
 def _gluing_point_pairs(charts, rec: GluingData):
@@ -568,10 +522,7 @@ def global_sections(X: MScheme):
     # parametrize the product of the quotient groups by a block basis
     blocks = []
     for ci, c in enumerate(charts):
-        from .intlinalg import column_lattice_basis
-
-        basis = column_lattice_basis(transpose([list(g) for g in c.generators])) \
-            if c.generators else []
+        basis = column_lattice_basis(c.lattice_matrix(c.generators))
         for b in basis:
             vec = [0] * total
             vec[offsets[ci]: offsets[ci] + c.ambient_rank] = b
@@ -595,30 +546,15 @@ def global_sections(X: MScheme):
         ]
     else:
         lattice = blocks
+    if not lattice:
+        return AffineMonoid.make(total, [])
     # cone condition per chart, pulled back through the lattice basis
     rows = []
     for ci, c in enumerate(charts):
-        lin, rays = c.recession_cone._dual_data
-        for u in rays:
-            rows.append([sum(u[i] * b[offsets[ci] + i] for i in range(c.ambient_rank))
-                         for b in lattice])
-        for v in lin:
-            r = [sum(v[i] * b[offsets[ci] + i] for i in range(c.ambient_rank))
-                 for b in lattice]
-            rows.append(r)
-            rows.append([-x for x in r])
-    if not lattice:
-        return AffineMonoid.make(total, [])
-    if rows:
-        plin, prays = double_description(rows, len(lattice))
-    else:
-        plin = tuple(tuple(r) for r in
-                     [[1 if j == i else 0 for j in range(len(lattice))]
-                      for i in range(len(lattice))])
-        prays = ()
-    qcone = RationalCone(len(lattice), prays, plin)
+        pad = total - offsets[ci] - c.ambient_rank
+        rows += [[0] * offsets[ci] + a + [0] * pad for a in c.recession_cone.inequalities]
     gens = []
-    for h in _cones.lattice_monoid_generators(qcone):
+    for h in pullback_generators(rows, lattice):
         vec = tuple(
             sum(h[j] * lattice[j][i] for j in range(len(lattice))) for i in range(total)
         )
@@ -641,11 +577,8 @@ def plus_zero(X: MScheme) -> MScheme:
     re-owning, since the primes of A and of its pointed extension
     coincide.
     """
-    import warnings as _warnings
-    from .monoid import adjoin_zero
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         charts = [adjoin_zero(c) for c in X.charts]
     records = []
     for rec in X.gluings:

@@ -64,13 +64,6 @@ class Torification:
             basis[d] += 1
         return CountingPolynomial.from_qminus1_basis(basis)
 
-    def count_rank(self, r: int) -> int:
-        return sum(1 for d in self.ranks if d == r)
-
-    @property
-    def minimal_rank(self) -> int:
-        return min(self.ranks)
-
 
 @dataclass(frozen=True)
 class CellComplex:

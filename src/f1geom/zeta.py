@@ -134,17 +134,13 @@ def parse_counting_polynomial(text: str) -> CountingPolynomial:
             tok = tok[1:]
         if not tok:
             raise ZetaError(f"cannot parse {text!r}")
-        if "q" in tok:
-            head, _, tail = tok.partition("q")
-            c = int(head) if head else 1
-            if tail.startswith("^"):
-                k = int(tail[1:])
-            elif tail == "":
-                k = 1
-            else:
-                raise ZetaError(f"cannot parse term {tok!r} in {text!r}")
-        else:
-            c, k = int(tok), 0
+        head, q, tail = tok.partition("q")
+        bad_head = head and not head.isdecimal()
+        bad_tail = tail and not (tail[0] == "^" and tail[1:].isdecimal())
+        if bad_head or bad_tail:
+            raise ZetaError(f"cannot parse term {tok!r} in {text!r}")
+        c = int(head) if head else 1
+        k = (int(tail[1:]) if tail else 1) if q else 0
         coeffs[k] = coeffs.get(k, 0) + sign * c
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():

@@ -1,0 +1,130 @@
+"""Golden CLI corpus and the CLI error contract.
+
+Every verb runs on every `data/` file it applies to, and the JSON it
+prints must match `tests/golden/<case>.json` byte for byte.  The golden
+files pin the library's results through refactors: a change that moves
+any of them shows up here.
+
+Regenerate the golden files (only when an output change is intended and
+recorded) with
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from f1geom import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+FANS = ("a2", "hirzebruch1", "p1", "p1xp1", "p2")
+MONOIDS = ("mu3", "n2", "z3zero")
+CELLS = ("gr24", "sl2")
+POLYNOMIALS = ("q^2 + q + 1", "q^3 - q", "q^4 + q^3 + 2q^2 + q + 1", "q^4 - q^3 - q^2 + q")
+P2_SAMPLES = {"counts": [{"q": q, "count": q * q + q + 1} for q in (2, 3, 4, 5)]}
+
+
+def _cases():
+    cases = {}
+    for name in FANS:
+        path = str(DATA / f"{name}.fan.json")
+        cases[f"fan-{name}"] = ["fan", "--fan", path]
+        cases[f"count-{name}"] = ["count", "--fan", path, "--q", "2,3,4,5,7"]
+        cases[f"torify-{name}"] = ["torify", "--fan", path]
+    for name in MONOIDS:
+        path = str(DATA / f"{name}.mon.json")
+        cases[f"spec-{name}"] = ["spec", "--monoid", path]
+        cases[f"count-{name}"] = ["count", "--monoid", path, "--q", "2,3,4,5,7"]
+        cases[f"lambda-check-{name}"] = ["lambda-check", "--monoid", path, "--trials", "40"]
+    for name in CELLS:
+        cases[f"torify-cells-{name}"] = ["torify", "--cells", str(DATA / f"{name}.cells.json")]
+    path = str(DATA / "sl2.torification.json")
+    cases["verify-sl2"] = ["verify", "--torification", path]
+    cases["verify-sl2-charts"] = ["verify", "--torification", path, "--charts"]
+    for group in ("SL2", "GL2"):
+        cases[f"torify-{group}"] = ["torify", "--group", group]
+        cases[f"torify-{group}-charts"] = ["torify", "--group", group, "--charts"]
+    for n in range(2, 6):
+        for k in range(1, n):
+            cases[f"torify-gr{k}{n}"] = ["torify", "--grassmannian", f"{k},{n}"]
+    cases["torify-gr24-charts"] = ["torify", "--grassmannian", "2,4", "--charts"]
+    for i, text in enumerate(POLYNOMIALS):
+        cases[f"zeta-{i}"] = ["zeta", "--counting", text]
+    cases["zeta-input"] = ["zeta", "--input", "{p2_samples}"]
+    cases["fzoo"] = ["fzoo", "--max-size", "2"]
+    cases["diagram-check"] = ["diagram-check"]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _argv(case, tmp_dir):
+    samples = Path(tmp_dir) / "p2.counts.json"
+    samples.write_text(json.dumps(P2_SAMPLES))
+    return [a.replace("{p2_samples}", str(samples)) for a in CASES[case]] + ["--json"]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, tmp_path):
+    rc, out, err = run_cli(_argv(case, tmp_path))
+    assert err == ""
+    assert out == (GOLDEN / f"{case}.json").read_text()
+    assert rc == (0 if json.loads(out)["status"] == "pass" else 1)
+    if any(str(DATA) in a for a in CASES[case]):
+        assert rc == 0, "every shipped data file passes its verb"
+
+
+# --- error contract: every failure is one JSON object on stderr, exit 2 ---------
+
+def _error(argv):
+    rc, out, err = run_cli(argv + ["--json"])
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["status"] == "error"
+    return payload["error"]
+
+
+def test_missing_input_file_is_an_error_not_a_traceback(tmp_path):
+    missing = str(tmp_path / "nonexistent.json")
+    assert missing in _error(["spec", "--monoid", missing])
+
+
+def test_zeta_input_without_counts_names_the_missing_key(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"samples": [[2, 7]]}))
+    message = _error(["zeta", "--input", str(path)])
+    assert "counts" in message and str(path) in message
+
+
+def test_zeta_counting_with_dangling_power_names_the_term():
+    message = _error(["zeta", "--counting", "q^"])
+    assert "q^" in message and "int()" not in message
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    wanted = sys.argv[1:] or sorted(CASES)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in wanted:
+            rc, out, err = run_cli(_argv(case, tmp))
+            if rc not in (0, 1):
+                print(f"{case}: exit {rc}: {err.strip()}", file=sys.stderr)
+                continue
+            (GOLDEN / f"{case}.json").write_text(out)

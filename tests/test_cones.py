@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import generated_lattice_points
+import itertools
+
+from oracles import generated_lattice_points, in_rational_cone
 from f1geom.cones import (
     ConeError,
     RationalCone,
@@ -11,6 +13,7 @@ from f1geom.cones import (
     dual_cone,
     faces,
     hilbert_basis,
+    intersection,
     lattice_monoid_generators,
 )
 
@@ -119,3 +122,28 @@ def test_membership_agrees_with_nonneg_solver(rays):
     for x0 in range(-4, 5):
         for x1 in range(-4, 5):
             assert c.contains((x0, x1)) == in_rational_cone(rays, (x0, x1))
+
+
+rays_of_rank = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        *[st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+                   .filter(any), min_size=1, max_size=3) for _ in range(2)],
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rays_of_rank)
+def test_intersection_agrees_with_brute_force_membership(data):
+    n, rays_a, rays_b = data
+    inter = intersection((cone(*rays_a), cone(*rays_b)), n)
+    for x in itertools.product(range(-2, 3), repeat=n):
+        assert inter.contains(x) == (in_rational_cone(rays_a, x)
+                                     and in_rational_cone(rays_b, x)), x
+
+
+def test_intersection_of_no_cones_is_everything():
+    inter = intersection((), 2)
+    assert inter.rays == () and len(inter.lineality) == 2
+    assert all(inter.contains(x) for x in itertools.product(range(-2, 3), repeat=2))

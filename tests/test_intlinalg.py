@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from f1geom.intlinalg import (
     column_lattice_basis,
     diagonal_of,
+    identity_matrix,
     kernel_basis,
     mat_mul,
     mat_vec,
@@ -77,6 +78,34 @@ def test_unimodular_inverse_round_trip():
     U = [[2, 1], [1, 1]]
     Uinv = unimodular_inverse(U)
     assert mat_mul(U, Uinv) == [[1, 0], [0, 1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices)
+def test_unimodular_inverse_inverts_smith_transforms(A):
+    U, _, V = smith_normal_form(A)
+    for M in (U, V):
+        assert mat_mul(unimodular_inverse(M), M) == identity_matrix(len(M))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_rat_rank_matches_sympy(A):
+    sympy = pytest.importorskip("sympy")
+    assert rat_rank(A) == sympy.Matrix(A).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+def test_rat_solve_solves_or_reports_inconsistency(A, b):
+    sympy = pytest.importorskip("sympy")
+    b = b[: len(A)]
+    x = rat_solve(transpose(A), b)  # the columns of A
+    augmented = sympy.Matrix(A).row_join(sympy.Matrix(b))
+    if augmented.rank() > sympy.Matrix(A).rank():
+        assert x is None
+    else:
+        assert mat_vec(A, x) == b
 
 
 def test_column_lattice_basis_spans():

@@ -1,5 +1,9 @@
+import itertools
+
 import pytest
 
+from oracles import in_rational_cone
+from f1geom.fans import kato, product_fan, standard_fans
 from f1geom.monoid import (
     AffineMonoid,
     MonoidHom,
@@ -228,3 +232,21 @@ def test_discontinuous_point_map_rejected():
              for p in sA[0].points}
     with pytest.raises(SchemeError):
         SpectrumMorphism(sA, sA, {eta.key: closed, closed.key: eta}, ident)
+
+
+@pytest.mark.parametrize("factors", [
+    (("projective_space", 1), ("affine_space", 1)),
+    (("affine_space", 1), ("projective_space", 1)),
+    (("projective_space", 1), ("affine_space", 2)),
+])
+def test_multi_chart_global_sections_match_enumeration(factors):
+    """Charts of a fan scheme are glued by the identity, so a global
+    section is one lattice point x, repeated in every chart, that lies in
+    every chart's cone."""
+    X = kato(product_fan(*(standard_fans(name, n) for name, n in factors)))
+    assert len(X.charts) > 1
+    gs = global_sections(X)
+    n = X.charts[0].ambient_rank
+    for x in itertools.product(range(-2, 3), repeat=n):
+        expected = all(in_rational_cone(c.generators, x) for c in X.charts)
+        assert gs.contains(x * len(X.charts)) == expected, x
