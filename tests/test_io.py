@@ -1,0 +1,57 @@
+"""emit then parse_input is the identity on every emittable kind."""
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from f1geom.io import emit, parse_input
+from f1geom.monoid import AffineMonoid, TableMonoid
+from f1geom.torified import bruhat_torification
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+FAN_FILES = sorted(DATA.glob("*.fan.json"))
+ROUND_TRIP = settings(max_examples=40, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def affine_monoids(draw):
+    rank = draw(st.integers(0, 3))
+    torsion = draw(st.lists(st.integers(2, 6), max_size=2))
+    width = rank + len(torsion)
+    gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                         max_size=4))
+    return AffineMonoid.make(rank, gens, torsion=torsion, pointed=draw(st.booleans()))
+
+
+def round_trip(obj, tmp_path, counting=None):
+    path = tmp_path / "obj.json"
+    emit(obj, path, counting=counting)
+    return parse_input(path)
+
+
+@ROUND_TRIP
+@given(affine_monoids())
+def test_affine_monoid_round_trip(tmp_path, A):
+    assert round_trip(A, tmp_path) == A
+
+
+@ROUND_TRIP
+@given(st.integers(1, 6))
+def test_cyclic_group_with_zero_round_trip(tmp_path, n):
+    M = TableMonoid.cyclic_group_with_zero(n)
+    back = round_trip(M, tmp_path)
+    assert back == M and back.table == M.table
+
+
+@pytest.mark.parametrize("path", FAN_FILES, ids=lambda p: p.name)
+def test_fan_round_trip(tmp_path, path):
+    fan = parse_input(path)
+    assert round_trip(fan, tmp_path) == fan
+
+
+@pytest.mark.parametrize("group", ["SL2", "GL2"])
+def test_torification_round_trip_keeps_the_counting_polynomial(tmp_path, group):
+    T, N = bruhat_torification(group)
+    assert round_trip(T, tmp_path, counting=N) == (T, N)

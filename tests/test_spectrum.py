@@ -105,6 +105,77 @@ def test_restrictions_compose_along_specialization():
         assert r2.apply(r1.apply(g)) == direct.apply(g)
 
 
+def two_idempotents():
+    """The pointed table monoid {1, a, b, ab, 0} with a^2 = a, b^2 = b."""
+    elements = ("1", "a", "b", "ab", "0")
+
+    def mul(x, y):
+        if "0" in (x, y):
+            return "0"
+        letters = set(x.replace("1", "")) | set(y.replace("1", ""))
+        return "".join(sorted(letters)) or "1"
+
+    table = {(x, y): mul(x, y) for x in elements for y in elements}
+    return TableMonoid.make(elements, table, identity="1", zero="0")
+
+
+def _inverse(M, u):
+    return next(v for v in M.elements if M.op(u, v) == M.identity)
+
+
+def test_table_chart_restrictions():
+    M = two_idempotents()
+    space, sheaf = spec(M)
+    pts = space.points
+    assert len(pts) == 4
+    assert sum(space.le(p, q) for p in pts for q in pts) == 9
+    homs = {p.key: localize(M, p)[1] for p in pts}
+    for p in pts:
+        assert homs[p.key].target == sheaf.stalk(p)
+
+    def as_map(hom):
+        return {x: hom.apply(x) for x in hom.source.elements}
+
+    for q in pts:
+        Aq, hom_q = sheaf.stalk(q), homs[q.key]
+        assert as_map(sheaf.restriction(q, q)) == {x: x for x in Aq.elements}
+        for p in pts:
+            if not space.le(p, q):
+                continue
+            res = sheaf.restriction(q, p)
+            Ap, hom_p = sheaf.stalk(p), homs[p.key]
+            # the image of a/s is hom_p(a) hom_p(s)^-1, for every fraction a/s
+            for s in M.elements:
+                if q.contains(s):
+                    continue
+                for a in M.elements:
+                    label = Aq.op(hom_q.apply(a), _inverse(Aq, hom_q.apply(s)))
+                    assert res.apply(label) == \
+                        Ap.op(hom_p.apply(a), _inverse(Ap, hom_p.apply(s)))
+            # restrictions compose along every chain p <= m <= q
+            for m in pts:
+                if space.le(p, m) and space.le(m, q):
+                    two_step = sheaf.restriction(m, p).compose(sheaf.restriction(q, m))
+                    assert as_map(two_step) == as_map(res)
+
+
+def test_local_morphisms_on_table_stalks():
+    M = two_idempotents()
+    sM = spec(M)
+    space, sheaf = sM
+    ident = {p.key: MonoidHom.table(sheaf.stalk(p), sheaf.stalk(p),
+                                    {x: x for x in sheaf.stalk(p).elements})
+             for p in space.points}
+    assert is_local_morphism(SpectrumMorphism(sM, sM, {p.key: p for p in space.points},
+                                              ident))
+    # every point to the closed point, with stalk homs the restrictions
+    # M_closed -> M_x: at the generic point the non-units a, b, ab become units
+    closed = space.closed_point
+    to_closed = {p.key: closed for p in space.points}
+    res = {p.key: sheaf.restriction(closed, p) for p in space.points}
+    assert not is_local_morphism(SpectrumMorphism(sM, sM, to_closed, res))
+
+
 def test_sections_on_smaller_opens():
     A = free_monoid(2)
     space, sheaf = spec(A)
