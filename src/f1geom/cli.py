@@ -206,7 +206,11 @@ def cmd_torify(args) -> int:
         T, N = bruhat_torification(args.group)
         name = args.group
     elif args.grassmannian:
-        k, n = (int(x) for x in args.grassmannian.split(","))
+        try:
+            k, n = (int(x) for x in args.grassmannian.split(","))
+        except ValueError:
+            raise CliError(f"--grassmannian expects k,n (two integers), "
+                           f"got {args.grassmannian!r}")
         T, N = schubert_torification(k, n, with_pivot_charts=args.charts)
         name = f"Gr({k},{n})"
     else:

@@ -4,16 +4,15 @@ of the set monad (M x X)/(0,x ~ pt), with exhaustive law checking.
 Matrices over a pointed monoid M with at most one nonzero entry per row
 and per column compose by matrix multiplication; every sum that occurs
 ranges over at most one term, so no addition on M is needed.  Index sets
-are ranges [n] = {0..n-1}; the tensor product flattens pairs
-lexicographically.  Only genuinely finite pointed monoids are accepted:
-the whole point of this module is exhaustive verification.
+are ranges [n] = {0..n-1}.  Only genuinely finite pointed monoids are
+accepted: the whole point of this module is exhaustive verification.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .monoid import MonoidError, MonoidHom, TableMonoid
+from .monoid import TableMonoid
 
 
 class FZooError(ValueError):
@@ -57,10 +56,6 @@ class FMatrix:
     def identity(M: TableMonoid, n: int) -> "FMatrix":
         return FMatrix.make(M, n, n, {(i, i): M.identity for i in range(n)})
 
-    @staticmethod
-    def zero_matrix(M: TableMonoid, source: int, target: int) -> "FMatrix":
-        return FMatrix.make(M, source, target, {})
-
     def entry(self, y: int, x: int):
         for (r, c), v in self.entries:
             if (r, c) == (y, x):
@@ -92,31 +87,6 @@ def compose(f: FMatrix, g: FMatrix) -> FMatrix:
     return FMatrix.make(M, f.source, g.target, out)
 
 
-def oplus(f: FMatrix, g: FMatrix) -> FMatrix:
-    """Block-diagonal sum on the disjoint union of index sets."""
-    if f.monoid != g.monoid:
-        raise FZooError("matrices over different monoids")
-    out = dict(dict(f.entries))
-    for (y, x), v in g.entries:
-        out[(f.target + y, f.source + x)] = v
-    return FMatrix.make(f.monoid, f.source + g.source, f.target + g.target, out)
-
-
-def otimes(f: FMatrix, g: FMatrix) -> FMatrix:
-    """Kronecker-style product; index pairs are flattened lexicographically,
-    (a, b) -> a * |second| + b."""
-    if f.monoid != g.monoid:
-        raise FZooError("matrices over different monoids")
-    M = f.monoid
-    out = {}
-    for (y1, x1), v1 in f.entries:
-        for (y2, x2), v2 in g.entries:
-            prod = M.op(v1, v2)
-            if prod != M.zero:
-                out[(y1 * g.target + y2, x1 * g.source + x2)] = prod
-    return FMatrix.make(M, f.source * g.source, f.target * g.target, out)
-
-
 def all_fmatrices(M: TableMonoid, source: int, target: int):
     """Every valid matrix; exhaustive-law-check fuel, keep sizes <= 3."""
     M = _require_finite_pointed(M)
@@ -129,12 +99,6 @@ def all_fmatrices(M: TableMonoid, source: int, target: int):
                     yield FMatrix.make(
                         M, source, target,
                         {(rows[i], cols[i]): values[i] for i in range(k)})
-
-
-def map_entries(f: FMatrix, hom: MonoidHom) -> FMatrix:
-    """Apply a pointed-monoid hom entrywise (functoriality in M)."""
-    return FMatrix.make(hom.target, f.source, f.target,
-                        {pos: hom.apply(v) for pos, v in f.entries})
 
 
 def underlying_monoid(M: TableMonoid) -> TableMonoid:
@@ -192,34 +156,6 @@ def tm_mult(M: TableMonoid, X):
         prod = M.op(m, mp)
         out[xi] = ZERO_CLASS if prod == M.zero else (prod, x)
     return out
-
-
-def tm_map(M: TableMonoid, f: dict):
-    """T on a set map: (m, x) -> (m, f(x))."""
-    def apply(xi):
-        if xi == ZERO_CLASS:
-            return ZERO_CLASS
-        m, x = xi
-        return (m, f[x])
-    return apply
-
-
-def tm_underlying_monoid(M: TableMonoid) -> TableMonoid:
-    """Monoid structure on T({x}) via the monad multiplication; isomorphic
-    to M itself by m -> (m, x)."""
-    M = _require_finite_pointed(M)
-    X = ("x",)
-    mu = tm_mult(M, X)
-    elements = tm_apply(M, X)
-    table = {}
-    for a in elements:
-        for b in elements:
-            if a == ZERO_CLASS or b == ZERO_CLASS:
-                table[(a, b)] = ZERO_CLASS
-            else:
-                table[(a, b)] = mu[(a[0], b)]
-    return TableMonoid.make(elements, table, identity=(M.identity, "x"),
-                            zero=ZERO_CLASS)
 
 
 def monad_laws(M: TableMonoid, sizes=(0, 1, 2, 3)) -> dict:

@@ -126,15 +126,33 @@ def _torification_from_dict(data) -> tuple:
         if not isinstance(data["charts"], dict):
             raise ValidationError("'charts' must map chart ids to records")
         for cid, recdata in data["charts"].items():
-            charts[cid] = [tuple(t) if isinstance(t, list) else t
-                           for t in recdata["tori"]]
+            where = f"charts[{cid}]"
+            if not isinstance(recdata, dict):
+                raise ValidationError(f"{where} must be an object with 'tori' and 'counting'")
+            for key in ("tori", "counting"):
+                if key not in recdata:
+                    raise ValidationError(f"{where} lacks the {key!r} entry")
+            charts[cid] = _label_list(recdata["tori"], f"{where}.tori")
             chart_counts[cid] = CountingPolynomial.make(
-                _int_list(recdata["counting"], f"charts[{cid}].counting"))
+                _int_list(recdata["counting"], f"{where}.counting"))
     labels = None
     if "labels" in data:
-        labels = [tuple(l) if isinstance(l, list) else l for l in data["labels"]]
+        labels = _label_list(data["labels"], "'labels'")
     T = Torification.make(ranks, labels, charts, chart_counts)
+    for cid, tori in (charts or {}).items():
+        for t in tori:
+            if t not in T.labels:
+                raise ValidationError(f"charts[{cid}] names torus {t!r}, which has no label")
     return T, counting
+
+
+def _label_list(value, where):
+    """Torus labels: integers, strings, or flat lists of them (as tuples)."""
+    if not isinstance(value, list) or not all(
+            isinstance(x, (int, str)) for t in value for x in (t if isinstance(t, list) else [t])):
+        raise ValidationError(f"{where} must be a list of torus labels: integers, "
+                              "strings or flat lists of them")
+    return [tuple(t) if isinstance(t, list) else t for t in value]
 
 
 def _cells_from_dict(data) -> CellComplex:

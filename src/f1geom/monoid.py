@@ -8,9 +8,20 @@ Two concrete representations are used throughout:
 * ``TableMonoid`` -- a finite monoid given by its full multiplication
   table, optionally with a distinguished zero.
 
+Both carry one method set, so other modules never ask which they hold:
+``identity``, ``zero`` (None on ``AffineMonoid``, whose zero is formal),
+``pointed``, ``generators`` (all elements on ``TableMonoid``), ``op``,
+``power``, ``member(x)`` (x normalised, or None if not in the monoid),
+``is_unit``, ``is_integral`` (True on ``AffineMonoid``), ``is_group``
+(every nonzero element is a unit), ``units()``, ``primes()``,
+``localize(p)`` -> (A_p, canonical hom A -> A_p), ``restriction(hom_q,
+hom_p)`` -> the sheaf map A_q -> A_p for p <= q built from the two
+localization homs, and ``adjoin_zero()``.
+
 Primes, localizations, group completions, saturations and unit groups
 are all computed exactly; prime ideals of an affine monoid correspond to
-the faces of its recession cone.
+the faces of its recession cone.  The module functions ``primes``,
+``localize``, ``units`` and ``adjoin_zero`` are the public entry points.
 """
 from __future__ import annotations
 
@@ -60,15 +71,6 @@ class AbelianGroup:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
-
-    @property
-    def order(self):
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
 
 
 def hom_count_to_cyclic(G: AbelianGroup, m: int) -> int:
@@ -131,8 +133,14 @@ class AffineMonoid:
             for i, x in enumerate(v)
         )
 
+    zero = None         # a pointed monoid's zero is formal, never an element
+    is_integral = True  # cancellative by construction
+
     def op(self, a, b) -> tuple[int, ...]:
         return self._reduce(tuple(x + y for x, y in zip(a, b)))
+
+    def power(self, a, n: int) -> tuple[int, ...]:
+        return self._reduce(tuple(n * x for x in a))
 
     def lattice_matrix(self, vectors) -> list[list[int]]:
         """Matrix whose columns are the given vectors, then the torsion
@@ -145,6 +153,7 @@ class AffineMonoid:
             cols.append(rel)
         return transpose(cols)
 
+    @property
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.width
 
@@ -181,7 +190,14 @@ class AffineMonoid:
     def is_group(self) -> bool:
         return len(self.unit_generator_indices) == len(self.generators)
 
+    def is_unit(self, x) -> bool:
+        return self.contains(x) and self.contains(tuple(-v for v in self._reduce(x)))
+
     # -- membership
+
+    def member(self, x):
+        x = self._reduce(tuple(x))
+        return x if self.contains(x) else None
 
     def contains(self, v) -> bool:
         """Exact monoid membership: v = sum n_i g_i with n_i >= 0."""
@@ -268,6 +284,29 @@ class AffineMonoid:
             pointed=self.pointed,
         )
 
+    def primes(self) -> list["PrimeIdeal"]:
+        return [PrimeIdeal(self, face=s) for s in self._face_subsets]
+
+    def localize(self, p: "PrimeIdeal"):
+        if p.owner != self:
+            raise MonoidError("prime does not belong to this monoid")
+        gens = list(self.generators)
+        for i in p.face:
+            gens.append(tuple(-x for x in self.generators[i]))
+        loc = AffineMonoid.make(self.ambient_rank, gens, torsion=self.torsion,
+                                pointed=self.pointed)
+        return loc, MonoidHom.affine(self, loc, self.generators)
+
+    def restriction(self, hom_q: "MonoidHom", hom_p: "MonoidHom") -> "MonoidHom":
+        """A_q -> A_p: A_q's generators are localization generators of A_p too."""
+        Aq = hom_q.target
+        return MonoidHom.affine(Aq, hom_p.target, Aq.generators)
+
+    def adjoin_zero(self) -> "AffineMonoid":
+        if self.pointed:
+            return _already_pointed(self)
+        return AffineMonoid(self.ambient_rank, self.torsion, self.generators, True)
+
     def __str__(self):
         t = f" (+) {'x'.join(f'Z/{d}' for d in self.torsion)}" if self.torsion else ""
         z = " with 0" if self.pointed else ""
@@ -322,6 +361,10 @@ class TableMonoid:
     def pointed(self) -> bool:
         return self.zero is not None
 
+    @property
+    def generators(self) -> tuple:
+        return self.elements
+
     def op(self, a, b):
         return self.table[(a, b)]
 
@@ -342,6 +385,23 @@ class TableMonoid:
     def units(self) -> AbelianGroup:
         return AbelianGroup(0, _finite_group_invariants(self, self.unit_elements))
 
+    def is_unit(self, x) -> bool:
+        return x in self.unit_elements
+
+    def _inverse(self, u):
+        for v in self.unit_elements:
+            if self.op(u, v) == self.identity:
+                return v
+        raise MonoidError(f"{u!r} is not a unit")
+
+    def member(self, x):
+        return x if x in self.elements else None
+
+    @property
+    def is_group(self) -> bool:
+        """Every nonzero element is a unit: a group, with zero if pointed."""
+        return set(self.unit_elements) == {a for a in self.elements if a != self.zero}
+
     @property
     def is_integral(self) -> bool:
         """Cancellative (among nonzero elements when a zero is present)."""
@@ -354,6 +414,88 @@ class TableMonoid:
                     if self.op(a, x) == self.op(a, y) and x != y:
                         return False
         return True
+
+    def primes(self) -> list["PrimeIdeal"]:
+        if len(self.elements) > TABLE_PRIME_CAP:
+            raise ResourceError(
+                f"table monoid prime search capped at {TABLE_PRIME_CAP} elements"
+            )
+        units = set(self.unit_elements)
+        nonunits = [a for a in self.elements if a not in units]
+        found = []
+        for k in range(len(nonunits) + 1):
+            for combo in itertools.combinations(nonunits, k):
+                p = set(combo)
+                if self.pointed and self.zero not in p:
+                    continue
+                comp = [a for a in self.elements if a not in p]
+                if not all(self.op(a, b) not in p for a in comp for b in comp):
+                    continue
+                if not all(self.op(a, m) in p for a in p for m in self.elements):
+                    continue
+                found.append(PrimeIdeal(self, elements=frozenset(p)))
+        return sorted(found, key=PrimeIdeal.sort_key)
+
+    def localize(self, p: "PrimeIdeal"):
+        """Each class of fractions a/s is labelled by its least member."""
+        S = [a for a in self.elements if a not in p.elements]
+        pairs = [(a, s) for a in self.elements for s in S]
+
+        def equivalent(p1, p2):
+            (a, s), (b, t) = p1, p2
+            return any(self.op(self.op(u, t), a) == self.op(self.op(u, s), b) for u in S)
+
+        classes: list[list] = []
+        for pair in pairs:
+            for cls in classes:
+                if equivalent(pair, cls[0]):
+                    cls.append(pair)
+                    break
+            else:
+                classes.append([pair])
+        labels = {}
+        for cls in classes:
+            rep = min(cls, key=lambda pair: (str(pair[0]), str(pair[1])))
+            name = f"{rep[0]}/{rep[1]}" if rep[1] != self.identity else f"{rep[0]}"
+            for pair in cls:
+                labels[pair] = name
+        elements = tuple(sorted(set(labels.values())))
+        table = {}
+        for (a, s) in pairs:
+            for (b, t) in pairs:
+                prod = (self.op(a, b), self.op(s, t))
+                table[(labels[(a, s)], labels[(b, t)])] = labels[prod]
+        one = self.identity
+        zero = labels[(self.zero, one)] if self.pointed else None
+        loc = TableMonoid.make(elements, table, identity=labels[(one, one)], zero=zero)
+        return loc, MonoidHom.table(self, loc, {a: labels[(a, one)] for a in self.elements})
+
+    def restriction(self, hom_q: "MonoidHom", hom_p: "MonoidHom") -> "MonoidHom":
+        """A_q -> A_p sending each label of A_q, found as a fraction a/s with
+        s a unit in A_q, to hom_p(a) hom_p(s)^-1."""
+        Aq, Ap = hom_q.target, hom_p.target
+        emap = {}
+        for s in self.elements:
+            u = hom_q.apply(s)
+            if Aq.is_unit(u):
+                inv_q, inv_p = Aq._inverse(u), Ap._inverse(hom_p.apply(s))
+                for a in self.elements:
+                    emap.setdefault(Aq.op(hom_q.apply(a), inv_q),
+                                    Ap.op(hom_p.apply(a), inv_p))
+        return MonoidHom.table(Aq, Ap, emap)
+
+    def adjoin_zero(self) -> "TableMonoid":
+        if self.pointed:
+            return _already_pointed(self)
+        zero = "0"
+        while zero in self.elements:
+            zero += "'"
+        elements = self.elements + (zero,)
+        table = dict(self.table)
+        for a in elements:
+            table[(a, zero)] = zero
+            table[(zero, a)] = zero
+        return TableMonoid.make(elements, table, identity=self.identity, zero=zero)
 
     @staticmethod
     def cyclic_group_with_zero(n: int) -> "TableMonoid":
@@ -374,6 +516,11 @@ class TableMonoid:
 
     def __str__(self):
         return f"TableMonoid{self.elements}"
+
+
+def _already_pointed(M):
+    warnings.warn("monoid already has a zero; adjoin_zero is a no-op")
+    return M
 
 
 def _finite_group_invariants(M: TableMonoid, group_elements) -> tuple[int, ...]:
@@ -474,27 +621,7 @@ def primes(A) -> list[PrimeIdeal]:
     Affine monoids: complements of the faces of the recession cone.
     Table monoids: exhaustive subset search (capped at 20 elements).
     """
-    if isinstance(A, AffineMonoid):
-        return [PrimeIdeal(A, face=s) for s in A._face_subsets]
-    if len(A.elements) > TABLE_PRIME_CAP:
-        raise ResourceError(
-            f"table monoid prime search capped at {TABLE_PRIME_CAP} elements"
-        )
-    units = set(A.unit_elements)
-    nonunits = [a for a in A.elements if a not in units]
-    found = []
-    for k in range(len(nonunits) + 1):
-        for combo in itertools.combinations(nonunits, k):
-            p = set(combo)
-            if A.pointed and A.zero not in p:
-                continue
-            comp = [a for a in A.elements if a not in p]
-            if not all(A.op(a, b) not in p for a in comp for b in comp):
-                continue
-            if not all(A.op(a, m) in p for a in p for m in A.elements):
-                continue
-            found.append(PrimeIdeal(A, elements=frozenset(p)))
-    return sorted(found, key=PrimeIdeal.sort_key)
+    return A.primes()
 
 
 def maximal_prime(A) -> PrimeIdeal:
@@ -574,6 +701,12 @@ class MonoidHom:
             return out
         return self.element_map[x]
 
+    def adjoin_zero(self) -> "MonoidHom":
+        src, tgt = adjoin_zero(self.source), adjoin_zero(self.target)
+        if self.gen_images is not None:
+            return MonoidHom.affine(src, tgt, self.gen_images)
+        return MonoidHom.table(src, tgt, {**self.element_map, src.zero: tgt.zero})
+
     def compose(self, other: "MonoidHom") -> "MonoidHom":
         """self o other (other applied first)."""
         if other.target != self.source:
@@ -618,52 +751,7 @@ def localize(A, p: PrimeIdeal):
     Table: explicit quotient-of-fractions construction with the relation
     a/s ~ b/t iff u t a = u s b for some u in the complement.
     """
-    if isinstance(A, AffineMonoid):
-        if p.owner != A:
-            raise MonoidError("prime does not belong to this monoid")
-        gens = list(A.generators)
-        for i in p.face:
-            gens.append(tuple(-x for x in A.generators[i]))
-        loc = AffineMonoid.make(A.ambient_rank, gens, torsion=A.torsion, pointed=A.pointed)
-        hom = MonoidHom.affine(A, loc, A.generators)
-        return loc, hom
-    loc, hom, _ = _localize_table(A, [a for a in A.elements if a not in p.elements])
-    return loc, hom
-
-
-def _localize_table(A: TableMonoid, S):
-    """(S^{-1}A, canonical hom, labels) with labels[(a, s)] the element a/s."""
-    pairs = [(a, s) for a in A.elements for s in S]
-
-    def equivalent(p1, p2):
-        (a, s), (b, t) = p1, p2
-        return any(A.op(A.op(u, t), a) == A.op(A.op(u, s), b) for u in S)
-
-    classes: list[list] = []
-    for p in pairs:
-        for cls in classes:
-            if equivalent(p, cls[0]):
-                cls.append(p)
-                break
-        else:
-            classes.append([p])
-    labels = {}
-    for cls in classes:
-        rep = min(cls, key=lambda p: (str(p[0]), str(p[1])))
-        name = f"{rep[0]}/{rep[1]}" if rep[1] != A.identity else f"{rep[0]}"
-        for p in cls:
-            labels[p] = name
-    elements = tuple(sorted(set(labels.values())))
-    table = {}
-    for (a, s) in pairs:
-        for (b, t) in pairs:
-            prod = (A.op(a, b), A.op(s, t))
-            table[(labels[(a, s)], labels[(b, t)])] = labels[prod]
-    ident = labels[(A.identity, A.identity)]
-    zero = labels[(A.zero, A.identity)] if A.pointed else None
-    loc = TableMonoid.make(elements, table, identity=ident, zero=zero)
-    hom = MonoidHom.table(A, loc, {a: labels[(a, A.identity)] for a in A.elements})
-    return loc, hom, labels
+    return A.localize(p)
 
 
 def group_completion(A: AffineMonoid) -> AbelianGroup:
@@ -721,35 +809,9 @@ def is_saturated(A: AffineMonoid) -> bool:
 
 
 def adjoin_zero(M):
-    """Functorially adjoin an absorbing zero; no-op with a warning if
-    already pointed."""
-    if isinstance(M, AffineMonoid):
-        if M.pointed:
-            warnings.warn("monoid already has a zero; adjoin_zero is a no-op")
-            return M
-        return AffineMonoid(M.ambient_rank, M.torsion, M.generators, True)
-    if isinstance(M, TableMonoid):
-        if M.pointed:
-            warnings.warn("monoid already has a zero; adjoin_zero is a no-op")
-            return M
-        zero = "0"
-        while zero in M.elements:
-            zero += "'"
-        elements = M.elements + (zero,)
-        table = dict(M.table)
-        for a in elements:
-            table[(a, zero)] = zero
-            table[(zero, a)] = zero
-        return TableMonoid.make(elements, table, identity=M.identity, zero=zero)
-    if isinstance(M, MonoidHom):
-        if M.gen_images is not None:
-            return MonoidHom.affine(adjoin_zero(M.source), adjoin_zero(M.target),
-                                    M.gen_images)
-        src, tgt = adjoin_zero(M.source), adjoin_zero(M.target)
-        emap = dict(M.element_map)
-        emap[src.zero] = tgt.zero
-        return MonoidHom.table(src, tgt, emap)
-    raise MonoidError(f"cannot adjoin zero to {M!r}")
+    """Functorially adjoin an absorbing zero to a monoid or a hom; no-op
+    with a warning on a monoid that is already pointed."""
+    return M.adjoin_zero()
 
 
 # --- convenience constructors ---------------------------------------------------

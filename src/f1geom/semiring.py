@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monoid import AffineMonoid
-
 
 class RingError(ValueError):
     pass
@@ -38,16 +36,12 @@ class SemigroupRingElement:
     @staticmethod
     def make(owner, mapping) -> "SemigroupRingElement":
         clean = {}
-        for k, c in dict(mapping).items():
-            if isinstance(owner, AffineMonoid):
-                k = owner._reduce(tuple(k))
-                if not owner.contains(k):
-                    raise RingError(f"monomial {k} is not in the monoid")
-            else:
-                if k not in owner.elements:
-                    raise RingError(f"monomial {k!r} is not in the monoid")
-                if owner.pointed and k == owner.zero:
-                    continue  # identified with the ring zero
+        for key, c in dict(mapping).items():
+            k = owner.member(key)
+            if k is None:
+                raise RingError(f"monomial {key!r} is not in the monoid")
+            if k == owner.zero:
+                continue  # identified with the ring zero
             c = int(c)
             if c:
                 clean[k] = clean.get(k, 0) + c
@@ -67,8 +61,7 @@ class SemigroupRingElement:
 
     @staticmethod
     def one(owner) -> "SemigroupRingElement":
-        ident = owner.identity() if isinstance(owner, AffineMonoid) else owner.identity
-        return SemigroupRingElement.make(owner, {ident: 1})
+        return SemigroupRingElement.make(owner, {owner.identity: 1})
 
     @staticmethod
     def zero(owner) -> "SemigroupRingElement":
@@ -76,10 +69,6 @@ class SemigroupRingElement:
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
-
-    @property
-    def support(self):
-        return tuple(k for k, _ in self.coeffs)
 
     def __str__(self):
         if not self.coeffs:
@@ -115,13 +104,9 @@ def ring_mul(x: SemigroupRingElement, y: SemigroupRingElement) -> SemigroupRingE
     out: dict = {}
     for k1, c1 in x.coeffs:
         for k2, c2 in y.coeffs:
-            if isinstance(A, AffineMonoid):
-                k = A.op(k1, k2)
-            else:
-                k = A.op(k1, k2)
-                if A.pointed and k == A.zero:
-                    continue
-            out[k] = out.get(k, 0) + c1 * c2
+            k = A.op(k1, k2)
+            if k != A.zero:
+                out[k] = out.get(k, 0) + c1 * c2
     return SemigroupRingElement._unchecked(A, out)
 
 
@@ -144,13 +129,9 @@ def monomial_power_map(x: SemigroupRingElement, k: int) -> SemigroupRingElement:
     A = x.owner
     out: dict = {}
     for key, c in x.coeffs:
-        if isinstance(A, AffineMonoid):
-            nk = A._reduce(tuple(k * v for v in key))
-        else:
-            nk = A.power(key, k)
-            if A.pointed and nk == A.zero:
-                continue
-        out[nk] = out.get(nk, 0) + c
+        nk = A.power(key, k)
+        if nk != A.zero:
+            out[nk] = out.get(nk, 0) + c
     return SemigroupRingElement._unchecked(A, out)
 
 
@@ -182,11 +163,6 @@ class LambdaStructure:
 
     owner: object
 
-    def psi(self, x: SemigroupRingElement, p: int) -> SemigroupRingElement:
-        if x.owner != self.owner:
-            raise RingError("element belongs to a different ring")
-        return psi(x, p)
-
     def check_commuting(self, x: SemigroupRingElement, ps) -> bool:
         ps = list(ps)
         for i, p in enumerate(ps):
@@ -202,17 +178,20 @@ class LambdaStructure:
 def random_ring_elements(A, count: int, seed: int, max_exponent: int = 4,
                          coeff_bound: int = 9, max_terms: int = 6):
     """Seeded pseudo-random sparse elements with small support, for the
-    reproducible property runs."""
+    reproducible property runs.  Each monomial is a product of powers
+    g^e, 0 <= e <= max_exponent, of the nonzero generators."""
     import random
 
     rng = random.Random(seed)
     out = []
-    if isinstance(A, AffineMonoid):
-        def random_key():
-            return tuple(rng.randint(0, max_exponent) for _ in range(A.width))
-    else:
-        def random_key():
-            return rng.choice(A.elements)
+
+    def random_key():
+        key = A.identity
+        for g in A.generators:
+            if g != A.zero:
+                key = A.op(key, A.power(g, rng.randint(0, max_exponent)))
+        return key
+
     for _ in range(count):
         terms = {}
         for _ in range(rng.randint(1, max_terms)):

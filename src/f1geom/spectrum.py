@@ -8,7 +8,6 @@ diagrams of affine spectra along localizations.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,8 +25,6 @@ from .monoid import (
     AffineMonoid,
     MonoidHom,
     PrimeIdeal,
-    TableMonoid,
-    _localize_table,
     adjoin_zero,
     localize,
     primes,
@@ -81,13 +78,6 @@ class SpecSpace:
             for p in self.points for q in self.points if self.le(p, q)
         )
 
-    def opens(self):
-        """All open subsets (down-sets); exponential, for tiny spaces only."""
-        for k in range(len(self.points) + 1):
-            for combo in itertools.combinations(self.points, k):
-                if self.is_open(combo):
-                    yield combo
-
 
 @dataclass(frozen=True)
 class StructureSheaf:
@@ -95,8 +85,7 @@ class StructureSheaf:
 
     space: SpecSpace
     stalks: dict = field(compare=False)
-    _homs: dict = field(compare=False)       # prime -> hom A -> A_p
-    _table_reps: dict = field(compare=False)  # table charts: prime -> label reps
+    _homs: dict = field(compare=False)  # prime -> hom A -> A_p
 
     def stalk(self, p: PrimeIdeal):
         return self.stalks[p.key]
@@ -105,24 +94,7 @@ class StructureSheaf:
         """Restriction A_q -> A_p for p <= q (further localization)."""
         if not self.space.le(p, q):
             raise SchemeError("restriction only runs along specializations")
-        Aq, Ap = self.stalk(q), self.stalk(p)
-        if isinstance(Aq, AffineMonoid):
-            return MonoidHom.affine(Aq, Ap, Aq.generators)
-        reps_q = self._table_reps[q.key]
-        hom_p = self._homs[p.key]
-        A = self.space.monoid
-
-        def inv(label):
-            for cand in Ap.elements:
-                if Ap.op(cand, label) == Ap.identity:
-                    return cand
-            raise SchemeError("restriction: expected a unit")
-
-        emap = {}
-        for label in Aq.elements:
-            a, s = reps_q[label]
-            emap[label] = Ap.op(hom_p.apply(a), inv(hom_p.apply(s)))
-        return MonoidHom.table(Aq, Ap, emap)
+        return self.space.monoid.restriction(self._homs[q.key], self._homs[p.key])
 
     def sections(self, open_points):
         """Sections over an open set: the limit of the stalks over it.
@@ -168,21 +140,10 @@ def spec(A):
     """The spectrum of a monoid with its structure sheaf."""
     pts = tuple(primes(A))
     space = SpecSpace(A, pts)
-    stalks, homs, reps = {}, {}, {}
+    stalks, homs = {}, {}
     for p in pts:
-        if isinstance(A, AffineMonoid):
-            loc, hom = localize(A, p)
-        else:
-            comp = [a for a in A.elements if a not in p.elements]
-            loc, hom, labels = _localize_table(A, comp)
-            # each label's representative is its first fraction a/s
-            reps[p.key] = {}
-            for a in A.elements:
-                for s in comp:
-                    reps[p.key].setdefault(labels[(a, s)], (a, s))
-        stalks[p.key] = loc
-        homs[p.key] = hom
-    return space, StructureSheaf(space, stalks, homs, reps)
+        stalks[p.key], homs[p.key] = localize(A, p)
+    return space, StructureSheaf(space, stalks, homs)
 
 
 # --- morphisms of spectra -------------------------------------------------------
@@ -249,12 +210,6 @@ def induced_spectrum_morphism(phi: MonoidHom) -> SpectrumMorphism:
     return SpectrumMorphism(src, tgt, point_map, stalk_homs)
 
 
-def _is_unit(M, x) -> bool:
-    if isinstance(M, AffineMonoid):
-        return M.contains(x) and M.contains(tuple(-v for v in M._reduce(x)))
-    return x in M.unit_elements
-
-
 def is_local_morphism(f: SpectrumMorphism) -> bool:
     """Check (f_x^#)^{-1}(units of source stalk) = units of target stalk.
 
@@ -267,12 +222,8 @@ def is_local_morphism(f: SpectrumMorphism) -> bool:
         hom = f.stalk_homs[x.key]
         stalk_x = ssheaf.stalk(x)
         source_stalk = hom.source  # O_{Y, f(x)}
-        if isinstance(source_stalk, AffineMonoid):
-            elements = source_stalk.generators
-        else:
-            elements = source_stalk.elements
-        for g in elements:
-            if _is_unit(stalk_x, hom.apply(g)) and not _is_unit(source_stalk, g):
+        for g in source_stalk.generators:
+            if stalk_x.is_unit(hom.apply(g)) and not source_stalk.is_unit(g):
                 return False
     return True
 
@@ -599,9 +550,8 @@ def classify(X: MScheme) -> dict:
     exponent_one = True
     for pt in X.points:
         stalk = X.stalk(pt)
-        if isinstance(stalk, TableMonoid):
-            if not stalk.is_integral:
-                integral = False
+        if not stalk.is_integral:
+            integral = False
         u = stalk.units()
         if u.invariant_factors:
             exponent_one = False

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .counting import CountingFunction, counting_polynomial
-from .monoid import AffineMonoid, group_monoid
+from .monoid import group_monoid
 from .spectrum import MScheme, glue, minimal_rank_points
 from .zeta import CountingPolynomial, q_poly
 
@@ -257,26 +257,14 @@ class GenTorifiedTriple:
     """(pointed monoid scheme, counting surrogate, per-field evaluation).
 
     The scheme surrogate is a counting function plus optional explicit
-    point models over small fields; the evaluation data records, per q,
-    the two point counts that the bijection condition equates.
+    point models over small fields; ``to_cc`` evaluates both sides per q
+    and checks the bijection condition that equates them.
     """
 
     mscheme: MScheme
     counting: CountingFunction
     point_models: dict = field(default=None, compare=False)
     name: str = ""
-
-    def evaluation(self, qs=SAMPLE_PRIME_POWERS):
-        from .counting import count_points
-
-        out = []
-        for q in qs:
-            left = count_points(self.mscheme, q).count
-            right = self.counting.evaluate(q)
-            model = len(self.point_models[q]) if self.point_models and q in self.point_models else None
-            out.append({"q": q, "scheme_side": left, "surrogate_side": right,
-                        "model_points": model})
-        return out
 
 
 def f_functor(X: MScheme, name: str = "") -> GenTorifiedTriple:
@@ -369,22 +357,11 @@ def is_torified_cc(t: GenTorifiedTriple) -> bool:
     X = t.mscheme
     for pt in X.points:
         stalk = X.stalk(pt)
-        if isinstance(stalk, AffineMonoid):
-            if stalk.units().invariant_factors:
-                return False
-        else:
-            if not stalk.is_integral or stalk.units().invariant_factors:
-                return False
-    for component in X.connected_components:
-        if len(component) != 1:
+        if not stalk.is_integral or stalk.units().invariant_factors:
             return False
-        stalk = X.stalk(component[0])
-        if isinstance(stalk, AffineMonoid):
-            if not stalk.is_group:
-                return False
-        else:
-            if set(stalk.unit_elements) != {a for a in stalk.elements if a != stalk.zero}:
-                return False
+    for component in X.connected_components:
+        if len(component) != 1 or not X.stalk(component[0]).is_group:
+            return False
     return True
 
 

@@ -116,6 +116,27 @@ def test_zeta_counting_with_dangling_power_names_the_term():
     assert "q^" in message and "int()" not in message
 
 
+@pytest.mark.parametrize("chart, expected", [
+    ({}, ["charts[a]", "'tori'"]),
+    ({"tori": [0]}, ["charts[a]", "'counting'"]),
+    ([], ["charts[a]", "object"]),
+    ({"tori": 3, "counting": [1]}, ["charts[a].tori", "list"]),
+    ({"tori": [5], "counting": [1]}, ["charts[a]", "torus 5"]),
+])
+def test_malformed_torification_chart_names_chart_and_key(tmp_path, chart, expected):
+    path = tmp_path / "bad.torification.json"
+    path.write_text(json.dumps({"kind": "torification", "ranks": [0], "counting": [1],
+                                "charts": {"a": chart}}))
+    message = _error(["verify", "--torification", str(path), "--charts"])
+    assert all(part in message for part in expected), message
+
+
+@pytest.mark.parametrize("value", ["2", "a,b", "2,4,5"])
+def test_grassmannian_argument_names_the_option(value):
+    message = _error(["torify", "--grassmannian", value])
+    assert "--grassmannian" in message and "k,n" in message and repr(value) in message
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f1geom.monoid import TableMonoid, adjoin_zero, free_monoid
+from f1geom.monoid import AffineMonoid, TableMonoid, adjoin_zero, free_monoid
 from f1geom.semiring import (
     LambdaStructure,
     RingError,
@@ -118,6 +118,14 @@ def test_seeded_frobenius_suite_is_fast_and_green():
         assert lam.check_frobenius(x, (2, 3, 5))
         assert lam.check_commuting(x, (2, 3, 5))
     assert time.monotonic() - start < 2.0
+
+
+def test_seeded_elements_stay_inside_a_non_free_monoid():
+    # generators (1,0), (1,1), (1,2): (0, 1) is not a member
+    A = AffineMonoid.make(2, [[1, 0], [1, 1], [1, 2]])
+    elements = random_ring_elements(A, 40, seed=1729)
+    assert all(A.contains(k) for x in elements for k, _ in x.coeffs)
+    assert all(LambdaStructure(A).check_frobenius(x, (2, 3)) for x in elements)
 
 
 def test_seeded_elements_are_reproducible():
