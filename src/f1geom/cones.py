@@ -2,16 +2,20 @@
 
 Cones are given by primitive integer ray generators plus an optional
 lineality basis.  Duals are computed by the double description method
-over exact rationals; Hilbert bases by a placing triangulation and
-fundamental-parallelepiped enumeration.  Everything runs at desk scale:
-the public dual/Hilbert operations enforce a lattice-rank cap of 4.
+over exact integers (the fraction-free kernel of `intlinalg`); Hilbert
+bases by a placing triangulation and fundamental-parallelepiped
+enumeration.  Everything runs at desk scale: the public dual/Hilbert
+operations enforce a lattice-rank cap of 4.
+
+Fans ask for the same few duals over and over, so `double_description`
+keeps the results of its last `DD_MEMO_SIZE` distinct inputs in a
+bounded LRU memo.  Results are tuples of tuples, so sharing them is safe.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .intlinalg import (
     dot,
@@ -26,6 +30,7 @@ from .intlinalg import (
 )
 
 RANK_CAP = 4
+DD_MEMO_SIZE = 256  # distinct inputs whose duals double_description keeps (LRU)
 
 
 class ConeError(ValueError):
@@ -135,7 +140,13 @@ def double_description(ineq_rows: list, n: int):
     Returns (lineality_basis, rays) as primitive integer vectors.  This is
     the classic incremental algorithm, run on the pointed quotient after
     the lineality space (the kernel of the inequality matrix) is split off.
+    Results are memoized by `_double_description` on the input rows.
     """
+    return _double_description(tuple(tuple(r) for r in ineq_rows), n)
+
+
+@lru_cache(maxsize=DD_MEMO_SIZE)
+def _double_description(ineq_rows: tuple, n: int):
     rows = [list(r) for r in ineq_rows if any(x != 0 for x in r)]
     if not rows:
         return tuple(tuple(v) for v in identity_matrix(n)), ()
@@ -167,12 +178,7 @@ def double_description(ineq_rows: list, n: int):
 
     # rays of {y : B0 y >= 0} are the columns of B0^{-1}
     b0_cols = transpose([list(c) for c in chosen])
-    rays = []
-    for j in range(d):
-        e = [Fraction(int(i == j)) for i in range(d)]
-        sol = rat_solve(b0_cols, e)
-        assert sol is not None
-        rays.append(primitive_vector(sol))
+    rays = [primitive_vector(rat_solve(b0_cols, e)) for e in identity_matrix(d)]
     processed = list(chosen)
 
     for b in rest:

@@ -1,16 +1,21 @@
 """Exact integer and rational linear algebra.
 
-Matrices are plain lists of lists of Python ints (or Fractions for the
-rational helpers), so everything is arbitrary precision and there is no
-floating point anywhere.  This is the arithmetic bedrock for lattice
-computations: Smith normal form, integer kernels and solves, and
-invariant factors of subgroups and quotients of finitely generated
-abelian groups.
+Matrices are plain lists of lists of Python ints, so everything is
+arbitrary precision and there is no floating point anywhere.  This is the
+arithmetic bedrock for lattice computations: Smith normal form, integer
+kernels and solves, and invariant factors of subgroups and quotients of
+finitely generated abelian groups.
+
+Rational rank, rational solves and unimodular inverses share one
+elimination kernel, `_eliminate`: fraction-free Gauss-Jordan over Python
+ints that keeps every row primitive by dividing out its gcd.  Fraction
+inputs are scaled row by row to ints first; the only Fractions built are
+the entries of a `rat_solve` solution, one per pivot.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -151,49 +156,49 @@ def kernel_basis(A: list[list[int]]) -> list[list[int]]:
     if n == 0:
         return []
     if m == 0:
-        return [col[:] for col in identity_matrix(n)]
+        return identity_matrix(n)
     _, D, V = smith_normal_form(A)
     diag = diagonal_of(D)
-    basis = []
-    for j in range(n):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append([V[i][j] for i in range(n)])
-    return basis
+    return [[row[j] for row in V] for j in range(n) if j >= len(diag) or diag[j] == 0]
 
 
 def unimodular_inverse(U: list[list[int]]) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix."""
     n = len(U)
-    M = [[Fraction(U[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
+    M = [_integral(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(U)]
     if len(_eliminate(M, n)) < n:
         raise ValueError("matrix is singular")
-    out = [row[n:] for row in M]
-    if any(x.denominator != 1 for row in out for x in row):
+    if any(x % row[i] for i, row in enumerate(M) for x in row[n:]):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
+    return [[x // row[i] for x in row[n:]] for i, row in enumerate(M)]
 
 
 def solve_integer(A: list[list[int]], b: list[int]):
     """One integer solution x of A x = b, or None if none exists."""
+    return integer_solver(A)(b)
+
+
+def integer_solver(A: list[list[int]]):
+    """The map b -> solve_integer(A, b), computing A's Smith form once.
+
+    With U A V = D, A x = b has an integer solution iff U b is divisible
+    entrywise by the diagonal of D (and zero where it is zero).
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     if m == 0:
-        return [0] * n
+        return lambda b: [0] * n
     U, D, V = smith_normal_form(A)
-    c = mat_vec(U, b)
-    diag = diagonal_of(D)
-    y = [0] * n
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return mat_vec(V, y)
+    diag = diagonal_of(D) + [0] * (m - min(m, n))
+
+    def solve(b):
+        c = mat_vec(U, b)
+        if any(x % d if d else x for x, d in zip(c, diag)):
+            return None
+        y = [x // d if d else 0 for x, d in zip(c, diag)] + [0] * n
+        return mat_vec(V, y[:n])
+
+    return solve
 
 
 def column_lattice_basis(A: list[list[int]]) -> list[list[int]]:
@@ -203,11 +208,7 @@ def column_lattice_basis(A: list[list[int]]) -> list[list[int]]:
         return []
     U, D, _ = smith_normal_form(A)
     Uinv = unimodular_inverse(U)
-    basis = []
-    for i, d in enumerate(diagonal_of(D)):
-        if d != 0:
-            basis.append([Uinv[r][i] * d for r in range(m)])
-    return basis
+    return [[row[i] * d for row in Uinv] for i, d in enumerate(diagonal_of(D)) if d != 0]
 
 
 def subgroup_invariants(vectors: list[list[int]], free_rank: int, torsion: list[int]):
@@ -219,58 +220,46 @@ def subgroup_invariants(vectors: list[list[int]], free_rank: int, torsion: list[
     relation lattice, computed by expressing K in a basis of L + K.
     """
     r, t = free_rank, len(torsion)
-    m = r + t
     if not vectors and t == 0:
         return 0, []
-    cols = [list(v) for v in vectors]
-    krels = []
-    for j, d in enumerate(torsion):
-        rel = [0] * m
-        rel[r + j] = d
-        krels.append(rel)
-    stacked = transpose(cols + krels) if (cols or krels) else []
-    basis = column_lattice_basis(stacked)  # basis of M = L + K
-    s = len(basis)
-    if s == 0:
+    krels = [[d if i == r + j else 0 for i in range(r + t)] for j, d in enumerate(torsion)]
+    basis = column_lattice_basis(transpose([list(v) for v in vectors] + krels))  # of L + K
+    if not basis:
         return 0, []
-    B = transpose(basis)  # m x s
-    coeffs = []
-    for rel in krels:
-        c = solve_integer(B, rel)
-        assert c is not None
-        coeffs.append(c)
-    if not coeffs:
-        return s, []
-    C = transpose(coeffs)  # s x t
-    _, D, _ = smith_normal_form(C)
-    diag = diagonal_of(D)
-    nonzero = [d for d in diag if d != 0]
-    rank = s - len(nonzero)
-    factors = [d for d in nonzero if d > 1]
-    return rank, factors
+    solve = integer_solver(transpose(basis))  # K lies in L + K: every relation solves
+    return quotient_invariants(len(basis), [solve(rel) for rel in krels])
 
 
 def quotient_invariants(ambient_rank: int, sub_basis: list[list[int]]):
     """Isomorphism type of Z^n / (lattice spanned by sub_basis vectors)."""
     if not sub_basis:
         return ambient_rank, []
-    A = transpose([list(v) for v in sub_basis])
-    _, D, _ = smith_normal_form(A)
-    diag = diagonal_of(D)
-    nonzero = [d for d in diag if d != 0]
-    rank = ambient_rank - len(nonzero)
-    factors = [d for d in nonzero if d > 1]
-    return rank, factors
+    _, D, _ = smith_normal_form(transpose([list(v) for v in sub_basis]))
+    nonzero = [d for d in diagonal_of(D) if d != 0]
+    return ambient_rank - len(nonzero), [d for d in nonzero if d > 1]
 
 
-# --- rational helpers (Fractions) -------------------------------------------
+# --- rational helpers --------------------------------------------------------
 
-def _eliminate(M: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination of M in place over its first ncols columns.
+def _integral(row) -> list[int]:
+    """A rational row scaled by the lcm of its denominators (int rows as is)."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    denom = lcm(*[f.denominator for f in fracs])
+    return [f.numerator * (denom // f.denominator) for f in fracs]
 
-    Afterwards the pivot rows come first, each pivot is 1 and the rest of
-    its column is 0; trailing columns (a right-hand side or an identity
-    block) are carried along.  Returns the pivot columns.
+
+def _eliminate(M: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of the int rows of M in
+    place over their first ncols columns.
+
+    A row r is cleared against the pivot row p by r <- p_col r - r_col p,
+    then divided by the gcd of its entries; being primitive, it stays
+    bounded by minors of the input.  Afterwards the pivot rows come first,
+    row r has its nonzero pivot in column pivots[r] and the rest of that
+    column is 0; trailing columns (a right-hand side or an identity block)
+    are carried along.  Returns the pivot columns.
     """
     pivots: list[int] = []
     for col in range(ncols):
@@ -281,48 +270,44 @@ def _eliminate(M: list[list[Fraction]], ncols: int) -> list[int]:
         if piv is None:
             continue
         M[row], M[piv] = M[piv], M[row]
-        inv = Fraction(1) / M[row][col]
-        M[row] = [x * inv for x in M[row]]
+        prow = M[row]
+        p = prow[col]
         for r in range(len(M)):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[row])]
+            f = M[r][col]
+            if r != row and f != 0:
+                new = [p * a - f * b for a, b in zip(M[r], prow)]
+                g = gcd(*new)
+                M[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
     return pivots
 
 
 def rat_rank(rows: list[list]) -> int:
-    M = [[Fraction(x) for x in row] for row in rows]
+    M = [_integral(row) for row in rows]
     return len(_eliminate(M, len(M[0]) if M else 0))
 
 
 def rat_solve(cols: list[list], b: list):
     """Solve sum_j x_j cols[j] = b exactly; None if inconsistent.
 
-    The columns need not be independent; one solution is returned.
+    The columns need not be independent; one solution is returned, as
+    Fractions.
     """
-    m = len(b)
     n = len(cols)
-    M = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
+    M = [_integral([c[i] for c in cols] + [b[i]]) for i in range(len(b))]
     pivots = _eliminate(M, n)
-    if any(M[r][n] != 0 for r in range(len(pivots), m)):
+    if any(M[r][n] != 0 for r in range(len(pivots), len(b))):
         return None
     x = [Fraction(0)] * n
     for r, col in enumerate(pivots):
-        x[col] = M[r][n]
+        x[col] = Fraction(M[r][n], M[r][col])
     return x
 
 
 def primitive_vector(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector (same ray)."""
-    from math import lcm
-
-    fracs = [Fraction(x) for x in v]
-    denom = lcm(*[f.denominator for f in fracs]) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = _integral(v)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)

@@ -88,11 +88,15 @@ def _table_monoid_from_dict(data) -> TableMonoid:
     if not isinstance(table, list) or len(table) != n or \
             any(not isinstance(row, list) or len(row) != n for row in table):
         raise ValidationError(f"'table' must be a {n}x{n} matrix of elements")
+    identity = data.get("identity", elements[0])
+    for key, values in (("elements", elements), ("table", sum(table, [])),
+                        ("identity", [identity]), ("zero", [data.get("zero")])):
+        if any(isinstance(x, (list, dict)) for x in values):
+            raise ValidationError(f"'{key}' must hold numbers or strings, not arrays or objects")
     mapping = {}
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             mapping[(a, b)] = table[i][j]
-    identity = data.get("identity", elements[0])
     return TableMonoid.make(elements, mapping, identity=identity,
                             zero=data.get("zero"))
 

@@ -36,6 +36,7 @@ from .cones import RationalCone
 from .intlinalg import (
     column_lattice_basis,
     dot,
+    integer_solver,
     kernel_basis,
     rat_rank,
     solve_integer,
@@ -128,6 +129,8 @@ class AffineMonoid:
         return tuple(v[: self.ambient_rank])
 
     def _reduce(self, v) -> tuple[int, ...]:
+        if len(v) != self.width:
+            raise MonoidError("element has wrong length")
         return tuple(
             x if i < self.ambient_rank else x % self.torsion[i - self.ambient_rank]
             for i, x in enumerate(v)
@@ -202,8 +205,6 @@ class AffineMonoid:
     def contains(self, v) -> bool:
         """Exact monoid membership: v = sum n_i g_i with n_i >= 0."""
         v = self._reduce(tuple(v))
-        if len(v) != self.width:
-            raise MonoidError("element has wrong length")
         if not any(v):
             return True
         f = self.free_part(v)
@@ -218,12 +219,13 @@ class AffineMonoid:
         assert all(w > 0 for w in weights)
         budget = dot(weight_vec, f)
         unit_matrix = self.lattice_matrix(self.generators[i] for i in unit_idx)
+        unit_solver = integer_solver(unit_matrix) if unit_matrix else None
 
         def search(k, rem, rem_budget) -> bool:
             if k == len(nonunit):
-                if not unit_matrix:
+                if unit_solver is None:
                     return not any(rem)
-                return solve_integer(unit_matrix, list(rem)) is not None
+                return unit_solver(rem) is not None
             g = self.generators[nonunit[k]]
             w = weights[k]
             top = rem_budget // w

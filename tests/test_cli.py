@@ -116,6 +116,19 @@ def test_zeta_counting_with_dangling_power_names_the_term():
     assert "q^" in message and "int()" not in message
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"elements": [[1]], "table": [[[1]]]}, "'elements'"),
+    ({"elements": [1], "table": [[[1]]]}, "'table'"),
+    ({"elements": [1], "table": [[1]], "identity": {}}, "'identity'"),
+    ({"elements": [1], "table": [[1]], "zero": [1]}, "'zero'"),
+])
+def test_unhashable_table_monoid_entries_name_the_key(tmp_path, data, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "table_monoid", **data}))
+    message = _error(["spec", "--monoid", str(path)])
+    assert key in message and "arrays" in message, message
+
+
 @pytest.mark.parametrize("chart, expected", [
     ({}, ["charts[a]", "'tori'"]),
     ({"tori": [0]}, ["charts[a]", "'counting'"]),

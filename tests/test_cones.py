@@ -6,15 +6,19 @@ import itertools
 
 from oracles import generated_lattice_points, in_rational_cone
 from f1geom.cones import (
+    DD_MEMO_SIZE,
     ConeError,
     RationalCone,
     ResourceCapError,
+    _double_description,
     cone,
+    double_description,
     dual_cone,
     faces,
     hilbert_basis,
     intersection,
     lattice_monoid_generators,
+    signed_rows,
 )
 
 
@@ -147,3 +151,32 @@ def test_intersection_of_no_cones_is_everything():
     inter = intersection((), 2)
     assert inter.rays == () and len(inter.lineality) == 2
     assert all(inter.contains(x) for x in itertools.product(range(-2, 3), repeat=2))
+
+
+# --- the double-description memo ----------------------------------------------
+
+cones_with_lineality = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        *[st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                   max_size=size) for size in (5, 2)],
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cones_with_lineality)
+def test_memoized_double_description_matches_the_uncached_helper(data):
+    n, rays, lineality = data
+    rows = signed_rows(rays, lineality)
+    expected = _double_description.__wrapped__(tuple(map(tuple, rows)), n)
+    assert double_description(rows, n) == expected  # a miss or a hit
+    assert double_description([tuple(r) for r in rows], n) == expected  # a hit
+
+
+def test_double_description_memo_is_bounded():
+    assert _double_description.cache_info().maxsize == DD_MEMO_SIZE
+    for k in range(DD_MEMO_SIZE + 40):
+        double_description([[1, k], [0, 1]], 2)
+        assert _double_description.cache_info().currsize <= DD_MEMO_SIZE
+    assert _double_description.cache_info().currsize == DD_MEMO_SIZE

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     affine_points,
@@ -17,7 +19,12 @@ from f1geom.counting import (
 from f1geom.fans import kato, standard_fans
 from f1geom.monoid import AffineMonoid, group_monoid
 from f1geom.spectrum import plus_zero
-from f1geom.zeta import q_poly
+from f1geom.zeta import (
+    CountingPolynomial,
+    fit_counting_polynomial,
+    parse_counting_polynomial,
+    q_poly,
+)
 
 SAMPLE_QS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -125,3 +132,24 @@ def test_count_record_shape():
     assert rec.as_dict() == {"q": 4, "count": 3, "method": "stalk-formula"}
     with pytest.raises(CountError):
         count_points(group_monoid(1), 6)
+
+
+# --- fitting and parsing counting polynomials ----------------------------------
+
+coefficient_lists = st.lists(st.integers(-30, 30), max_size=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_lists, st.integers(0, 2), st.integers(0, 2))
+def test_fit_recovers_the_sampled_polynomial(coeffs, slack, extra):
+    poly = CountingPolynomial.make(coeffs)
+    bound = max(poly.degree, 0) + slack
+    samples = [(q, poly(q)) for q in range(2, bound + 3 + extra)]
+    assert fit_counting_polynomial(samples, bound) == poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists)
+def test_printed_polynomial_parses_back(coeffs):
+    poly = CountingPolynomial.make(coeffs)
+    assert parse_counting_polynomial(str(poly)) == poly

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +108,79 @@ def test_rat_solve_solves_or_reports_inconsistency(A, b):
         assert x is None
     else:
         assert mat_vec(A, x) == b
+
+
+# --- the elimination kernel against sympy, on int and Fraction inputs ----------
+
+def _as_fractions(A, data):
+    """A with every row scaled by its own random nonzero Fraction."""
+    scales = data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+        min_size=len(A), max_size=len(A)))
+    return [[s * x for x in row] for s, row in zip(scales, A)]
+
+
+def _sympy(A):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                          for x in row] for row in A])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices, st.data())
+def test_rat_rank_matches_sympy_on_fractions(A, data):
+    assert rat_rank(_as_fractions(A, data)) == _sympy(A).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.booleans(), st.booleans(), st.data())
+def test_rat_solve_matches_sympy(A, consistent, fractions, data):
+    ints = st.integers(-9, 9)
+    if consistent:
+        x0 = data.draw(st.lists(ints, min_size=len(A[0]), max_size=len(A[0])))
+        b = mat_vec(A, x0)
+    else:
+        b = data.draw(st.lists(ints, min_size=len(A), max_size=len(A)))
+    system = [row + [c] for row, c in zip(A, b)]
+    if fractions:
+        system = _as_fractions(system, data)
+    x = rat_solve(transpose([row[:-1] for row in system]), [row[-1] for row in system])
+    try:
+        sol, params = _sympy(A).gauss_jordan_solve(_sympy([[c] for c in b]))
+    except ValueError:  # sympy: the system is inconsistent
+        assert x is None and not consistent
+        return
+    expected = sol.subs({p: 0 for p in params})  # free variables set to 0
+    assert _sympy([x]) == expected.T
+    assert all(isinstance(v, Fraction) for v in x)
+
+
+def _apply_row_ops(U, ops):
+    for i, j, c in ops:
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])] if i != j else [-a for a in U[i]]
+    return U
+
+
+square_matrices = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+# row operations r_i += c r_j (i != j) and r_i = -r_i (i == j) on the identity
+unimodular_matrices = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3)),
+    max_size=8).map(lambda ops: _apply_row_ops(identity_matrix(n), ops)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(square_matrices, unimodular_matrices), st.booleans())
+def test_unimodular_inverse_matches_sympy(U, fractions):
+    M = [[Fraction(x) for x in row] for row in U] if fractions else U
+    det = _sympy(U).det()
+    if abs(det) != 1:
+        with pytest.raises(ValueError, match="singular" if det == 0 else "unimodular"):
+            unimodular_inverse(M)
+        return
+    inverse = unimodular_inverse(M)
+    assert _sympy(inverse) == _sympy(U).inv()
+    assert all(type(x) is int for row in inverse for x in row)
 
 
 def test_column_lattice_basis_spans():

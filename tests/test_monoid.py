@@ -252,6 +252,34 @@ def test_membership_oracle():
     assert B.contains((-7, 3)) and not B.contains((0, -1))
 
 
+def test_contains_computes_one_smith_form_per_call(monkeypatch):
+    import f1geom.intlinalg as intlinalg
+
+    A = AffineMonoid.make(2, [[1, 0], [-1, 0], [1, 3], [2, 5]])
+    A.recession_cone.facet_normals, A.unit_generator_indices  # warm the cone data
+    calls = []
+    snf = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form",
+                        lambda M: calls.append(1) or snf(M))
+    assert A.contains((7, 9))
+    assert len(calls) == 1
+    # (x, y) is in A iff y is in the numerical semigroup <3, 5>
+    semigroup = {3 * a + 5 * b for a in range(5) for b in range(3)}
+    for x in range(-4, 9):
+        for y in range(-2, 13):
+            assert A.contains((x, y)) == (y in semigroup)
+
+
+def test_overlong_element_is_a_monoid_error():
+    from f1geom.semiring import SemigroupRingElement
+
+    A = AffineMonoid.make(1, [[1, 0], [0, 1]], torsion=[3])
+    with pytest.raises(MonoidError, match="element has wrong length"):
+        SemigroupRingElement.make(A, {(1, 0, 0): 1})
+    with pytest.raises(MonoidError, match="element has wrong length"):
+        A.contains((1,))
+
+
 def test_monoid_hom_validation():
     A = free_monoid(1)
     MonoidHom.affine(A, A, [(2,)])  # t -> t^2 is fine
