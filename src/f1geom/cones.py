@@ -2,10 +2,12 @@
 
 Cones are given by primitive integer ray generators plus an optional
 lineality basis.  Duals are computed by the double description method
-over exact integers (the fraction-free kernel of `intlinalg`); Hilbert
-bases by a placing triangulation and fundamental-parallelepiped
-enumeration.  Everything runs at desk scale: the public dual/Hilbert
-operations enforce a lattice-rank cap of 4.
+over exact integers (the fraction-free kernel of `intlinalg`).  Hilbert
+bases follow Normaliz (Bruns-Ichim 2010): a placing triangulation, the
+lattice points of each simplex's fundamental parallelepiped listed one
+per coset straight from a Smith form, then a reduction in order of a
+positive grading.  Everything runs at desk scale: the public dual/Hilbert
+operations enforce the lattice-rank cap LIMITS["lattice_rank"] = 4.
 
 Fans ask for the same few duals over and over, so `double_description`
 keeps the results of its last `DD_MEMO_SIZE` distinct inputs in a
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .intlinalg import (
+    diagonal_of,
     dot,
     identity_matrix,
     kernel_basis,
@@ -28,8 +31,9 @@ from .intlinalg import (
     transpose,
     unimodular_inverse,
 )
+from .limits import LIMITS
 
-RANK_CAP = 4
+RANK_CAP = LIMITS["lattice_rank"]
 DD_MEMO_SIZE = 256  # distinct inputs whose duals double_description keeps (LRU)
 
 
@@ -240,7 +244,8 @@ def pullback_generators(rows, basis) -> tuple[tuple[int, ...], ...]:
 def dual_cone(sigma: RationalCone) -> RationalCone:
     """Dual cone {u : <u,v> >= 0 for all v in sigma}, lineality made explicit."""
     if sigma.rank > RANK_CAP:
-        raise ResourceCapError(f"dual_cone capped at lattice rank {RANK_CAP}")
+        raise ResourceCapError(f"dual_cone capped at lattice rank {RANK_CAP} "
+                               "(LIMITS['lattice_rank'])")
     return _dual_uncapped(sigma)
 
 
@@ -325,53 +330,64 @@ def _placing_triangulation(sigma: RationalCone) -> list[tuple[int, ...]]:
 
 
 def _parallelepiped_points(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Lattice points of {sum t_i v_i : 0 <= t_i < 1} for independent v_i."""
-    n = len(vectors[0])
-    los = [0] * n
-    his = [0] * n
-    for coeffs in itertools.product((0, 1), repeat=len(vectors)):
-        corner = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n)]
-        los = [min(a, b) for a, b in zip(los, corner)]
-        his = [max(a, b) for a, b in zip(his, corner)]
-    cols = [list(v) for v in vectors]
+    """Lattice points of {sum t_i v_i : 0 <= t_i < 1} for independent v_i.
+
+    With U V W = D the Smith form of the n x k matrix V of columns v_i, V t
+    is integral iff t = W D^-1 y for an integer y, and y mod (d_1, ..., d_k)
+    indexes the points one to one: one point V frac(t) per coset of V Z^k
+    in its saturation.  Scaled by d_k, which every d_i divides, t is integral.
+    """
+    _, D, W = smith_normal_form(transpose([list(v) for v in vectors]))
+    d = diagonal_of(D)
+    scale = d[-1]
     pts = []
-    for candidate in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-        t = rat_solve(cols, list(candidate))
-        if t is not None and all(0 <= x < 1 for x in t):
-            pts.append(tuple(candidate))
+    for y in itertools.product(*[range(di) for di in d]):
+        ys = [yi * (scale // di) for yi, di in zip(y, d)]
+        t = [dot(row, ys) % scale for row in W]  # scale * frac(t)
+        pts.append(tuple(dot(t, col) // scale for col in zip(*vectors)))
     return pts
 
 
 def hilbert_basis(sigma: RationalCone) -> HilbertBasis:
     """Minimal generating set of sigma cap Z^n for a pointed cone."""
     if sigma.rank > RANK_CAP:
-        raise ResourceCapError(f"hilbert_basis capped at lattice rank {RANK_CAP}")
+        raise ResourceCapError(f"hilbert_basis capped at lattice rank {RANK_CAP} "
+                               "(LIMITS['lattice_rank'])")
     if not sigma.pointed:
         raise ConeError("cone is not pointed; split off the lineality (unit) part first")
     return HilbertBasis(sigma, _hilbert_vectors(sigma))
 
 
 def _hilbert_vectors(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
+    """Hilbert basis of a pointed cone: the rays and the parallelepiped
+    points of a placing triangulation, reduced in order of the grading
+    sum(facet_normals), which is positive on sigma minus 0.
+
+    Every candidate lies in the span of sigma, so h - c is in sigma iff
+    u.h >= u.c for every facet normal u.  If h = a + b with a, b nonzero
+    lattice points of sigma, an irreducible c summing into a has lower
+    degree than h and h - c in sigma; so testing h only against the
+    irreducibles of strictly lower degree is exact.
+    """
     if not sigma.rays:
         return ()
     candidates: set[tuple[int, ...]] = set(sigma.rays)
     for simplex in _placing_triangulation(sigma):
-        vecs = [sigma.rays[i] for i in simplex]
-        for p in _parallelepiped_points(vecs):
-            if any(x != 0 for x in p):
-                candidates.add(p)
-    basis = []
-    for h in sorted(candidates):
-        reducible = False
-        for c in candidates:
-            if c == h:
-                continue
-            diff = tuple(a - b for a, b in zip(h, c))
-            if any(x != 0 for x in diff) and sigma.contains(diff):
-                reducible = True
-                break
-        if not reducible:
+        candidates.update(_parallelepiped_points([sigma.rays[i] for i in simplex]))
+    candidates.discard((0,) * sigma.rank)
+    normals = sigma.facet_normals
+    grading = [sum(column) for column in zip(*normals)]
+    basis: list[tuple[int, ...]] = []
+    slacks: list[tuple[int, ...]] = []  # (u.c for u in normals) per basis element c
+    lower, degree = 0, None  # basis[:lower] has degree below h's
+    for h in sorted(candidates, key=lambda h: dot(grading, h)):
+        deg = dot(grading, h)
+        if deg != degree:
+            lower, degree = len(basis), deg
+        s = tuple(dot(u, h) for u in normals)
+        if not any(all(a >= b for a, b in zip(s, sc)) for sc in slacks[:lower]):
             basis.append(h)
+            slacks.append(s)
     return tuple(sorted(basis))
 
 

@@ -43,8 +43,9 @@ from .intlinalg import (
     subgroup_invariants,
     transpose,
 )
+from .limits import LIMITS
 
-TABLE_PRIME_CAP = 20
+TABLE_PRIME_CAP = LIMITS["table_primes"]
 
 
 class MonoidError(ValueError):
@@ -207,42 +208,42 @@ class AffineMonoid:
         v = self._reduce(tuple(v))
         if not any(v):
             return True
-        f = self.free_part(v)
-        if any(f) and not self.recession_cone.contains(f):
+        rows = self.recession_cone.inequalities
+        slack = [dot(a, self.free_part(v)) for a in rows]
+        if any(s < 0 for s in slack):
             return False
         unit_idx = self.unit_generator_indices
-        nonunit = [i for i in range(len(self.generators)) if i not in unit_idx]
-        # strictly positive functional on the pointed quotient of the cone
-        normals = self.recession_cone.facet_normals
-        weight_vec = [sum(u[i] for u in normals) for i in range(self.ambient_rank)]
-        weights = [dot(weight_vec, self.free_part(self.generators[i])) for i in nonunit]
-        assert all(w > 0 for w in weights)
-        budget = dot(weight_vec, f)
+        # For rem in the cone, rem - n g stays in it iff n <= (a.rem) // (a.g)
+        # for every row a with a.g > 0, and each nonunit g has such a row.
+        # Carrying the slacks a.rem bounds every multiple tried, so each rem
+        # searched is in the cone; torsion is reduced only by the unit solve.
+        steps = [(g, [dot(a, self.free_part(g)) for a in rows])
+                 for i, g in enumerate(self.generators) if i not in unit_idx]
         unit_matrix = self.lattice_matrix(self.generators[i] for i in unit_idx)
         unit_solver = integer_solver(unit_matrix) if unit_matrix else None
 
-        def search(k, rem, rem_budget) -> bool:
-            if k == len(nonunit):
+        def search(k, rem, slack) -> bool:
+            if k == len(steps):
                 if unit_solver is None:
                     return not any(rem)
                 return unit_solver(rem) is not None
-            g = self.generators[nonunit[k]]
-            w = weights[k]
-            top = rem_budget // w
-            for n in range(top + 1):
-                new = self._reduce(tuple(x - n * y for x, y in zip(rem, g)))
-                fn = self.free_part(new)
-                if any(fn) and not self.recession_cone.contains(fn):
-                    continue
-                if search(k + 1, new, rem_budget - n * w):
-                    return True
-            return False
+            g, ag = steps[k]
+            top = min(s // x for s, x in zip(slack, ag) if x > 0)
+            return any(search(k + 1, tuple(x - n * y for x, y in zip(rem, g)),
+                              [s - n * x for s, x in zip(slack, ag)])
+                       for n in range(top + 1))
 
-        return search(0, v, budget)
+        return search(0, v, slack)
 
     def same_submonoid(self, other: "AffineMonoid") -> bool:
-        """Equality as submonoids of a shared ambient group."""
+        """Equality as submonoids of a shared ambient group.  Equal monoids
+        have equal recession cones, hence equal cone dimensions; the cones
+        themselves may list different (non-extremal) rays."""
         if (self.ambient_rank, self.torsion) != (other.ambient_rank, other.torsion):
+            return False
+        if self.generators == other.generators:
+            return True
+        if self.recession_cone.dim != other.recession_cone.dim:
             return False
         return all(other.contains(g) for g in self.generators) and all(
             self.contains(g) for g in other.generators
@@ -420,7 +421,8 @@ class TableMonoid:
     def primes(self) -> list["PrimeIdeal"]:
         if len(self.elements) > TABLE_PRIME_CAP:
             raise ResourceError(
-                f"table monoid prime search capped at {TABLE_PRIME_CAP} elements"
+                f"table monoid prime search capped at {TABLE_PRIME_CAP} elements "
+                "(LIMITS['table_primes'])"
             )
         units = set(self.unit_elements)
         nonunits = [a for a in self.elements if a not in units]

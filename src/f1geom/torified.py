@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .counting import CountingFunction, counting_polynomial
+from .limits import LIMITS
 from .monoid import group_monoid
 from .spectrum import MScheme, glue, minimal_rank_points
 from .zeta import CountingPolynomial, q_poly
@@ -191,8 +192,9 @@ def schubert_torification(k: int, n: int, with_pivot_charts: bool = False):
     identity fails except on the dense cell and the assignment witnesses
     that this torification is not affine.
     """
-    if not (0 <= k <= n <= 8):
-        raise TorifyError("supported range is 0 <= k <= n <= 8")
+    if not (0 <= k <= n <= LIMITS["schubert_n"]):
+        raise TorifyError(f"supported range is 0 <= k <= n <= {LIMITS['schubert_n']} "
+                          "(LIMITS['schubert_n'])")
     cells = [sum(p) for p in box_partitions(k, n - k)]
     ranks, labels = [], []
     for idx, d in enumerate(sorted(cells)):
@@ -237,8 +239,9 @@ def weyl_group_order(group: str) -> int:
 
 def gaussian_binomial(n: int, k: int) -> CountingPolynomial:
     """[n choose k]_q by the q-Pascal recurrence."""
-    if not (0 <= k <= n <= 12):
-        raise TorifyError("supported range is 0 <= k <= n <= 12")
+    if not (0 <= k <= n <= LIMITS["gaussian_n"]):
+        raise TorifyError(f"supported range is 0 <= k <= n <= {LIMITS['gaussian_n']} "
+                          "(LIMITS['gaussian_n'])")
     row = [q_poly(1)]
     for m in range(1, n + 1):
         new = [q_poly(1)]

@@ -153,7 +153,33 @@ def in_rational_cone(rays, x) -> bool:
     return False
 
 
+def parallelepiped_points(vectors):
+    """Lattice points of {sum t_i v_i : 0 <= t_i < 1} for independent
+    vectors: scan the integer box spanned by their 0/1 combinations and
+    solve for t at every point of it."""
+    n = len(vectors[0])
+    corners = [[sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n)]
+               for coeffs in itertools.product((0, 1), repeat=len(vectors))]
+    box = [range(min(c[i] for c in corners), max(c[i] for c in corners) + 1)
+           for i in range(n)]
+    points = set()
+    for p in itertools.product(*box):
+        t = _solve(vectors, list(p))
+        if t is not None and all(0 <= x < 1 for x in t):
+            points.add(p)
+    return points
+
+
 def _solve_nonneg(cols, target):
+    sol = _solve(cols, target)
+    if sol is None or any(s < 0 for s in sol):
+        return None
+    return sol
+
+
+def _solve(cols, target):
+    """One rational solution of sum_j x_j cols[j] = target (free variables
+    0), or None if there is none."""
     if not cols:
         return [] if not any(target) else None
     m = len(target)
@@ -181,6 +207,4 @@ def _solve_nonneg(cols, target):
     sol = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
         sol[col] = aug[r][ncols]
-    if any(s < 0 for s in sol):
-        return None
     return sol

@@ -150,6 +150,11 @@ def test_grassmannian_argument_names_the_option(value):
     assert "--grassmannian" in message and "k,n" in message and repr(value) in message
 
 
+
+def test_grassmannian_past_the_schubert_cap_names_the_limit():
+    assert "LIMITS['schubert_n']" in _error(["torify", "--grassmannian", "3,9"])
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -1,16 +1,20 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import itertools
+from math import gcd
 
-from oracles import generated_lattice_points, in_rational_cone
+import sympy
+
+from oracles import generated_lattice_points, in_rational_cone, parallelepiped_points
 from f1geom.cones import (
     DD_MEMO_SIZE,
     ConeError,
     RationalCone,
     ResourceCapError,
     _double_description,
+    _parallelepiped_points,
     cone,
     double_description,
     dual_cone,
@@ -85,6 +89,69 @@ def test_hilbert_basis_generates_all_lattice_points():
                 pt = (x0, x1)
                 if c.contains(pt):
                     assert pt in generated, (rays, pt)
+
+
+def _box_size(vectors):
+    size = 1
+    for coordinate in zip(*vectors):
+        size *= sum(abs(x) for x in coordinate) + 1
+    return size
+
+
+@st.composite
+def independent_vectors(draw):
+    """k <= n <= 4 independent integer vectors whose parallelepiped's
+    bounding box stays small enough to scan."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    bound = 3 if n <= 3 else 2
+    vectors = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * n),
+                            min_size=k, max_size=k))
+    assume(sympy.Matrix(vectors).rank() == k and _box_size(vectors) <= 1500)
+    return vectors
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(independent_vectors())
+def test_parallelepiped_points_match_the_box_scan(vectors):
+    points = _parallelepiped_points(vectors)
+    assert set(points) == parallelepiped_points(vectors)
+    # one point per coset of V Z^k in its saturation: the product of the
+    # Smith invariants, which is the gcd of the k x k minors of V
+    V = sympy.Matrix(vectors).T
+    k = len(vectors)
+    minors = [int(V.extract(list(rows), list(range(k))).det())
+              for rows in itertools.combinations(range(V.rows), k)]
+    assert len(points) == gcd(*minors)
+
+
+def _minimal_lattice_points(rays):
+    """Minimal nonzero lattice points of the cone over nonnegative rays, by
+    enumeration: each is at most the sum of the rays coordinatewise, and
+    so is every point of a decomposition of it."""
+    box = [range(sum(c) + 1) for c in zip(*rays)]
+    points = {p for p in itertools.product(*box) if any(p) and in_rational_cone(rays, p)}
+    return {p for p in points
+            if not any(tuple(a - b for a, b in zip(p, q)) in points for q in points)}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_hilbert_basis_is_the_set_of_minimal_lattice_points(data):
+    # 2 to n + 1 rays in Z^2 and Z^3 and 2 or 3 rays in Z^4, so cones of
+    # lower dimension embedded in Z^3 and Z^4 come up as well
+    n = data.draw(st.integers(2, 4))
+    k = data.draw(st.integers(2, 3)) if n == 4 else data.draw(st.integers(2, n + 1))
+    rays = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                              min_size=k, max_size=k))
+    assume(all(any(r) for r in rays) and _box_size(rays) <= 400)
+    sigma = RationalCone.make(rays, rank=n)
+    assert set(hilbert_basis(sigma).vectors) == _minimal_lattice_points(rays)
+
+
+def test_hilbert_basis_of_a_large_determinant_cone():
+    basis = hilbert_basis(cone((1, 0), (1, 400))).vectors
+    assert basis == tuple((1, k) for k in range(401))
 
 
 def test_hilbert_rejects_non_pointed():

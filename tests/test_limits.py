@@ -1,0 +1,48 @@
+"""Every resource cap lives in `f1geom.limits.LIMITS`; each holds at its
+value, fails one step past it, and its error names its key."""
+import pytest
+
+from f1geom.cones import RANK_CAP, ResourceCapError, RationalCone, dual_cone, hilbert_basis
+from f1geom.limits import LIMITS
+from f1geom.monoid import TABLE_PRIME_CAP, ResourceError, TableMonoid, primes
+from f1geom.torified import TorifyError, gaussian_binomial, schubert_torification
+
+
+def _orthant(rank):
+    return RationalCone.make([tuple(int(i == j) for j in range(rank)) for i in range(rank)])
+
+
+def test_the_table_holds_every_cap():
+    assert LIMITS == {"lattice_rank": 4, "table_primes": 20, "schubert_n": 8, "gaussian_n": 12}
+    assert RANK_CAP == LIMITS["lattice_rank"] and TABLE_PRIME_CAP == LIMITS["table_primes"]
+
+
+def test_lattice_rank_cap():
+    rank = LIMITS["lattice_rank"]
+    assert len(dual_cone(_orthant(rank)).rays) == rank
+    assert len(hilbert_basis(_orthant(rank)).vectors) == rank
+    for op in (dual_cone, hilbert_basis):
+        with pytest.raises(ResourceCapError, match=r"LIMITS\['lattice_rank'\]"):
+            op(_orthant(rank + 1))
+
+
+def test_table_primes_cap():
+    cap = LIMITS["table_primes"]
+    assert len(primes(TableMonoid.cyclic_group_with_zero(cap - 1))) == 1  # cap elements
+    with pytest.raises(ResourceError, match=r"LIMITS\['table_primes'\]"):
+        primes(TableMonoid.cyclic_group_with_zero(cap))
+
+
+def test_schubert_cap():
+    n = LIMITS["schubert_n"]
+    _, N = schubert_torification(1, n)
+    assert N(1) == n
+    with pytest.raises(TorifyError, match=r"LIMITS\['schubert_n'\]"):
+        schubert_torification(1, n + 1)
+
+
+def test_gaussian_cap():
+    n = LIMITS["gaussian_n"]
+    assert gaussian_binomial(n, 2)(1) == n * (n - 1) // 2
+    with pytest.raises(TorifyError, match=r"LIMITS\['gaussian_n'\]"):
+        gaussian_binomial(n + 1, 2)

@@ -1,10 +1,15 @@
+import itertools
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_group_homs, truncated_primes_of_free_monoid
+from oracles import (
+    count_group_homs,
+    generated_lattice_points,
+    truncated_primes_of_free_monoid,
+)
 from f1geom.monoid import (
     AbelianGroup,
     AffineMonoid,
@@ -268,6 +273,80 @@ def test_contains_computes_one_smith_form_per_call(monkeypatch):
     for x in range(-4, 9):
         for y in range(-2, 13):
             assert A.contains((x, y)) == (y in semigroup)
+
+
+@st.composite
+def monoids_with_units_and_torsion(draw):
+    """Submonoids of Z^2 (+) Z/d: nonunit generators with second coordinate
+    1 or 2, optionally the units +-(1, 0) with torsion parts and a pure
+    torsion generator.  Every x with |x_1| <= 3 and 0 <= x_2 <= 3 in such a
+    monoid is a sum whose partial sums keep an L1 norm of at most 20 in the
+    lift to Z^3, so the enumeration below decides membership exactly."""
+    d = draw(st.sampled_from([None, 2, 3]))
+    tors = st.integers(0, d - 1) if d else st.just(None)
+
+    def gen(a, b):
+        t = draw(tors)
+        return (a, b) if d is None else (a, b, t)
+
+    gens = [gen(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+            for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        gens += [gen(1, 0), gen(-1, 0)]
+    if d and draw(st.booleans()):
+        gens.append(gen(0, 0))
+    return AffineMonoid.make(2, gens, torsion=[d] if d else [])
+
+
+@settings(max_examples=30, deadline=None)
+@given(monoids_with_units_and_torsion())
+def test_contains_agrees_with_enumeration(A):
+    # in the lift to Z^3, x lies in A iff it lies in the monoid generated by
+    # A's generators and +-d e_3
+    relations = [(0, 0, s * d) for d in A.torsion for s in (1, -1)]
+    lifted = generated_lattice_points(list(A.generators) + relations, 20)
+    for x in itertools.product(range(-3, 4), range(4), *[range(d) for d in A.torsion]):
+        assert A.contains(x) == (x in lifted), (A, x)
+
+
+@st.composite
+def monoid_pairs(draw):
+    """A monoid in Z^2 or Z (+) Z/3 and a second one: the same generators
+    listed again, one generator dropped, a sum of two added, or unrelated."""
+    rank, torsion = draw(st.sampled_from([(2, ()), (1, (3,))]))
+    vec = st.tuples(*[st.integers(-2, 3)] * (rank + len(torsion)))
+    gens = draw(st.lists(vec, min_size=1, max_size=4))
+    A = AffineMonoid.make(rank, gens, torsion=torsion)
+    how = draw(st.sampled_from(["same", "drop", "sum", "other"]))
+    if how == "same":
+        other = list(reversed(gens))
+    elif how == "drop":
+        other = gens[1:]
+    elif how == "sum":
+        other = gens + [tuple(a + b for a, b in zip(gens[0], gens[-1]))]
+    else:
+        other = draw(st.lists(vec, min_size=1, max_size=4))
+    return A, AffineMonoid.make(rank, other, torsion=torsion)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monoid_pairs())
+def test_same_submonoid_agrees_with_contains_both_ways(pair):
+    A, B = pair
+    expected = all(B.contains(g) for g in A.generators) and \
+        all(A.contains(g) for g in B.generators)
+    assert A.same_submonoid(B) == expected
+    assert B.same_submonoid(A) == expected
+
+
+def test_same_submonoid_with_different_recession_cone_rays():
+    # (1, 1) is a non-extremal ray kept by B's recession cone
+    A = AffineMonoid.make(2, [[1, 0], [0, 1]])
+    B = AffineMonoid.make(2, [[1, 0], [0, 1], [1, 1]])
+    assert A.recession_cone != B.recession_cone
+    assert A.same_submonoid(B) and B.same_submonoid(A)
+    C = AffineMonoid.make(2, [[1, 0], [0, 2]])
+    assert not A.same_submonoid(C) and not C.same_submonoid(A)
 
 
 def test_overlong_element_is_a_monoid_error():
