@@ -3,9 +3,14 @@ fans to monoid schemes.
 
 A fan is stored as a set of ray-index subsets closed under faces; fan
 cones follow the simplicial definition (linearly independent ray sets),
-with non-simplicial cones arising only as duals.  The passage to schemes
-takes each maximal cone to the spectrum of the lattice-point monoid of
-its dual cone and glues along common faces.
+with non-simplicial cones arising only as duals, so the faces of a cone
+are the subsets of its rays.  The passage to schemes takes each maximal
+cone to the spectrum of the lattice-point monoid of its dual cone, glued
+along common faces.  That scheme is read off the fan by the orbit-cone
+correspondence (Kato 1994, Deitmar 2008): its points are the cones,
+specialization is cone inclusion and the stalk at tau is tau^dual cap Z^n.
+``spectrum.glue`` stays the route for hand-built gluing diagrams; for fans
+the tests use it as the oracle.
 """
 from __future__ import annotations
 
@@ -23,11 +28,12 @@ from .cones import (
 from .intlinalg import dot, primitive_vector, quotient_invariants, rat_rank
 from .monoid import (
     AffineMonoid,
+    PrimeIdeal,
     is_saturated,
     primes,
     units,
 )
-from .spectrum import GluingData, MScheme, glue
+from .spectrum import GluingData, MScheme, Point, _scheme_with_points
 
 
 class FanError(ValueError):
@@ -82,31 +88,42 @@ def make_fan(rank: int, rays, cone_ray_indices, complete_faces: bool = True) -> 
             raise FanError(f"cone {sorted(c)} rays are not linearly independent")
         cones.add(c)
     if complete_faces:
-        for c in list(cones):
-            for k in range(len(c) + 1):
-                for sub in itertools.combinations(sorted(c), k):
-                    cones.add(frozenset(sub))
+        cones = {f for c in cones for f in _faces(c)}
     else:
         for c in cones:
-            for k in range(len(c) + 1):
-                for sub in itertools.combinations(sorted(c), k):
-                    if frozenset(sub) not in cones:
-                        raise FanError(
-                            f"fan is not face-closed: missing face {sorted(sub)}")
+            for f in _faces(c):
+                if f not in cones:
+                    raise FanError(f"fan is not face-closed: missing face {sorted(f)}")
     fan = Fan(rank, rays, tuple(sorted(cones, key=lambda c: (len(c), sorted(c)))))
     _check_intersections(fan)
     return fan
 
 
+def _faces(c: frozenset):
+    """The faces of a simplicial cone: all subsets of its rays."""
+    for k in range(len(c) + 1):
+        for sub in itertools.combinations(sorted(c), k):
+            yield frozenset(sub)
+
+
+def _meet(fan: Fan, a: frozenset, b: frozenset) -> RationalCone:
+    """The geometric intersection of the cones on ray sets a and b."""
+    return intersection((fan.cone_obj(a), fan.cone_obj(b)), fan.rank)
+
+
 def _check_intersections(fan: Fan):
-    for a, b in itertools.combinations(fan.cones, 2):
-        common = a & b
-        ca, cb = fan.cone_obj(a), fan.cone_obj(b)
-        cc = fan.cone_obj(common)
-        # the geometric intersection must be the common-face cone
-        inter = intersection((ca, cb), fan.rank)
+    """Every two maximal cones must meet in their common face.
+
+    That covers every pair of cones: they are simplicial, so for faces
+    a <= A and b <= B, a cap b = cone(a cap B) cap cone(b cap A), where
+    both are faces of the simplicial cone cone(A cap B); their
+    intersection is then cone(a cap b).
+    """
+    for a, b in itertools.combinations(fan.maximal_cones, 2):
+        common = fan.cone_obj(a & b)
+        inter = _meet(fan, a, b)
         for v in signed_rows(inter.rays, inter.lineality):
-            if not cc.contains(v):
+            if not common.contains(v):
                 raise FanError(
                     f"cones {sorted(a)} and {sorted(b)} do not meet in a common face")
 
@@ -172,8 +189,8 @@ class FanInZn:
         return not self.violations
 
 
-def fan_in_zn(fan: Fan) -> FanInZn:
-    """Check the three fan-of-monoids conditions and return both sides."""
+def _fan_monoids(fan: Fan):
+    """Both monoid sides of every cone and the condition (1) violations."""
     members = {}
     charts = {}
     violations = []
@@ -193,88 +210,129 @@ def fan_in_zn(fan: Fan) -> FanInZn:
             violations.append((1, tuple(sorted(c)), "Z^n/Quot has torsion"))
         if not is_saturated(charts[c]):
             violations.append((1, tuple(sorted(c)), "chart monoid not saturated"))
-    # condition (2): complements of primes stay in the collection
-    for c, A in members.items():
-        for p in primes(A):
-            comp = A.face_submonoid(p.face)
-            if not any(comp.same_submonoid(B) for B in members.values()):
-                violations.append(
-                    (2, tuple(sorted(c)), "prime complement missing from the fan"))
-    # condition (3): pairwise intersections are common prime complements
-    for (c, A), (d, B) in itertools.combinations(members.items(), 2):
-        common = fan.cone_obj(c & d)
-        inter = AffineMonoid.make(
-            fan.rank, lattice_monoid_generators(common))
-        ok_a = any(inter.same_submonoid(A.face_submonoid(p.face)) for p in primes(A))
-        ok_b = any(inter.same_submonoid(B.face_submonoid(p.face)) for p in primes(B))
-        if not (ok_a and ok_b):
-            violations.append(
-                (3, (tuple(sorted(c)), tuple(sorted(d))),
-                 "intersection is not a common prime complement"))
+    return members, charts, violations
+
+
+def _violation_2(c):
+    return (2, tuple(sorted(c)), "prime complement missing from the fan")
+
+
+def _violation_3(c, d):
+    return (3, (tuple(sorted(c)), tuple(sorted(d))),
+            "intersection is not a common prime complement")
+
+
+def fan_in_zn(fan: Fan) -> FanInZn:
+    """Check the three fan-of-monoids conditions and return both sides.
+
+    Condition (1) is checked on the monoids.  Conditions (2) and (3) are
+    read off the ray-index sets of a fan built by ``make_fan``: its cones
+    are simplicial and meet in common faces, so the prime complements of
+    c cap Z^n are the monoids of the faces of c, and two members meet in
+    the member of c & d.  (2) is then face closure and (3) asks that
+    c & d be a cone of the fan.
+    """
+    members, charts, violations = _fan_monoids(fan)
+    cones = set(fan.cones)
+    for c in members:
+        violations += [_violation_2(c) for f in _faces(c) if f not in cones]
+    for c, d in itertools.combinations(members, 2):
+        if c & d not in cones:
+            violations.append(_violation_3(c, d))
     return FanInZn(fan, members, charts, tuple(violations))
 
 
 def incomplete_fan_in_zn(fan_rank, rays, cone_ray_indices) -> FanInZn:
     """Condition checking for a raw cone collection that may violate face
-    closure; used to produce violation reports without the constructor's
-    validation."""
+    closure or meet badly; used to produce violation reports without the
+    constructor's validation.  Nothing about the collection is assumed, so
+    conditions (2) and (3) compare monoids: every prime complement of a
+    member with the members, and the lattice points of each geometric
+    intersection with the prime complements of both members."""
     cones = tuple(frozenset(c) for c in cone_ray_indices)
     prim = tuple(primitive_vector(r) for r in rays)
     fan = Fan(fan_rank, prim, cones)
-    return fan_in_zn(fan)
+    members, charts, violations = _fan_monoids(fan)
+    # condition (2): complements of primes stay in the collection
+    for c, A in members.items():
+        for p in primes(A):
+            comp = A.face_submonoid(p.face)
+            if not any(comp.same_submonoid(B) for B in members.values()):
+                violations.append(_violation_2(c))
+    # condition (3): pairwise intersections are common prime complements
+    for (c, A), (d, B) in itertools.combinations(members.items(), 2):
+        inter = AffineMonoid.make(
+            fan.rank, lattice_monoid_generators(_meet(fan, c, d)))
+        ok_a = any(inter.same_submonoid(A.face_submonoid(p.face)) for p in primes(A))
+        ok_b = any(inter.same_submonoid(B.face_submonoid(p.face)) for p in primes(B))
+        if not (ok_a and ok_b):
+            violations.append(_violation_3(c, d))
+    return FanInZn(fan, members, charts, tuple(violations))
 
 
 # --- fan -> scheme functor -------------------------------------------------------
 
 @dataclass(frozen=True)
 class FanData:
-    """Toric bookkeeping attached to a glued scheme: which fan cone each
-    point came from."""
+    """Toric bookkeeping attached to a fan scheme: which fan cone each
+    point is."""
 
     fan: Fan
     cone_of_point: dict = field(compare=False)  # Point.key -> frozenset
 
 
 def kato(fan: Fan) -> MScheme:
-    """The monoid scheme of a fan: one chart per maximal cone, the chart
-    monoid being the lattice points of the dual cone, glued along the
-    localizations at common faces."""
+    """The monoid scheme of a fan: one chart per maximal cone sigma, the
+    chart monoid being sigma^dual cap Z^n, glued along the localizations
+    at common faces (identity gluing records).
+
+    The points, order and stalks come from the orbit-cone correspondence,
+    not from gluing.  The point of a cone tau is the prime of the first
+    maximal cone containing it whose complement is the face of the chart
+    vanishing on tau; its rank is n - dim(tau), its stalk is that chart
+    localized there (tau^dual cap Z^n), and specialization is cone
+    inclusion.  ``glue`` on the same charts and records derives the same
+    data; the tests compare the two routes.
+    """
+    n = fan.rank
     maxcones = fan.maximal_cones
-    charts = []
-    chart_cones = []
-    for c in maxcones:
-        dual = _dual_uncapped(fan.cone_obj(c))
-        charts.append(AffineMonoid.make(fan.rank, lattice_monoid_generators(dual)))
-        chart_cones.append(c)
+    charts = [
+        AffineMonoid.make(n, lattice_monoid_generators(_dual_uncapped(fan.cone_obj(c))))
+        for c in maxcones
+    ]
 
-    def prime_face_for(chart_idx: int, sigma: frozenset):
-        A = charts[chart_idx]
-        sig_rays = [fan.rays[i] for i in sorted(sigma)]
-        face = tuple(
-            i for i, g in enumerate(A.generators)
-            if all(dot(g, r) == 0 for r in sig_rays)
+    def face_of(ci: int, tau: frozenset) -> tuple[int, ...]:
+        """Generator indices of chart ci vanishing on the rays of tau."""
+        return tuple(
+            i for i, g in enumerate(charts[ci].generators)
+            if all(dot(g, fan.rays[r]) == 0 for r in tau)
         )
-        return next(p for p in primes(A) if p.face == face)
 
+    ident = tuple(tuple(1 if a == b else 0 for a in range(n)) for b in range(n))
+    cones = set(fan.cones)
     gluings = []
     for i, j in itertools.combinations(range(len(maxcones)), 2):
-        sigma = chart_cones[i] & chart_cones[j]
-        if sigma not in fan.cones:
+        sigma = maxcones[i] & maxcones[j]
+        if sigma not in cones:
             raise FanError("maximal cones intersect outside the fan")
-        ident = tuple(
-            tuple(1 if a == b else 0 for a in range(fan.rank)) for b in range(fan.rank)
-        )
-        gluings.append(GluingData(i, prime_face_for(i, sigma),
-                                  j, prime_face_for(j, sigma), ident))
-    scheme = glue(charts, gluings)
+        gluings.append(GluingData(i, PrimeIdeal(charts[i], face_of(i, sigma)),
+                                  j, PrimeIdeal(charts[j], face_of(j, sigma)), ident))
 
-    cone_of_point = {}
-    for c in fan.sorted_cones():
-        chart_idx = next(k for k, mc in enumerate(chart_cones) if c <= mc)
-        p = prime_face_for(chart_idx, c)
-        pt = scheme.point_of(chart_idx, p)
-        cone_of_point[pt.key] = c
-    if len(set(cone_of_point.values())) != len(fan.cones) or \
-            len(cone_of_point) != len(scheme.points):
+    point_of_cone, cone_of_point, stalks, class_of = {}, {}, {}, {}
+    for ci, mc in enumerate(maxcones):
+        A = charts[ci]
+        for tau in _faces(mc):
+            prime = PrimeIdeal(A, face_of(ci, tau))
+            if tau not in point_of_cone:
+                pt = Point(ci, prime, n - fan.cone_dim(tau))
+                point_of_cone[tau] = pt
+                cone_of_point[pt.key] = tau
+                stalks[pt.key] = A._localized(prime.face)
+            class_of[(ci, prime.key)] = point_of_cone[tau]
+    if set(point_of_cone) != cones:
         raise FanError("fan cones and scheme points do not correspond")
-    return MScheme(scheme.charts, scheme.gluings, FanData(fan, cone_of_point))
+    points = tuple(sorted(point_of_cone.values(), key=lambda p: p.key))
+    le = {(a.key, b.key): cone_of_point[a.key] <= cone_of_point[b.key]
+          for a in points for b in points}
+    return _scheme_with_points(charts, gluings, FanData(fan, cone_of_point), {
+        "points": points, "le": le, "stalks": stalks, "class_of": class_of})

@@ -293,12 +293,17 @@ class AffineMonoid:
     def localize(self, p: "PrimeIdeal"):
         if p.owner != self:
             raise MonoidError("prime does not belong to this monoid")
-        gens = list(self.generators)
-        for i in p.face:
-            gens.append(tuple(-x for x in self.generators[i]))
-        loc = AffineMonoid.make(self.ambient_rank, gens, torsion=self.torsion,
-                                pointed=self.pointed)
+        loc = self._localized(p.face)
         return loc, MonoidHom.affine(self, loc, self.generators)
+
+    def _localized(self, face) -> "AffineMonoid":
+        """A_p for the prime whose complement is ``face``: the generators
+        plus the negated face generators."""
+        gens = list(self.generators)
+        for i in face:
+            gens.append(tuple(-x for x in self.generators[i]))
+        return AffineMonoid.make(self.ambient_rank, gens, torsion=self.torsion,
+                                 pointed=self.pointed)
 
     def restriction(self, hom_q: "MonoidHom", hom_p: "MonoidHom") -> "MonoidHom":
         """A_q -> A_p: A_q's generators are localization generators of A_p too."""

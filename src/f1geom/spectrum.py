@@ -4,7 +4,9 @@ The Zariski topology of a finite spectrum is the Alexandrov topology of
 the specialization order (p <= q iff p is contained in q), so sheaves are
 stored as functors on that poset: a stalk per point and a restriction hom
 A_q -> A_p along every specialization.  Schemes are finite gluing
-diagrams of affine spectra along localizations.
+diagrams of affine spectra along localizations; their points, order and
+stalks are derived by gluing the chart spectra, except for fan schemes,
+whose builder reads them off the fan.
 """
 from __future__ import annotations
 
@@ -275,10 +277,16 @@ class MScheme:
             raise SchemeError("mixed pointed/unpointed charts")
         return flags.pop()
 
-    # derived data filled in by glue(); kept on a parallel cache
+    # derived data: points, order, stalks and the (chart, prime) -> point
+    # map.  glue() computes it by gluing the chart spectra; kato() reads it
+    # off the fan (orbit-cone correspondence) through _scheme_with_points().
     @cached_property
     def _derived(self):
         return _build_scheme_data(self)
+
+    @cached_property
+    def _spectra(self):
+        return tuple(spec(A) for A in self.charts)
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -291,7 +299,8 @@ class MScheme:
         return self._derived["stalks"][pt.key]
 
     def chart_spectra(self):
-        return self._derived["spectra"]
+        """spec() of each chart, built on first use."""
+        return self._spectra
 
     def point_of(self, chart_index: int, prime: PrimeIdeal) -> Point:
         return self._derived["class_of"][(chart_index, prime.key)]
@@ -332,11 +341,25 @@ def glue(charts, gluings) -> "MScheme":
     return scheme
 
 
-def _build_scheme_data(scheme: MScheme):
-    charts = scheme.charts
+def _scheme_with_points(charts, gluings, fan_data, derived: dict) -> MScheme:
+    """An MScheme whose derived data (the keys _build_scheme_data returns)
+    is already known, so it is not glued.  The caller vouches that it is
+    what glue() would derive; the fan functor's tests compare the two."""
+    scheme = MScheme(tuple(charts), tuple(gluings), fan_data)
+    _require_charts(scheme.charts)
+    scheme.__dict__["_derived"] = derived  # seeds the cached_property
+    return scheme
+
+
+def _require_charts(charts):
     if not charts:
         raise SchemeError("a scheme needs at least one chart")
-    spectra = [spec(A) for A in charts]
+
+
+def _build_scheme_data(scheme: MScheme):
+    charts = scheme.charts
+    _require_charts(charts)
+    spectra = scheme.chart_spectra()
 
     # union-find over (chart, prime.key)
     keys = [(ci, p.key) for ci, (space, _) in enumerate(spectra) for p in space.points]
@@ -400,7 +423,6 @@ def _build_scheme_data(scheme: MScheme):
         "points": points,
         "le": le,
         "stalks": stalks,
-        "spectra": spectra,
         "class_of": class_of,
     }
 

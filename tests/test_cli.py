@@ -151,6 +151,13 @@ def test_grassmannian_argument_names_the_option(value):
 
 
 
+@pytest.mark.parametrize("verb", ["fan", "count", "torify"])
+def test_empty_fan_is_an_error(tmp_path, verb):
+    path = tmp_path / "empty.fan.json"
+    path.write_text(json.dumps({"kind": "fan", "rank": 2, "rays": [], "cones": []}))
+    assert "a scheme needs at least one chart" in _error([verb, "--fan", str(path)])
+
+
 def test_grassmannian_past_the_schubert_cap_names_the_limit():
     assert "LIMITS['schubert_n']" in _error(["torify", "--grassmannian", "3,9"])
 

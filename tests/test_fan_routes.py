@@ -1,0 +1,207 @@
+"""The fan scheme and the fan conditions, each by two routes.
+
+`kato` reads the points, order and stalks of a fan scheme off the fan
+(orbit-cone correspondence); `glue` derives them by gluing the chart
+spectra along the same records.  `fan_in_zn` reads conditions (2) and (3)
+off ray-index sets; `incomplete_fan_in_zn` checks them by monoid
+searches.  Both pairs must agree on every shipped fan, on the toric size
+ladder, on a few fans with lower-dimensional or singular cones, on
+GL_n(Z) images of all of these, and on random complete rank-2 fans that
+are not smooth.
+"""
+import itertools
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+import f1geom.spectrum as spectrum
+from f1geom.cones import dual_cone, lattice_monoid_generators
+from f1geom.counting import count_points, counting_polynomial
+from f1geom.fans import (
+    Fan,
+    FanError,
+    fan_in_zn,
+    incomplete_fan_in_zn,
+    kato,
+    make_fan,
+    product_fan,
+    standard_fans,
+)
+from f1geom.intlinalg import dot
+from f1geom.io import parse_input
+from f1geom.monoid import AffineMonoid, primes
+from f1geom.spectrum import GluingData, classify, glue
+from f1geom.torified import orbit_torification
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _ladder():
+    P = {n: standard_fans("projective_space", n) for n in range(1, 5)}
+    A = {n: standard_fans("affine_space", n) for n in range(2, 5)}
+    fans = {f"P^{n}": P[n] for n in range(1, 5)}
+    fans["(P^1)^2"] = product_fan(P[1], P[1])
+    fans["(P^1)^3"] = product_fan(fans["(P^1)^2"], P[1])
+    fans["P^2xP^1"] = product_fan(P[2], P[1])
+    fans.update({f"A^{n}": A[n] for n in range(2, 5)})
+    fans.update({f"H_{a}": standard_fans("hirzebruch", a) for a in range(1, 16)})
+    # maximal cones below full dimension, and a singular cone
+    fans["T^2"] = standard_fans("torus", 2)
+    fans["ray in Z^2"] = make_fan(2, [[1, 0]], [[0]])
+    fans["P^1xT^1"] = product_fan(P[1], standard_fans("torus", 1))
+    fans["A^1xP^1"] = product_fan(standard_fans("affine_space", 1), P[1])
+    fans["quadric cone"] = make_fan(3, [[1, 0, 0], [0, 1, 0], [1, 1, 2]], [[0, 1, 2]])
+    for path in sorted(DATA.glob("*.fan.json")):
+        fans[path.name] = parse_input(path)
+    return fans
+
+
+LADDER = _ladder()
+
+
+def _unimodular(n, rng):
+    """A random matrix in GL_n(Z): a signed permutation times a few
+    elementary row operations with multipliers +-1, +-2."""
+    M = [[0] * n for _ in range(n)]
+    for i, j in enumerate(rng.sample(range(n), n)):
+        M[i][j] = rng.choice((1, -1))
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.choice((1, -1, 2, -2))
+            M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+    return M
+
+
+def _gl_image(fan, rng):
+    U = _unimodular(fan.rank, rng)
+    rays = [[dot(row, r) for row in U] for r in fan.rays]
+    return make_fan(fan.rank, rays, fan.maximal_cones)
+
+
+def _random_rank2_fan(rng):
+    """A complete rank-2 fan on 3-6 rays sorted by angle, with a singular
+    cone; consecutive rays are less than a half-turn apart."""
+    while True:
+        rays = set()
+        for _ in range(rng.randint(3, 6)):
+            v = (rng.randint(-4, 4), rng.randint(-4, 4))
+            if any(v):
+                g = math.gcd(*v)
+                rays.add((v[0] // g, v[1] // g))
+        rays = sorted(rays, key=lambda v: math.atan2(v[1], v[0]))
+        k = len(rays)
+        pairs = [(i, (i + 1) % k) for i in range(k)]
+        dets = [rays[i][0] * rays[j][1] - rays[i][1] * rays[j][0] for i, j in pairs]
+        if k >= 3 and all(d > 0 for d in dets) and any(d > 1 for d in dets):
+            return make_fan(2, rays, pairs)
+
+
+def _corpus():
+    rng = random.Random(20261018)
+    fans = dict(LADDER)
+    for name, fan in LADDER.items():
+        fans[f"GL({name})"] = _gl_image(fan, rng)
+    for i in range(12):
+        fans[f"rank2-singular-{i}"] = _random_rank2_fan(rng)
+    return fans
+
+
+CORPUS = _corpus()
+
+
+def _kato_by_glue(fan):
+    """The fan scheme the generic way: the dual-cone charts, identity
+    records at the primes of the common faces, and glue()."""
+    charts = [AffineMonoid.make(fan.rank, lattice_monoid_generators(dual_cone(fan.cone_obj(c))))
+              for c in fan.maximal_cones]
+
+    def prime_of(ci, tau):
+        A = charts[ci]
+        face = tuple(i for i, g in enumerate(A.generators)
+                     if all(dot(g, fan.rays[r]) == 0 for r in tau))
+        return next(p for p in primes(A) if p.face == face)
+
+    ident = tuple(tuple(int(a == b) for a in range(fan.rank)) for b in range(fan.rank))
+    records = []
+    for i, j in itertools.combinations(range(len(charts)), 2):
+        common = fan.maximal_cones[i] & fan.maximal_cones[j]
+        records.append(GluingData(i, prime_of(i, common), j, prime_of(j, common), ident))
+    X = glue(charts, records)
+    cone_of_point = {}
+    for c in fan.cones:
+        ci = next(k for k, mc in enumerate(fan.maximal_cones) if c <= mc)
+        cone_of_point[X.point_of(ci, prime_of(ci, c)).key] = c
+    return X, cone_of_point
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_kato_equals_the_glue_route(name):
+    fan = CORPUS[name]
+    X = kato(fan)
+    Y, cone_of_point = _kato_by_glue(fan)
+    assert X.charts == Y.charts
+    assert X.gluings == Y.gluings
+    assert [(p.key, p.rank) for p in X.points] == [(p.key, p.rank) for p in Y.points]
+    assert X.points == Y.points
+    assert {(a.key, b.key): X.le(a, b) for a in X.points for b in X.points} == \
+        {(a.key, b.key): Y.le(a, b) for a in Y.points for b in Y.points}
+    for pt in Y.points:
+        assert X.stalk(pt) == Y.stalk(pt), pt
+    assert X.fan_data.cone_of_point == cone_of_point
+    assert len(cone_of_point) == len(fan.cones)
+    for ci, chart in enumerate(Y.charts):
+        for p in primes(chart):
+            assert X.point_of(ci, p) == Y.point_of(ci, p), (ci, p.face)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_fan_in_zn_equals_the_search_route(name):
+    fan = CORPUS[name]
+    fast = fan_in_zn(fan)
+    slow = incomplete_fan_in_zn(fan.rank, fan.rays, fan.cones)
+    assert fast.violations == slow.violations == ()
+    assert fast.members == slow.members
+    assert fast.chart_monoids == slow.chart_monoids
+
+
+def test_kato_neither_glues_nor_builds_chart_spectra(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the fan scheme went through the gluing route")
+
+    monkeypatch.setattr(spectrum, "_build_scheme_data", forbidden)
+    monkeypatch.setattr(spectrum, "spec", forbidden)
+    X = kato(standard_fans("projective_space", 3))
+    assert count_points(X, 2).count == 15
+    assert counting_polynomial(X).as_polynomial().coefficients == (1, 1, 1, 1)
+    assert all(classify(X).values())
+    assert sorted(orbit_torification(X).ranks) == sorted(3 - len(c) for c in X.fan_data.fan.cones)
+
+
+def test_chart_spectra_are_built_on_demand():
+    X = kato(standard_fans("projective_space", 2))
+    spectra = X.chart_spectra()
+    assert [len(space.points) for space, _ in spectra] == [4, 4, 4]
+    assert X.chart_spectra() is spectra
+
+
+def test_fan_in_zn_reads_conditions_2_and_3_off_the_ray_sets():
+    # two quadrants of a collection that lacks their common ray and the origin
+    fan = Fan(2, ((1, 0), (0, 1), (-1, 0)), (frozenset({0, 1}), frozenset({1, 2})))
+    fast = fan_in_zn(fan).violations
+    slow = incomplete_fan_in_zn(fan.rank, fan.rays, fan.cones).violations
+    assert sorted(v for v in fast if v[0] == 2) == sorted(v for v in slow if v[0] == 2)
+    assert len(slow) == 6 and all(v[0] == 2 for v in slow)
+    assert [v for v in fast if v[0] == 3] == [
+        (3, ((0, 1), (1, 2)), "intersection is not a common prime complement")]
+
+
+def test_condition_3_tests_the_geometric_intersection():
+    # cone((1,0),(0,1)) and cone((1,1)) share no ray but meet along (1,1)
+    fz = incomplete_fan_in_zn(2, [[1, 0], [0, 1], [1, 1]], [[0, 1], [2], [0], [1], []])
+    assert fz.violations == (
+        (3, ((2,), (0, 1)), "intersection is not a common prime complement"),)
+    with pytest.raises(FanError, match="do not meet in a common face"):
+        make_fan(2, [[1, 0], [0, 1], [1, 1]], [[0, 1], [2]])
