@@ -310,20 +310,20 @@ def cmd_fzoo(args) -> int:
 
 
 def _matrix_laws_ok(M, size: int) -> bool:
+    """Unit and associativity laws on all size x size matrices, read off a
+    table of every pairwise product; a product that is not one of the
+    valid matrices fails the check."""
     from . import fzoo
 
     mats = list(fzoo.all_fmatrices(M, size, size))
-    ident = fzoo.FMatrix.identity(M, size)
-    for f in mats:
-        if fzoo.compose(f, ident) != f or fzoo.compose(ident, f) != f:
-            return False
-    for f in mats:
-        for g in mats:
-            for h in mats:
-                if fzoo.compose(fzoo.compose(f, g), h) != \
-                        fzoo.compose(f, fzoo.compose(g, h)):
-                    return False
-    return True
+    index = {f: i for i, f in enumerate(mats)}
+    table = [[index.get(fzoo.compose(f, g)) for g in mats] for f in mats]
+    ident = index[fzoo.FMatrix.identity(M, size)]
+    n = range(len(mats))
+    if any(None in row for row in table) or \
+            any(table[i][ident] != i or table[ident][i] != i for i in n):
+        return False
+    return all(table[table[f][g]][h] == table[f][table[g][h]] for f in n for g in n for h in n)
 
 
 def cmd_diagram_check(args) -> int:

@@ -84,7 +84,8 @@ def compose(f: FMatrix, g: FMatrix) -> FMatrix:
             prod = M.op(w, v)
             if prod != M.zero:
                 out[(z, x)] = prod
-    return FMatrix.make(M, f.source, g.target, out)
+    # a product of valid matrices is valid: no re-validation
+    return FMatrix(M, f.source, g.target, tuple(sorted(out.items())))
 
 
 def all_fmatrices(M: TableMonoid, source: int, target: int):

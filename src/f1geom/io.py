@@ -4,7 +4,9 @@ Every input is JSON with a ``kind`` discriminator: monoid, table_monoid,
 fan, torification, or cells.  Parsing returns the corresponding typed
 object; syntax errors carry the line/column, semantic errors the
 offending entry.  Emission is canonical (sorted keys) so that emit then
-re-parse is the identity.
+re-parse is the identity.  Torus labels are optional in a torification
+file: they are written only when the torification carries some, and a
+file without them parses to an unlabeled torification.
 """
 from __future__ import annotations
 
@@ -142,12 +144,7 @@ def _torification_from_dict(data) -> tuple:
     labels = None
     if "labels" in data:
         labels = _label_list(data["labels"], "'labels'")
-    T = Torification.make(ranks, labels, charts, chart_counts)
-    for cid, tori in (charts or {}).items():
-        for t in tori:
-            if t not in T.labels:
-                raise ValidationError(f"charts[{cid}] names torus {t!r}, which has no label")
-    return T, counting
+    return Torification.make(ranks, labels, charts, chart_counts), counting
 
 
 def _label_list(value, where):
@@ -204,11 +201,9 @@ def fan_to_dict(fan: Fan) -> dict:
 
 
 def torification_to_dict(T: Torification, counting: CountingPolynomial = None) -> dict:
-    out = {
-        "kind": "torification",
-        "ranks": list(T.ranks),
-        "labels": [list(l) if isinstance(l, tuple) else l for l in T.labels],
-    }
+    out = {"kind": "torification", "ranks": list(T.ranks)}
+    if T.labels:
+        out["labels"] = [list(l) if isinstance(l, tuple) else l for l in T.labels]
     if counting is not None:
         out["counting"] = list(counting.coefficients)
     if T.charts is not None:

@@ -32,9 +32,12 @@ class TorifyError(ValueError):
 class Torification:
     """Multiset of torus ranks with optional labels and chart assignment.
 
-    ``charts`` maps a chart id to the labels of the tori lying in it,
-    together with the chart's own counting polynomial, which is what the
-    affineness check needs.
+    ``ranks`` is the full sorted tuple, which is all that counting needs.
+    Labels are kept only when the caller supplies them or a chart
+    assignment refers to tori; a chart assignment without labels uses the
+    torus indices.  Otherwise ``labels == ()``.  ``charts`` maps a chart
+    id to the labels of the tori lying in it, together with the chart's
+    own counting polynomial, which is what the affineness check needs.
     """
 
     ranks: tuple[int, ...]
@@ -47,14 +50,20 @@ class Torification:
         ranks = [int(d) for d in ranks]
         if any(d < 0 for d in ranks):
             raise TorifyError("torus ranks must be nonnegative")
-        if labels is None:
-            labels = list(range(len(ranks)))
-        else:
-            labels = list(labels)
-            if len(labels) != len(ranks):
-                raise TorifyError("need one label per torus")
-            if len(set(labels)) != len(labels):
-                raise TorifyError("torus labels must be unique")
+        if labels is None and charts is None:
+            return Torification(tuple(sorted(ranks)))
+        labels = list(range(len(ranks))) if labels is None else list(labels)
+        known = set(labels)
+        if len(labels) != len(ranks):
+            raise TorifyError("need one label per torus")
+        if len(known) != len(labels):
+            raise TorifyError("torus labels must be unique")
+        for cid, tori in (charts or {}).items():
+            if cid not in (chart_counts or {}):
+                raise TorifyError(f"charts[{cid}] has no entry in chart_counts")
+            for t in tori:
+                if t not in known:
+                    raise TorifyError(f"charts[{cid}] names torus {t!r}, which has no label")
         paired = sorted(zip(ranks, labels), key=lambda rl: (rl[0], str(rl[1])))
         return Torification(tuple(r for r, _ in paired),
                             tuple(l for _, l in paired), charts, chart_counts)
@@ -87,12 +96,7 @@ class CellComplex:
         return CellComplex(tuple(sorted(out)))
 
     def torification(self) -> Torification:
-        ranks, labels = [], []
-        for idx, (d, base) in enumerate(self.cells):
-            for seq, r in enumerate(torify_cell(d, base)):
-                ranks.append(r)
-                labels.append((idx, d, base, r, seq))
-        return Torification.make(ranks, labels)
+        return Torification.make(torify_cells(self.cells))
 
     def count_polynomial(self) -> CountingPolynomial:
         out = CountingPolynomial.make([])
@@ -156,15 +160,17 @@ def orbit_torification(X: MScheme) -> Torification:
     return Torification.make(ranks, labels, charts, chart_counts)
 
 
-def torify_cell(d: int, base: int = 0) -> list[int]:
-    """Ranks of the subset decomposition of a d-cell over a rank-``base``
-    torus: {base + |S| : S subset of [d]}, 2^d tori."""
-    if d < 0 or base < 0:
-        raise TorifyError("cell dimension and base rank must be nonnegative")
-    out = []
-    for k in range(d + 1):
-        out.extend([base + k] * comb(d, k))
-    return sorted(out)
+def torify_cells(cells) -> list[int]:
+    """Sorted ranks of the subset decomposition of (dimension, base) cells:
+    a d-cell over a rank-``base`` torus splits into the 2^d tori
+    {base + |S| : S subset of [d]}, so rank base + r occurs C(d, r) times."""
+    mult = {}
+    for d, base in cells:
+        if d < 0 or base < 0:
+            raise TorifyError("cell dimension and base rank must be nonnegative")
+        for r in range(d + 1):
+            mult[base + r] = mult.get(base + r, 0) + comb(d, r)
+    return [r for r in sorted(mult) for _ in range(mult[r])]
 
 
 def box_partitions(k: int, m: int):
@@ -195,22 +201,19 @@ def schubert_torification(k: int, n: int, with_pivot_charts: bool = False):
     if not (0 <= k <= n <= LIMITS["schubert_n"]):
         raise TorifyError(f"supported range is 0 <= k <= n <= {LIMITS['schubert_n']} "
                           "(LIMITS['schubert_n'])")
-    cells = [sum(p) for p in box_partitions(k, n - k)]
-    ranks, labels = [], []
-    for idx, d in enumerate(sorted(cells)):
-        for seq, r in enumerate(torify_cell(d, 0)):
-            ranks.append(r)
-            labels.append((idx, d, r, seq))
-    charts = chart_counts = None
-    if with_pivot_charts:
-        chart_poly = CountingPolynomial.make([0] * (k * (n - k)) + [1])  # q^{k(n-k)}
-        charts, chart_counts = {}, {}
-        for idx, d in enumerate(sorted(cells)):
-            cid = f"pivot-{idx}"
-            charts[cid] = [lbl for lbl in labels if lbl[0] == idx]
-            chart_counts[cid] = chart_poly
-    T = Torification.make(ranks, labels, charts, chart_counts)
-    return T, gaussian_binomial(n, k)
+    cells = sorted(sum(p) for p in box_partitions(k, n - k))
+    N = gaussian_binomial(n, k)
+    if not with_pivot_charts:
+        return Torification.make(torify_cells((d, 0) for d in cells)), N
+    ranks, labels, charts, chart_counts = [], [], {}, {}
+    chart_poly = CountingPolynomial.make([0] * (k * (n - k)) + [1])  # q^{k(n-k)}
+    for idx, d in enumerate(cells):
+        cell = [(idx, d, r, seq) for seq, r in enumerate(torify_cells([(d, 0)]))]
+        ranks += [r for _, _, r, _ in cell]
+        labels += cell
+        charts[f"pivot-{idx}"] = cell
+        chart_counts[f"pivot-{idx}"] = chart_poly
+    return Torification.make(ranks, labels, charts, chart_counts), N
 
 
 def bruhat_torification(group: str):
@@ -223,12 +226,7 @@ def bruhat_torification(group: str):
     if group not in data:
         raise TorifyError(f"unsupported group {group!r}; choose from {sorted(data)}")
     base, cell_dims, N = data[group]
-    ranks, labels = [], []
-    for idx, d in enumerate(cell_dims):
-        for seq, r in enumerate(torify_cell(d, base)):
-            ranks.append(r)
-            labels.append((idx, d, r, seq))
-    T = Torification.make(ranks, labels)
+    T = Torification.make(torify_cells((d, base) for d in cell_dims))
     assert verify_torification(T, N)
     return T, N
 

@@ -1,4 +1,5 @@
 """emit then parse_input is the identity on every emittable kind."""
+import json
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from f1geom.io import emit, parse_input
 from f1geom.monoid import AffineMonoid, TableMonoid
-from f1geom.torified import bruhat_torification
+from f1geom.torified import bruhat_torification, schubert_torification
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FAN_FILES = sorted(DATA.glob("*.fan.json"))
+CELL_FILES = sorted(DATA.glob("*.cells.json"))
 ROUND_TRIP = settings(max_examples=40, deadline=None,
                       suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -55,3 +57,27 @@ def test_fan_round_trip(tmp_path, path):
 def test_torification_round_trip_keeps_the_counting_polynomial(tmp_path, group):
     T, N = bruhat_torification(group)
     assert round_trip(T, tmp_path, counting=N) == (T, N)
+
+
+@pytest.mark.parametrize("charts", [False, True], ids=["plain", "pivot-charts"])
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 6) for k in range(n + 1)])
+def test_schubert_torification_round_trip(tmp_path, k, n, charts):
+    T, N = schubert_torification(k, n, with_pivot_charts=charts)
+    back, back_N = round_trip(T, tmp_path, counting=N)
+    assert (back, back_N) == (T, N) and back.labels == T.labels
+    assert ("labels" in json.loads((tmp_path / "obj.json").read_text())) == charts
+    assert back.charts == T.charts and back.chart_counts == T.chart_counts
+
+
+@pytest.mark.parametrize("path", CELL_FILES, ids=lambda p: p.name)
+def test_cell_torification_round_trip(tmp_path, path):
+    cells = parse_input(path)
+    T, N = cells.torification(), cells.count_polynomial()
+    assert T.labels == () and round_trip(T, tmp_path, counting=N) == (T, N)
+
+
+def test_labeled_torification_file_keeps_its_labels(tmp_path):
+    T, N = parse_input(DATA / "sl2.torification.json")
+    back, back_N = round_trip(T, tmp_path, counting=N)
+    assert len(T.labels) == len(T.ranks) > 0
+    assert back.labels == T.labels and back.ranks == T.ranks and back_N == N

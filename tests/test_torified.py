@@ -1,14 +1,21 @@
+from itertools import combinations
+
 import pytest
 
 from oracles import count_matrices, count_subspaces
 from f1geom.torified import (
+    Torification,
+    TorifyError,
     bruhat_torification,
     f1_points,
+    is_affinely_torified,
     is_torified_cc,
     schubert_torification,
+    torify_cells,
     triple_from_torification,
     weyl_group_order,
 )
+from f1geom.zeta import q_poly
 
 
 def torus_sum(T, p):
@@ -35,3 +42,40 @@ def test_bruhat_counts_match_matrix_enumeration(group, p):
 def test_schubert_counts_match_subspace_enumeration(k, n, p):
     T, N = schubert_torification(k, n)
     assert N(p) == count_subspaces(k, n, p) == torus_sum(T, p)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 7) for k in range(n + 1)])
+def test_pivot_charts_leave_the_ranks_alone(k, n):
+    T, N = schubert_torification(k, n)
+    charted, charted_N = schubert_torification(k, n, with_pivot_charts=True)
+    assert charted.ranks == T.ranks and charted_N == N
+    assert T.labels == () and len(charted.labels) == len(T.ranks)
+    assert sorted(t for tori in charted.charts.values() for t in tori) == sorted(charted.labels)
+
+
+def test_cell_ranks_match_subset_enumeration():
+    cells = [(0, 0), (1, 2), (3, 0), (4, 1), (2, 2)]
+    subsets = sorted(base + k for d, base in cells
+                     for k in range(d + 1) for _ in combinations(range(d), k))
+    assert torify_cells(cells) == subsets
+
+
+def test_unlabeled_make_stores_no_labels():
+    T = Torification.make([2, 0, 1, 1])
+    assert T.ranks == (0, 1, 1, 2) and T.labels == ()
+
+
+def test_charts_without_labels_use_torus_indices():
+    T = Torification.make([1, 0], charts={"c": [0, 1]}, chart_counts={"c": q_poly(1, 0)})
+    assert T.labels == (1, 0) and is_affinely_torified(T) == (True, [])
+
+
+@pytest.mark.parametrize("charts, chart_counts, message", [
+    ({0: ["c"]}, {0: q_poly(1)}, "charts[0] names torus 'c'"),
+    ({0: ["a"], "x": ["b"]}, {0: q_poly(1)}, "charts[x]"),
+    ({0: ["a"]}, None, "charts[0]"),
+])
+def test_make_refuses_charts_it_cannot_check(charts, chart_counts, message):
+    with pytest.raises(TorifyError) as err:
+        Torification.make([0, 1], labels=["a", "b"], charts=charts, chart_counts=chart_counts)
+    assert message in str(err.value)
