@@ -280,6 +280,8 @@ def cmd_lambda_check(args) -> int:
 def cmd_fzoo(args) -> int:
     from . import fzoo
 
+    if args.max_size < 0:
+        raise CliError(f"--max-size must be a nonnegative integer, got {args.max_size}")
     names = args.m.split(",")
     corpus = {
         "f1": TableMonoid.f1_monoid(),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .fans import Fan
-from .monoid import AbelianGroup, AffineMonoid, TableMonoid, hom_count_to_cyclic
+from .monoid import hom_count_to_cyclic
 from .spectrum import MScheme
 from .zeta import CountingPolynomial
 
@@ -55,11 +55,7 @@ class CountRecord:
 
 
 def _scheme_of(X) -> MScheme:
-    if isinstance(X, MScheme):
-        return X
-    if isinstance(X, (AffineMonoid, TableMonoid)):
-        return MScheme.affine(X)
-    raise CountError(f"cannot count points of {X!r}")
+    return X if isinstance(X, MScheme) else MScheme.affine(X)
 
 
 def count_points(X, q: int, subject: str = "") -> CountRecord:

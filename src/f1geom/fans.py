@@ -9,8 +9,9 @@ cone to the spectrum of the lattice-point monoid of its dual cone, glued
 along common faces.  That scheme is read off the fan by the orbit-cone
 correspondence (Kato 1994, Deitmar 2008): its points are the cones,
 specialization is cone inclusion and the stalk at tau is tau^dual cap Z^n.
-``spectrum.glue`` stays the route for hand-built gluing diagrams; for fans
-the tests use it as the oracle.
+``kato`` hands that data to the scheme it builds, so nothing is glued;
+``spectrum.glue`` stays the route for hand-built gluing diagrams, and for
+fans the tests use it as the oracle.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .monoid import (
     primes,
     units,
 )
-from .spectrum import GluingData, MScheme, Point, _scheme_with_points
+from .spectrum import GluingData, MScheme, Point
 
 
 class FanError(ValueError):
@@ -286,13 +287,14 @@ def kato(fan: Fan) -> MScheme:
     chart monoid being sigma^dual cap Z^n, glued along the localizations
     at common faces (identity gluing records).
 
-    The points, order and stalks come from the orbit-cone correspondence,
-    not from gluing.  The point of a cone tau is the prime of the first
-    maximal cone containing it whose complement is the face of the chart
-    vanishing on tau; its rank is n - dim(tau), its stalk is that chart
-    localized there (tau^dual cap Z^n), and specialization is cone
-    inclusion.  ``glue`` on the same charts and records derives the same
-    data; the tests compare the two routes.
+    The points, order and stalks come from the orbit-cone correspondence
+    and are passed to the scheme as it is built; nothing is glued.  The
+    point of a cone tau is the prime of the first maximal cone containing
+    it whose complement is the face of the chart vanishing on tau; its
+    rank is n - dim(tau), its stalk is that chart localized there
+    (tau^dual cap Z^n), and the points below it are those of its faces.
+    ``glue`` on the same charts and records derives the same data; the
+    tests compare the two routes.
     """
     n = fan.rank
     maxcones = fan.maximal_cones
@@ -328,11 +330,11 @@ def kato(fan: Fan) -> MScheme:
                 point_of_cone[tau] = pt
                 cone_of_point[pt.key] = tau
                 stalks[pt.key] = A._localized(prime.face)
-            class_of[(ci, prime.key)] = point_of_cone[tau]
+            class_of[(ci, prime)] = point_of_cone[tau]
     if set(point_of_cone) != cones:
         raise FanError("fan cones and scheme points do not correspond")
     points = tuple(sorted(point_of_cone.values(), key=lambda p: p.key))
-    le = {(a.key, b.key): cone_of_point[a.key] <= cone_of_point[b.key]
-          for a in points for b in points}
-    return _scheme_with_points(charts, gluings, FanData(fan, cone_of_point), {
-        "points": points, "le": le, "stalks": stalks, "class_of": class_of})
+    down = {point_of_cone[tau].key: frozenset(point_of_cone[f].key for f in _faces(tau))
+            for tau in cones}
+    return MScheme(tuple(charts), tuple(gluings), points, down, stalks, class_of,
+                   FanData(fan, cone_of_point))

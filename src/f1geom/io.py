@@ -77,8 +77,10 @@ def _monoid_from_dict(data) -> AffineMonoid:
         if len(g) != width:
             raise ValidationError(
                 f"generators[{i}] has length {len(g)}, expected {width}")
-    return AffineMonoid.make(rank, gens, torsion=torsion,
-                             pointed=bool(data.get("pointed", False)))
+    pointed = data.get("pointed", False)
+    if not isinstance(pointed, bool):
+        raise ValidationError("'pointed' must be true or false")
+    return AffineMonoid.make(rank, gens, torsion=torsion, pointed=pointed)
 
 
 def _table_monoid_from_dict(data) -> TableMonoid:
@@ -108,6 +110,8 @@ def _fan_from_dict(data) -> Fan:
     if not isinstance(rank, int) or rank < 1:
         raise ValidationError("'rank' must be a positive integer")
     rays = data.get("rays", [])
+    if not isinstance(rays, list):
+        raise ValidationError("'rays' must be a list of integer vectors")
     for i, r in enumerate(rays):
         _int_list(r, f"rays[{i}]")
         if len(r) != rank:

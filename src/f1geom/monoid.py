@@ -609,6 +609,13 @@ class PrimeIdeal:
             return A.contains(x) and not A.face_submonoid(self.face).contains(x)
         return x in self.elements
 
+    def pointed_in(self, owner) -> "PrimeIdeal":
+        """This prime as a prime of ``owner``, its monoid with a zero
+        adjoined: a face stays the same face, a table prime gains the zero."""
+        if self.face is not None:
+            return PrimeIdeal(owner, face=self.face)
+        return PrimeIdeal(owner, elements=self.elements | {owner.zero})
+
     def is_subset_of(self, other: "PrimeIdeal") -> bool:
         """Containment p <= q of primes of the same monoid."""
         if self.owner is not other.owner and self.owner != other.owner:

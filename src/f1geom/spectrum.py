@@ -4,9 +4,10 @@ The Zariski topology of a finite spectrum is the Alexandrov topology of
 the specialization order (p <= q iff p is contained in q), so sheaves are
 stored as functors on that poset: a stalk per point and a restriction hom
 A_q -> A_p along every specialization.  Schemes are finite gluing
-diagrams of affine spectra along localizations; their points, order and
-stalks are derived by gluing the chart spectra, except for fan schemes,
-whose builder reads them off the fan.
+diagrams of affine spectra along localizations.  A scheme's points,
+order and stalks are derived once, by the constructor that builds it:
+``glue`` glues the chart spectra, ``fans.kato`` reads them off the fan
+and ``plus_zero`` carries them over from the scheme without zero.
 """
 from __future__ import annotations
 
@@ -260,11 +261,27 @@ class GluingData:
 
 @dataclass(frozen=True)
 class MScheme:
-    """A monoid scheme: charts plus gluings, with the derived point poset."""
+    """A monoid scheme: charts plus gluings, with its point poset.
+
+    Each constructor passes the point data in: ``glue`` derives it by
+    gluing the chart spectra, ``fans.kato`` reads it off the fan and
+    ``plus_zero`` carries it over.  ``down`` maps each point's key to the
+    keys of the points below it in the specialization order, itself
+    included; ``class_of`` maps (chart index, prime) to the prime's point.
+    """
 
     charts: tuple
-    gluings: tuple = ()
+    gluings: tuple
+    points: tuple[Point, ...] = field(compare=False, repr=False)
+    down: dict = field(compare=False, repr=False)
+    stalks: dict = field(compare=False, repr=False)
+    class_of: dict = field(compare=False, repr=False)
     fan_data: object = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not self.charts:
+            raise SchemeError("a scheme needs at least one chart")
+        self.pointed  # rejects mixed charts
 
     @staticmethod
     def affine(A) -> "MScheme":
@@ -277,92 +294,33 @@ class MScheme:
             raise SchemeError("mixed pointed/unpointed charts")
         return flags.pop()
 
-    # derived data: points, order, stalks and the (chart, prime) -> point
-    # map.  glue() computes it by gluing the chart spectra; kato() reads it
-    # off the fan (orbit-cone correspondence) through _scheme_with_points().
-    @cached_property
-    def _derived(self):
-        return _build_scheme_data(self)
-
     @cached_property
     def _spectra(self):
         return tuple(spec(A) for A in self.charts)
 
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return self._derived["points"]
-
     def le(self, a: Point, b: Point) -> bool:
-        return self._derived["le"][(a.key, b.key)]
+        return a.key in self.down[b.key]
 
     def stalk(self, pt: Point):
-        return self._derived["stalks"][pt.key]
+        return self.stalks[pt.key]
 
     def chart_spectra(self):
         """spec() of each chart, built on first use."""
         return self._spectra
 
     def point_of(self, chart_index: int, prime: PrimeIdeal) -> Point:
-        return self._derived["class_of"][(chart_index, prime.key)]
+        return self.class_of[(chart_index, prime)]
 
     @property
     def connected_components(self) -> tuple[tuple[Point, ...], ...]:
-        pts = self.points
-        parent = {p.key: p.key for p in pts}
-
-        def find(k):
-            while parent[k] != k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
-
-        for a in pts:
-            for b in pts:
-                if self.le(a, b) or self.le(b, a):
-                    parent[find(a.key)] = find(b.key)
-        groups = {}
-        for p in pts:
-            groups.setdefault(find(p.key), []).append(p)
-        return tuple(tuple(g) for g in groups.values())
+        by_key = {p.key: p for p in self.points}
+        pairs = ((a, b) for b, below in self.down.items() for a in below)
+        return tuple(tuple(by_key[k] for k in cls) for cls in _classes(by_key, pairs))
 
 
-def glue(charts, gluings) -> "MScheme":
-    """Build an MScheme, checking the gluing isomorphisms."""
-    charts = tuple(charts)
-    records = []
-    for g in gluings:
-        if isinstance(g, GluingData):
-            records.append(g)
-        else:
-            records.append(GluingData(*g))
-    scheme = MScheme(charts, tuple(records))
-    scheme._derived  # force validation eagerly
-    scheme.pointed
-    return scheme
-
-
-def _scheme_with_points(charts, gluings, fan_data, derived: dict) -> MScheme:
-    """An MScheme whose derived data (the keys _build_scheme_data returns)
-    is already known, so it is not glued.  The caller vouches that it is
-    what glue() would derive; the fan functor's tests compare the two."""
-    scheme = MScheme(tuple(charts), tuple(gluings), fan_data)
-    _require_charts(scheme.charts)
-    scheme.__dict__["_derived"] = derived  # seeds the cached_property
-    return scheme
-
-
-def _require_charts(charts):
-    if not charts:
-        raise SchemeError("a scheme needs at least one chart")
-
-
-def _build_scheme_data(scheme: MScheme):
-    charts = scheme.charts
-    _require_charts(charts)
-    spectra = scheme.chart_spectra()
-
-    # union-find over (chart, prime.key)
-    keys = [(ci, p.key) for ci, (space, _) in enumerate(spectra) for p in space.points]
+def _classes(keys, pairs) -> list[list]:
+    """The classes of the equivalence on ``keys`` generated by ``pairs``,
+    each in key order, ordered by their first keys."""
     parent = {k: k for k in keys}
 
     def find(k):
@@ -371,60 +329,63 @@ def _build_scheme_data(scheme: MScheme):
             k = parent[k]
         return k
 
-    def union(a, b):
+    for a, b in pairs:
         parent[find(a)] = find(b)
-
-    prime_by_key = {
-        (ci, p.key): p for ci, (space, _) in enumerate(spectra) for p in space.points
-    }
-
-    for rec in scheme.gluings:
-        _validate_gluing(charts, rec)
-        for pa_key, pb_key in _gluing_point_pairs(charts, rec):
-            union((rec.chart_a, pa_key), (rec.chart_b, pb_key))
-
     classes = {}
-    for k in keys:
+    for k in parent:
         classes.setdefault(find(k), []).append(k)
+    return list(classes.values())
 
-    class_points = {}
-    stalks = {}
-    class_of = {}
-    for root, members in classes.items():
+
+def glue(charts, gluings) -> MScheme:
+    """Build an MScheme, checking the gluing isomorphisms."""
+    charts = tuple(charts)
+    records = tuple(g if isinstance(g, GluingData) else GluingData(*g) for g in gluings)
+    return MScheme(charts, records, *_build_scheme_data(charts, records))
+
+
+def _build_scheme_data(charts, gluings):
+    """Points, down-sets, stalks and (chart, prime) -> point map of the
+    charts glued along the records, derived from the chart spectra.  This
+    is the reference route: the tests compare ``kato`` and ``plus_zero``
+    against it."""
+    spec_of = {A: spec(A) for A in dict.fromkeys(charts)}  # equal charts share one
+    spectra = [spec_of[A] for A in charts]
+    prime_at = {(ci, p.key): p for ci, (space, _) in enumerate(spectra) for p in space.points}
+    pairs = []
+    for rec in gluings:
+        _validate_gluing(charts, rec)
+        pairs += [((rec.chart_a, a), (rec.chart_b, b))
+                  for a, b in _gluing_point_pairs(charts, rec)]
+
+    points, point_at, stalks = [], {}, {}
+    for members in _classes(prime_at, pairs):
         rep = min(members)
-        ci, pkey = rep
-        prime = prime_by_key[rep]
-        loc = spectra[ci][1].stalk(prime)
-        rank = loc.units().free_rank
-        pt = Point(ci, prime, rank)
-        class_points[root] = pt
+        loc = spectra[rep[0]][1].stalk(prime_at[rep])
+        pt = Point(rep[0], prime_at[rep], loc.units().free_rank)
+        points.append(pt)
         stalks[pt.key] = loc
-        for m in members:
-            class_of[m] = pt
+        point_at.update(dict.fromkeys(members, pt))
+    points.sort(key=lambda p: p.key)
 
-    points = tuple(sorted(class_points.values(), key=lambda p: p.key))
-
-    # specialization order: chart relations, then transitive closure
-    le = {(a.key, b.key): a.key == b.key for a in points for b in points}
+    # specialization order: the chart relations, then each down-set grows
+    # by the down-sets of its members until none grows
+    down = {pt.key: {pt.key} for pt in points}
     for ci, (space, _) in enumerate(spectra):
         for p in space.points:
             for q in space.points:
                 if space.le(p, q):
-                    a = class_of[(ci, p.key)]
-                    b = class_of[(ci, q.key)]
-                    le[(a.key, b.key)] = True
-    for m in points:
-        for a in points:
-            for b in points:
-                if le[(a.key, m.key)] and le[(m.key, b.key)]:
-                    le[(a.key, b.key)] = True
+                    down[point_at[(ci, q.key)].key].add(point_at[(ci, p.key)].key)
+    grew = True
+    while grew:
+        grew = False
+        for below in down.values():
+            more = set().union(*(down[k] for k in below)) - below
+            below |= more
+            grew = grew or bool(more)
 
-    return {
-        "points": points,
-        "le": le,
-        "stalks": stalks,
-        "class_of": class_of,
-    }
+    class_of = {(ci, prime_at[(ci, k)]): pt for (ci, k), pt in point_at.items()}
+    return tuple(points), {k: frozenset(v) for k, v in down.items()}, stalks, class_of
 
 
 def _validate_gluing(charts, rec: GluingData):
@@ -478,11 +439,9 @@ def _gluing_point_pairs(charts, rec: GluingData):
 
 def global_sections(X: MScheme):
     """The equalizer of the chart sections over the overlaps."""
-    if not X.charts:
-        raise SchemeError("empty scheme")
     if len(X.charts) == 1:
-        space, sheaf = X.chart_spectra()[0]
-        return sheaf.sections(space.points)
+        # the sections over a whole spectrum are the stalk at its closed point
+        return X.stalk(next(p for p in X.points if len(X.down[p.key]) == len(X.points)))
     charts = X.charts
     if any(not isinstance(c, AffineMonoid) or c.torsion for c in charts):
         raise NotImplementedError("multi-chart sections need torsion-free affine charts")
@@ -544,21 +503,31 @@ def global_sections(X: MScheme):
 
 
 def plus_zero(X: MScheme) -> MScheme:
-    """The zero-adjoining functor on schemes: apply it chartwise.
+    """The zero-adjoining functor on schemes, applied chartwise.
 
-    Primes (and hence gluing records) carry over unchanged up to
-    re-owning, since the primes of A and of its pointed extension
-    coincide.
+    A monoid and its pointed extension have the same primes up to
+    re-owning, so X's points, order and (chart, prime) -> point map carry
+    over with their primes re-owned; nothing is glued again.  Each stalk
+    is the pointed chart localized at its point's prime: that is X's
+    stalk with a zero, and for a table chart it also carries the labels
+    the localization of the pointed table gives.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        charts = [adjoin_zero(c) for c in X.charts]
-    records = []
-    for rec in X.gluings:
-        pa = PrimeIdeal(charts[rec.chart_a], face=rec.prime_a.face)
-        pb = PrimeIdeal(charts[rec.chart_b], face=rec.prime_b.face)
-        records.append(GluingData(rec.chart_a, pa, rec.chart_b, pb, rec.iso))
-    return MScheme(tuple(charts), tuple(records), X.fan_data)
+        charts = tuple(adjoin_zero(c) for c in X.charts)
+    records = tuple(
+        GluingData(r.chart_a, r.prime_a.pointed_in(charts[r.chart_a]),
+                   r.chart_b, r.prime_b.pointed_in(charts[r.chart_b]), r.iso)
+        for r in X.gluings)
+    moved = {pt.key: Point(pt.chart_index, pt.prime.pointed_in(charts[pt.chart_index]), pt.rank)
+             for pt in X.points}
+    return MScheme(
+        charts, records,
+        tuple(sorted(moved.values(), key=lambda p: p.key)),
+        {moved[k].key: frozenset(moved[a].key for a in below) for k, below in X.down.items()},
+        {pt.key: charts[pt.chart_index].localize(pt.prime)[0] for pt in moved.values()},
+        {(ci, p.pointed_in(charts[ci])): moved[pt.key] for (ci, p), pt in X.class_of.items()},
+        X.fan_data)
 
 
 def classify(X: MScheme) -> dict:

@@ -17,7 +17,7 @@ from math import comb
 
 from .counting import CountingFunction, counting_polynomial
 from .limits import LIMITS
-from .monoid import group_monoid
+from .monoid import adjoin_zero, group_monoid
 from .spectrum import MScheme, glue, minimal_rank_points
 from .zeta import CountingPolynomial, q_poly
 
@@ -279,11 +279,7 @@ def f_functor(X: MScheme, name: str = "") -> GenTorifiedTriple:
 def torification_mscheme(T: Torification) -> MScheme:
     """The disjoint union of pointed torus spectra with the torification's
     ranks: the monoid-scheme side of a torified variety."""
-    from .spectrum import plus_zero
-
-    charts = [group_monoid(d) for d in T.ranks]
-    X = glue(charts, [])
-    return plus_zero(X)
+    return glue([adjoin_zero(group_monoid(d)) for d in T.ranks], [])
 
 
 def triple_from_torification(T: Torification, N: CountingPolynomial,

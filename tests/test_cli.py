@@ -158,6 +158,16 @@ def test_empty_fan_is_an_error(tmp_path, verb):
     assert "a scheme needs at least one chart" in _error([verb, "--fan", str(path)])
 
 
+def test_fan_rays_must_be_a_list(tmp_path):
+    path = tmp_path / "bad.fan.json"
+    path.write_text(json.dumps({"kind": "fan", "rank": 2, "rays": 5, "cones": []}))
+    assert "'rays'" in _error(["fan", "--fan", str(path)])
+
+
+def test_negative_fzoo_size_names_the_option():
+    assert "--max-size" in _error(["fzoo", "--max-size", "-1"])
+
+
 def test_grassmannian_past_the_schubert_cap_names_the_limit():
     assert "LIMITS['schubert_n']" in _error(["torify", "--grassmannian", "3,9"])
 

@@ -2,7 +2,9 @@
 
 `kato` reads the points, order and stalks of a fan scheme off the fan
 (orbit-cone correspondence); `glue` derives them by gluing the chart
-spectra along the same records.  `fan_in_zn` reads conditions (2) and (3)
+spectra along the same records.  `plus_zero` carries a scheme's point
+data over to its charts with zero; `glue` derives it again from those
+charts.  `fan_in_zn` reads conditions (2) and (3)
 off ray-index sets; `incomplete_fan_in_zn` checks them by monoid
 searches.  Both pairs must agree on every shipped fan, on the toric size
 ladder, on a few fans with lower-dimensional or singular cones, on
@@ -12,6 +14,7 @@ are not smooth.
 import itertools
 import math
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -31,8 +34,15 @@ from f1geom.fans import (
 )
 from f1geom.intlinalg import dot
 from f1geom.io import parse_input
-from f1geom.monoid import AffineMonoid, primes
-from f1geom.spectrum import GluingData, classify, glue
+from f1geom.monoid import (
+    AffineMonoid,
+    TableMonoid,
+    adjoin_zero,
+    free_monoid,
+    minimal_prime,
+    primes,
+)
+from f1geom.spectrum import GluingData, MScheme, classify, glue, plus_zero
 from f1geom.torified import orbit_torification
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -137,11 +147,9 @@ def _kato_by_glue(fan):
     return X, cone_of_point
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_kato_equals_the_glue_route(name):
-    fan = CORPUS[name]
-    X = kato(fan)
-    Y, cone_of_point = _kato_by_glue(fan)
+def assert_same_scheme(X, Y):
+    """X and Y have the same charts, records, points and ranks, order,
+    stalks and (chart, prime) -> point map."""
     assert X.charts == Y.charts
     assert X.gluings == Y.gluings
     assert [(p.key, p.rank) for p in X.points] == [(p.key, p.rank) for p in Y.points]
@@ -150,11 +158,70 @@ def test_kato_equals_the_glue_route(name):
         {(a.key, b.key): Y.le(a, b) for a in Y.points for b in Y.points}
     for pt in Y.points:
         assert X.stalk(pt) == Y.stalk(pt), pt
-    assert X.fan_data.cone_of_point == cone_of_point
-    assert len(cone_of_point) == len(fan.cones)
     for ci, chart in enumerate(Y.charts):
         for p in primes(chart):
-            assert X.point_of(ci, p) == Y.point_of(ci, p), (ci, p.face)
+            assert X.point_of(ci, p) == Y.point_of(ci, p), (ci, p.key)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_kato_equals_the_glue_route(name):
+    fan = CORPUS[name]
+    X = kato(fan)
+    Y, cone_of_point = _kato_by_glue(fan)
+    assert_same_scheme(X, Y)
+    assert X.fan_data.cone_of_point == cone_of_point
+    assert len(cone_of_point) == len(fan.cones)
+
+
+def _plus_zero_by_glue(X):
+    """plus_zero the generic way: glue the charts with zero along the same
+    records, each prime looked up among the primes of its pointed chart."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        charts = [adjoin_zero(c) for c in X.charts]
+
+    def pointed(ci, p):
+        return next(q for q in primes(charts[ci]) if q.face == p.face)
+
+    return glue(charts, [GluingData(r.chart_a, pointed(r.chart_a, r.prime_a),
+                                    r.chart_b, pointed(r.chart_b, r.prime_b), r.iso)
+                         for r in X.gluings])
+
+
+def _idempotents(letters):
+    """The unpointed table monoid of subsets of ``letters`` under union."""
+    elements = ["1"] + ["".join(c) for k in range(1, len(letters) + 1)
+                        for c in itertools.combinations(letters, k)]
+    table = {(x, y): "".join(sorted(set(x + y) - {"1"})) or "1"
+             for x in elements for y in elements}
+    return TableMonoid.make(elements, table, identity="1")
+
+
+def _non_fan_schemes():
+    N = free_monoid(1)
+    # Z/2 named so that its least label is not the identity
+    z2 = TableMonoid.make(("e", "a"), {("e", "e"): "e", ("e", "a"): "a", ("a", "a"): "e"},
+                          identity="e")
+    return {
+        "P^1 by hand": glue([N, N], [(0, minimal_prime(N), 1, minimal_prime(N), ((-1,),))]),
+        "table {1,a,b,ab}": MScheme.affine(_idempotents("ab")),
+        # "#" sorts before the zero "0", so the prime keys change order
+        "table {1,#}": MScheme.affine(_idempotents("#")),
+        "table Z/2": MScheme.affine(z2),
+        "table and affine": glue([_idempotents("a"), N], []),
+        "pointed table": MScheme.affine(TableMonoid.cyclic_group_with_zero(3)),
+    }
+
+
+NON_FAN = _non_fan_schemes()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + sorted(NON_FAN))
+def test_plus_zero_equals_the_glue_route(name):
+    X = kato(CORPUS[name]) if name in CORPUS else NON_FAN[name]
+    Z = plus_zero(X)
+    assert_same_scheme(Z, _plus_zero_by_glue(X))
+    assert Z.pointed and Z.fan_data == X.fan_data
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -167,17 +234,29 @@ def test_fan_in_zn_equals_the_search_route(name):
     assert fast.chart_monoids == slow.chart_monoids
 
 
-def test_kato_neither_glues_nor_builds_chart_spectra(monkeypatch):
+@pytest.fixture
+def no_gluing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the fan scheme went through the gluing route")
 
     monkeypatch.setattr(spectrum, "_build_scheme_data", forbidden)
     monkeypatch.setattr(spectrum, "spec", forbidden)
+
+
+def test_kato_neither_glues_nor_builds_chart_spectra(no_gluing):
     X = kato(standard_fans("projective_space", 3))
     assert count_points(X, 2).count == 15
     assert counting_polynomial(X).as_polynomial().coefficients == (1, 1, 1, 1)
     assert all(classify(X).values())
     assert sorted(orbit_torification(X).ranks) == sorted(3 - len(c) for c in X.fan_data.fan.cones)
+
+
+def test_plus_zero_of_a_fan_scheme_neither_glues_nor_builds_chart_spectra(no_gluing):
+    X = kato(standard_fans("projective_space", 3))
+    Z = plus_zero(X)
+    assert count_points(Z, 2).count == 15
+    assert counting_polynomial(Z).as_polynomial().coefficients == (1, 1, 1, 1)
+    assert classify(Z) == classify(X)
 
 
 def test_chart_spectra_are_built_on_demand():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from f1geom.io import emit, parse_input
+from f1geom.io import ValidationError, emit, object_from_dict, parse_input
 from f1geom.monoid import AffineMonoid, TableMonoid
 from f1geom.torified import bruhat_torification, schubert_torification
 
@@ -81,3 +81,10 @@ def test_labeled_torification_file_keeps_its_labels(tmp_path):
     back, back_N = round_trip(T, tmp_path, counting=N)
     assert len(T.labels) == len(T.ranks) > 0
     assert back.labels == T.labels and back.ranks == T.ranks and back_N == N
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_pointed_must_be_a_json_boolean(value):
+    data = {"kind": "monoid", "ambient_rank": 1, "generators": [[1]], "pointed": value}
+    with pytest.raises(ValidationError, match="'pointed'"):
+        object_from_dict(data)

@@ -1,7 +1,9 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
+import f1geom.spectrum as spectrum
 from oracles import count_matrices, count_subspaces
 from f1geom.torified import (
     Torification,
@@ -11,6 +13,7 @@ from f1geom.torified import (
     is_affinely_torified,
     is_torified_cc,
     schubert_torification,
+    to_cc,
     torify_cells,
     triple_from_torification,
     weyl_group_order,
@@ -28,6 +31,21 @@ def test_tits_check_on_bruhat_triples(group):
     t = triple_from_torification(*bruhat_torification(group))
     assert is_torified_cc(t)
     assert f1_points(t) == weyl_group_order(group) == 2
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 6) for k in range(n + 1)])
+def test_schubert_triples_are_disjoint_tori(k, n, monkeypatch):
+    calls = []
+    build = spectrum._build_scheme_data
+    monkeypatch.setattr(spectrum, "_build_scheme_data",
+                        lambda *args: calls.append(1) or build(*args))
+    T, N = schubert_torification(k, n)
+    t = triple_from_torification(T, N)
+    assert calls == [1]  # the pointed tori are glued once
+    assert is_torified_cc(t)
+    assert f1_points(t) == comb(n, k)
+    assert len(t.mscheme.connected_components) == len(T.ranks)
+    assert to_cc(t).verified
 
 
 @pytest.mark.parametrize("group", ["SL2", "GL2"])
