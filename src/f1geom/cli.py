@@ -43,6 +43,14 @@ class CliError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a CliError, so that it is reported
+    like every other failure instead of as usage text."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _emit(report: dict, as_json: bool, ok: bool) -> int:
     report = dict(report)
     report["schema"] = SCHEMA
@@ -118,7 +126,7 @@ def cmd_count(args) -> int:
     qs = _parse_q_list(args.q)
     checks_ok = True
     report: dict = {}
-    if args.fan:
+    if args.fan is not None:
         fan = _load(args.fan, ("Fan",))
         X = kato(fan)
         subject = "fan-scheme"
@@ -131,7 +139,7 @@ def cmd_count(args) -> int:
             checks_ok = checks_ok and cf.as_polynomial() == orbit
         checks_ok = checks_ok and all(
             r["count"] == orbit(r["q"]) for r in records)
-    elif args.monoid:
+    else:
         A = _load(args.monoid, ("AffineMonoid", "TableMonoid"))
         records = [count_points(A, q, "affine").as_dict() for q in qs]
         cf = counting_polynomial(A)
@@ -141,21 +149,17 @@ def cmd_count(args) -> int:
             report["counting_polynomial"] = None
             report["non_polynomial_modulus"] = cf.modulus
         checks_ok = checks_ok and all(r["count"] == cf.evaluate(r["q"]) for r in records)
-    else:
-        raise CliError("count needs --fan or --monoid")
     report["counts"] = records
     return _emit(report, args.json, checks_ok)
 
 
 def cmd_zeta(args) -> int:
-    if args.counting:
+    if args.counting is not None:
         N = parse_counting_polynomial(args.counting)
-    elif args.input:
+    else:
         samples = _count_samples(args.input)
         bound = args.degree_bound if args.degree_bound is not None else len(samples) - 1
         N = fit_counting_polynomial(samples, bound)
-    else:
-        raise CliError("zeta needs --counting or --input")
     z = zeta(N)
     report = {
         "counting_polynomial": str(N),
@@ -191,21 +195,21 @@ def _count_samples(path) -> dict:
 
 def cmd_torify(args) -> int:
     charts_report = None
-    if args.fan:
+    if args.fan is not None:
         fan = _load(args.fan, ("Fan",))
         X = kato(fan)
         T = orbit_torification(X)
         N = counting_polynomial(X).as_polynomial()
         name = "orbit"
-    elif args.cells:
+    elif args.cells is not None:
         cc = _load(args.cells, ("CellComplex",))
         T = cc.torification()
         N = cc.count_polynomial()
         name = "cells"
-    elif args.group:
+    elif args.group is not None:
         T, N = bruhat_torification(args.group)
         name = args.group
-    elif args.grassmannian:
+    else:
         try:
             k, n = (int(x) for x in args.grassmannian.split(","))
         except ValueError:
@@ -213,8 +217,6 @@ def cmd_torify(args) -> int:
                            f"got {args.grassmannian!r}")
         T, N = schubert_torification(k, n, with_pivot_charts=args.charts)
         name = f"Gr({k},{n})"
-    else:
-        raise CliError("torify needs --fan, --cells, --group or --grassmannian")
     ok = verify_torification(T, N)
     report = {
         "construction": name,
@@ -406,7 +408,7 @@ def cmd_diagram_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="f1geom",
         description="Exact monoid schemes, toric fans, point counts, zeta data "
                     "and torifications.",
@@ -427,24 +429,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fan)
 
     p = sub.add_parser("count", help="point counts over finite fields")
-    p.add_argument("--fan")
-    p.add_argument("--monoid")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fan")
+    source.add_argument("--monoid")
     p.add_argument("--q", default="2,3")
     add_common(p)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("zeta", help="zeta roots of a counting polynomial")
-    p.add_argument("--counting", help="polynomial string, e.g. 'q^2+q+1'")
-    p.add_argument("--input", help="JSON count samples")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--counting", help="polynomial string, e.g. 'q^2+q+1'")
+    source.add_argument("--input", help="JSON count samples")
     p.add_argument("--degree-bound", type=int, default=None)
     add_common(p)
     p.set_defaults(fn=cmd_zeta)
 
     p = sub.add_parser("torify", help="build and verify a torification")
-    p.add_argument("--fan")
-    p.add_argument("--cells")
-    p.add_argument("--group", choices=["SL2", "GL2"])
-    p.add_argument("--grassmannian", help="k,n")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fan")
+    source.add_argument("--cells")
+    source.add_argument("--group", choices=["SL2", "GL2"])
+    source.add_argument("--grassmannian", help="k,n")
     p.add_argument("--charts", action="store_true",
                    help="include the chart-assignment (affineness) report")
     add_common(p)
@@ -479,9 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CliError, ParseError, ValidationError, ValueError, OSError) as e:
         payload = {"schema": SCHEMA, "status": "error", "error": str(e)}

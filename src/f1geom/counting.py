@@ -64,7 +64,7 @@ def count_points(X, q: int, subject: str = "") -> CountRecord:
     scheme = _scheme_of(X)
     total = 0
     for pt in scheme.points:
-        total += hom_count_to_cyclic(scheme.stalk(pt).units(), q - 1)
+        total += hom_count_to_cyclic(pt.units, q - 1)
     return CountRecord(subject or "scheme", q, total)
 
 
@@ -81,11 +81,8 @@ class CountingFunction:
 
     @staticmethod
     def of_scheme(X) -> "CountingFunction":
-        scheme = _scheme_of(X)
-        terms = []
-        for pt in scheme.points:
-            u = scheme.stalk(pt).units()
-            terms.append((u.free_rank, tuple(u.invariant_factors)))
+        terms = ((pt.units.free_rank, pt.units.invariant_factors)
+                 for pt in _scheme_of(X).points)
         return CountingFunction(tuple(sorted(terms)))
 
     @property
@@ -106,10 +103,7 @@ class CountingFunction:
             raise CountError(
                 "torsion in a stalk unit group: the count is not a polynomial in q"
             )
-        basis_coeffs = [0] * (max((r for r, _ in self.terms), default=0) + 1)
-        for r, _ in self.terms:
-            basis_coeffs[r] += 1
-        return CountingPolynomial.from_qminus1_basis(basis_coeffs)
+        return CountingPolynomial.of_tori(r for r, _ in self.terms)
 
     def polynomial_on_class(self, residue: int) -> CountingPolynomial:
         """The polynomial valid for q = residue (mod modulus)."""
@@ -119,9 +113,7 @@ class CountingFunction:
             c = 1
             for d in tors:
                 c *= gcd(d, (residue - 1) % m)
-            basis = [0] * (r + 1)
-            basis[r] = c
-            out = out + CountingPolynomial.from_qminus1_basis(basis)
+            out = out + CountingPolynomial.of_tori([r]) * c
         return out
 
     def evaluate(self, q: int) -> int:
@@ -143,8 +135,4 @@ def counting_polynomial(X) -> CountingFunction:
 def orbit_count_polynomial(fan: Fan) -> CountingPolynomial:
     """Fan-side count: sum over cones of (q-1)^(n - dim), via the orbit
     decomposition; the independent route against the stalk formula."""
-    n = fan.rank
-    basis = [0] * (n + 1)
-    for c in fan.cones:
-        basis[n - fan.cone_dim(c)] += 1
-    return CountingPolynomial.from_qminus1_basis(basis)
+    return CountingPolynomial.of_tori(fan.rank - fan.cone_dim(c) for c in fan.cones)

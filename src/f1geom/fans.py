@@ -28,6 +28,7 @@ from .cones import (
 )
 from .intlinalg import dot, primitive_vector, quotient_invariants, rat_rank
 from .monoid import (
+    AbelianGroup,
     AffineMonoid,
     PrimeIdeal,
     is_saturated,
@@ -291,7 +292,7 @@ def kato(fan: Fan) -> MScheme:
     and are passed to the scheme as it is built; nothing is glued.  The
     point of a cone tau is the prime of the first maximal cone containing
     it whose complement is the face of the chart vanishing on tau; its
-    rank is n - dim(tau), its stalk is that chart localized there
+    stalk units are Z^(n - dim(tau)), its stalk is that chart localized there
     (tau^dual cap Z^n), and the points below it are those of its faces.
     ``glue`` on the same charts and records derives the same data; the
     tests compare the two routes.
@@ -326,7 +327,7 @@ def kato(fan: Fan) -> MScheme:
         for tau in _faces(mc):
             prime = PrimeIdeal(A, face_of(ci, tau))
             if tau not in point_of_cone:
-                pt = Point(ci, prime, n - fan.cone_dim(tau))
+                pt = Point(ci, prime, AbelianGroup(n - fan.cone_dim(tau)))
                 point_of_cone[tau] = pt
                 cone_of_point[pt.key] = tau
                 stalks[pt.key] = A._localized(prime.face)

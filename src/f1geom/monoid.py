@@ -15,8 +15,11 @@ Both carry one method set, so other modules never ask which they hold:
 ``is_unit``, ``is_integral`` (True on ``AffineMonoid``), ``is_group``
 (every nonzero element is a unit), ``units()``, ``primes()``,
 ``localize(p)`` -> (A_p, canonical hom A -> A_p), ``restriction(hom_q,
-hom_p)`` -> the sheaf map A_q -> A_p for p <= q built from the two
-localization homs, and ``adjoin_zero()``.
+hom_p)`` -> the sheaf map A_q -> A_p for p <= q read off the two
+localization homs, and ``adjoin_zero()``.  The localization and
+restriction maps of an ``AffineMonoid`` are homs by construction (each
+sends generators to generators of a larger monoid in the same ambient
+group) and are built without the check ``MonoidHom.affine`` runs.
 
 Primes, localizations, group completions, saturations and unit groups
 are all computed exactly; prime ideals of an affine monoid correspond to
@@ -294,7 +297,7 @@ class AffineMonoid:
         if p.owner != self:
             raise MonoidError("prime does not belong to this monoid")
         loc = self._localized(p.face)
-        return loc, MonoidHom.affine(self, loc, self.generators)
+        return loc, MonoidHom(self, loc, gen_images=self.generators)
 
     def _localized(self, face) -> "AffineMonoid":
         """A_p for the prime whose complement is ``face``: the generators
@@ -308,7 +311,7 @@ class AffineMonoid:
     def restriction(self, hom_q: "MonoidHom", hom_p: "MonoidHom") -> "MonoidHom":
         """A_q -> A_p: A_q's generators are localization generators of A_p too."""
         Aq = hom_q.target
-        return MonoidHom.affine(Aq, hom_p.target, Aq.generators)
+        return MonoidHom(Aq, hom_p.target, gen_images=Aq.generators)
 
     def adjoin_zero(self) -> "AffineMonoid":
         if self.pointed:
@@ -664,8 +667,9 @@ def minimal_prime(A) -> PrimeIdeal:
 @dataclass(frozen=True)
 class MonoidHom:
     """Monoid homomorphism given by generator images (affine) or an
-    element map (table).  Relations of the source are checked against the
-    kernel lattice of its generator matrix."""
+    element map (table).  The ``affine`` and ``table`` constructors check
+    the hom laws; for generator images, the relations of the source are
+    checked against the kernel lattice of its generator matrix."""
 
     source: object
     target: object

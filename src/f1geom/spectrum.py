@@ -1,13 +1,16 @@
-"""Prime spectra as finite spaces, structure sheaves, and glued monoid schemes.
+"""Monoid schemes: charts glued along localizations, with their points,
+specialization order and structure sheaf.
 
-The Zariski topology of a finite spectrum is the Alexandrov topology of
-the specialization order (p <= q iff p is contained in q), so sheaves are
-stored as functors on that poset: a stalk per point and a restriction hom
-A_q -> A_p along every specialization.  Schemes are finite gluing
-diagrams of affine spectra along localizations.  A scheme's points,
-order and stalks are derived once, by the constructor that builds it:
-``glue`` glues the chart spectra, ``fans.kato`` reads them off the fan
-and ``plus_zero`` carries them over from the scheme without zero.
+A scheme is a finite gluing diagram of affine spectra along
+localizations, and the spectrum of a monoid A is the one-chart scheme
+``MScheme.affine(A)``.  The Zariski topology of a finite scheme is the
+Alexandrov topology of its specialization order, so an open set is a
+union of down-sets and the structure sheaf is a stalk per point with a
+restriction hom along every specialization.  A scheme's points, order,
+stalks and stalk unit groups are derived once, by the constructor that
+builds it: ``glue`` localizes the charts at their primes, ``fans.kato``
+reads them off the fan and ``plus_zero`` carries them over from the
+scheme without zero.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .intlinalg import (
     unimodular_inverse,
 )
 from .monoid import (
+    AbelianGroup,
     AffineMonoid,
     MonoidHom,
     PrimeIdeal,
@@ -43,207 +47,24 @@ class GluingError(SchemeError):
     pass
 
 
-# --- affine spectra -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpecSpace:
-    """Finite topological space of primes with the specialization order."""
-
-    monoid: object
-    points: tuple[PrimeIdeal, ...]
-
-    def le(self, p: PrimeIdeal, q: PrimeIdeal) -> bool:
-        return p.is_subset_of(q)
-
-    @property
-    def generic_point(self) -> PrimeIdeal:
-        bot = self.points[0]
-        for p in self.points:
-            if p.is_subset_of(bot):
-                bot = p
-        assert all(bot.is_subset_of(p) for p in self.points)
-        return bot
-
-    @property
-    def closed_point(self) -> PrimeIdeal:
-        top = self.points[0]
-        for p in self.points:
-            if top.is_subset_of(p):
-                top = p
-        assert all(p.is_subset_of(top) for p in self.points)
-        return top
-
-    def is_open(self, subset) -> bool:
-        """Open iff closed under generization (a down-set for <=)."""
-        sub = list(subset)
-        return all(
-            (q not in sub) or (p in sub)
-            for p in self.points for q in self.points if self.le(p, q)
-        )
-
-
-@dataclass(frozen=True)
-class StructureSheaf:
-    """Stalks and restriction maps over the specialization poset."""
-
-    space: SpecSpace
-    stalks: dict = field(compare=False)
-    _homs: dict = field(compare=False)  # prime -> hom A -> A_p
-
-    def stalk(self, p: PrimeIdeal):
-        return self.stalks[p.key]
-
-    def restriction(self, q: PrimeIdeal, p: PrimeIdeal) -> MonoidHom:
-        """Restriction A_q -> A_p for p <= q (further localization)."""
-        if not self.space.le(p, q):
-            raise SchemeError("restriction only runs along specializations")
-        return self.space.monoid.restriction(self._homs[q.key], self._homs[p.key])
-
-    def sections(self, open_points):
-        """Sections over an open set: the limit of the stalks over it.
-
-        An open with a unique maximal point U_p has sections = stalk at p;
-        in particular global sections are A itself (localization at the
-        units).  General opens are handled for saturated affine monoids by
-        intersecting the stalk cones inside Quot(A).
-        """
-        open_points = list(open_points)
-        if not open_points:
-            raise SchemeError("sections over the empty set are not represented")
-        if not self.space.is_open(open_points):
-            raise SchemeError("not an open subset")
-        maximal = [
-            p for p in open_points
-            if not any(q is not p and self.space.le(p, q) for q in open_points)
-        ]
-        if len(maximal) == 1:
-            return self.stalk(maximal[0])
-        A = self.space.monoid
-        if not isinstance(A, AffineMonoid):
-            raise NotImplementedError("multi-branch sections only for affine monoids")
-        stalks = [self.stalk(p) for p in maximal]
-        gens = _lattice_cone_members(
-            A, [c.recession_cone for c in stalks]
-        )
-        out = AffineMonoid.make(A.ambient_rank, gens, torsion=A.torsion,
-                                pointed=A.pointed)
-        for g in out.generators:
-            if not all(s.contains(g) for s in stalks):
-                raise NotImplementedError(
-                    "sections over this open need a non-saturated intersection")
-        return out
-
-
-def _lattice_cone_members(A: AffineMonoid, cone_list):
-    """Generators of {x in Quot(A) : free(x) in every cone of cone_list}."""
-    return saturation_generators(A, cone=intersection(cone_list, A.ambient_rank))
-
-
-def spec(A):
-    """The spectrum of a monoid with its structure sheaf."""
-    pts = tuple(primes(A))
-    space = SpecSpace(A, pts)
-    stalks, homs = {}, {}
-    for p in pts:
-        stalks[p.key], homs[p.key] = localize(A, p)
-    return space, StructureSheaf(space, stalks, homs)
-
-
-# --- morphisms of spectra -------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectrumMorphism:
-    """Morphism of monoidal spaces between affine spectra.
-
-    ``point_map`` sends source points to target points; ``stalk_homs[x]``
-    is the stalk-level hom O_{Y,f(x)} -> O_{X,x}.  The constructor data is
-    not required to be induced by a monoid hom, so non-local morphisms can
-    be represented (and detected).
-    """
-
-    source: tuple  # (SpecSpace, StructureSheaf)
-    target: tuple
-    point_map: dict = field(compare=False)
-    stalk_homs: dict = field(compare=False)
-
-    def __post_init__(self):
-        sspace, _ = self.source
-        tspace, _ = self.target
-        for p in sspace.points:
-            if p.key not in self.point_map:
-                raise SchemeError("point map must cover the source")
-        # continuity on finite posets = order preservation
-        for p in sspace.points:
-            for q in sspace.points:
-                if sspace.le(p, q):
-                    fp = self.point_map[p.key]
-                    fq = self.point_map[q.key]
-                    if not tspace.le(fp, fq):
-                        raise SchemeError("point map is not continuous")
-
-
-def induced_spectrum_morphism(phi: MonoidHom) -> SpectrumMorphism:
-    """spec(phi): spec(B) -> spec(A) for phi: A -> B, with stalk homs."""
-    A, B = phi.source, phi.target
-    if not isinstance(A, AffineMonoid) or not isinstance(B, AffineMonoid):
-        raise NotImplementedError("induced morphisms implemented for affine monoids")
-    src = spec(B)
-    tgt = spec(A)
-    point_map, stalk_homs = {}, {}
-    for q in src[0].points:
-        comp_b = B.face_submonoid(q.face)
-        pre_face = tuple(
-            i for i, g in enumerate(A.generators) if comp_b.contains(phi.apply(g))
-        )
-        p = next(pt for pt in tgt[0].points if pt.face == pre_face)
-        point_map[q.key] = p
-        Ap = tgt[1].stalk(p)
-        Bq = src[1].stalk(q)
-        loc_images = []
-        for g in Ap.generators:
-            # generators of A_p are generators of A plus negated face generators
-            neg = tuple(-x for x in g)
-            if A.contains(g):
-                loc_images.append(phi.apply(g))
-            elif A.contains(neg):
-                loc_images.append(tuple(-x for x in phi.apply(neg)))
-            else:
-                raise SchemeError("unexpected localization generator")
-        stalk_homs[q.key] = MonoidHom.affine(Ap, Bq, loc_images)
-    return SpectrumMorphism(src, tgt, point_map, stalk_homs)
-
-
-def is_local_morphism(f: SpectrumMorphism) -> bool:
-    """Check (f_x^#)^{-1}(units of source stalk) = units of target stalk.
-
-    Homs carry units into units automatically, so the content is that no
-    non-unit of O_{Y,f(x)} may map to a unit of O_{X,x}; on cancellative
-    monoids it suffices to test generators.
-    """
-    sspace, ssheaf = f.source
-    for x in sspace.points:
-        hom = f.stalk_homs[x.key]
-        stalk_x = ssheaf.stalk(x)
-        source_stalk = hom.source  # O_{Y, f(x)}
-        for g in source_stalk.generators:
-            if stalk_x.is_unit(hom.apply(g)) and not source_stalk.is_unit(g):
-                return False
-    return True
-
-
 # --- glued monoid schemes -------------------------------------------------------
 
 @dataclass(frozen=True)
 class Point:
-    """A scheme point: canonical (chart, prime) representative plus rank."""
+    """A scheme point: canonical (chart, prime) representative and the
+    unit group of its stalk, which is all that a point count reads."""
 
     chart_index: int
     prime: PrimeIdeal
-    rank: int
+    units: AbelianGroup
 
     @property
     def key(self):
         return (self.chart_index, self.prime.key)
+
+    @property
+    def rank(self) -> int:
+        return self.units.free_rank
 
 
 @dataclass(frozen=True)
@@ -263,10 +84,10 @@ class GluingData:
 class MScheme:
     """A monoid scheme: charts plus gluings, with its point poset.
 
-    Each constructor passes the point data in: ``glue`` derives it by
-    gluing the chart spectra, ``fans.kato`` reads it off the fan and
-    ``plus_zero`` carries it over.  ``down`` maps each point's key to the
-    keys of the points below it in the specialization order, itself
+    Each constructor passes the point data in: ``glue`` derives it from
+    the charts' primes and localizations, ``fans.kato`` reads it off the
+    fan and ``plus_zero`` carries it over.  ``down`` maps each point's key
+    to the keys of the points below it in the specialization order, itself
     included; ``class_of`` maps (chart index, prime) to the prime's point.
     """
 
@@ -294,19 +115,55 @@ class MScheme:
             raise SchemeError("mixed pointed/unpointed charts")
         return flags.pop()
 
-    @cached_property
-    def _spectra(self):
-        return tuple(spec(A) for A in self.charts)
-
     def le(self, a: Point, b: Point) -> bool:
         return a.key in self.down[b.key]
 
     def stalk(self, pt: Point):
         return self.stalks[pt.key]
 
-    def chart_spectra(self):
-        """spec() of each chart, built on first use."""
-        return self._spectra
+    def is_open(self, points) -> bool:
+        """Open iff a union of down-sets (closed under generization)."""
+        keys = {p.key for p in points}
+        return all(self.down[k] <= keys for k in keys)
+
+    def restriction(self, b: Point, a: Point) -> MonoidHom:
+        """The sheaf map O_b -> O_a along a specialization a <= b, built in
+        b's chart, which holds every generization of b."""
+        if not self.le(a, b):
+            raise SchemeError("restriction only runs along specializations")
+        ci = b.chart_index
+        A = self.charts[ci]
+        p = next(p for (c, p), pt in self.class_of.items() if c == ci and pt.key == a.key)
+        return A.restriction(localize(A, b.prime)[1], localize(A, p)[1])
+
+    def sections(self, open_points):
+        """Sections over an open set: the limit of the stalks over it.
+
+        An open with a unique maximal point b has sections O_b; on a whole
+        spectrum that is the monoid itself (localized at its units).  Other
+        opens are handled on one saturated affine chart A, by intersecting
+        the stalk cones inside Quot(A).
+        """
+        open_points = list(open_points)
+        if not open_points:
+            raise SchemeError("sections over the empty set are not represented")
+        if not self.is_open(open_points):
+            raise SchemeError("not an open subset")
+        maximal = [b for b in open_points
+                   if not any(a.key != b.key and self.le(b, a) for a in open_points)]
+        if len(maximal) == 1:
+            return self.stalk(maximal[0])
+        A = self.charts[0]
+        if len(self.charts) > 1 or not isinstance(A, AffineMonoid):
+            raise NotImplementedError("multi-branch sections only on one affine chart")
+        stalks = [self.stalk(p) for p in maximal]
+        cone = intersection([c.recession_cone for c in stalks], A.ambient_rank)
+        out = AffineMonoid.make(A.ambient_rank, saturation_generators(A, cone=cone),
+                                torsion=A.torsion, pointed=A.pointed)
+        if not all(s.contains(g) for g in out.generators for s in stalks):
+            raise NotImplementedError(
+                "sections over this open need a non-saturated intersection")
+        return out
 
     def point_of(self, chart_index: int, prime: PrimeIdeal) -> Point:
         return self.class_of[(chart_index, prime)]
@@ -346,23 +203,26 @@ def glue(charts, gluings) -> MScheme:
 
 def _build_scheme_data(charts, gluings):
     """Points, down-sets, stalks and (chart, prime) -> point map of the
-    charts glued along the records, derived from the chart spectra.  This
-    is the reference route: the tests compare ``kato`` and ``plus_zero``
-    against it."""
-    spec_of = {A: spec(A) for A in dict.fromkeys(charts)}  # equal charts share one
-    spectra = [spec_of[A] for A in charts]
-    prime_at = {(ci, p.key): p for ci, (space, _) in enumerate(spectra) for p in space.points}
+    charts glued along the records, derived from the charts' primes and
+    localizations.  This is the reference route: the tests compare
+    ``kato`` and ``plus_zero`` against it."""
+    chart_primes = {A: primes(A) for A in dict.fromkeys(charts)}  # equal charts share one
+    prime_at = {(ci, p.key): p for ci, A in enumerate(charts) for p in chart_primes[A]}
     pairs = []
     for rec in gluings:
         _validate_gluing(charts, rec)
         pairs += [((rec.chart_a, a), (rec.chart_b, b))
                   for a, b in _gluing_point_pairs(charts, rec)]
 
-    points, point_at, stalks = [], {}, {}
+    points, point_at, stalks, local = [], {}, {}, {}
     for members in _classes(prime_at, pairs):
         rep = min(members)
-        loc = spectra[rep[0]][1].stalk(prime_at[rep])
-        pt = Point(rep[0], prime_at[rep], loc.units().free_rank)
+        A, prime = charts[rep[0]], prime_at[rep]
+        if (A, prime.key) not in local:  # equal charts share their stalks too
+            loc, _ = localize(A, prime)
+            local[A, prime.key] = loc, loc.units()
+        loc, units = local[A, prime.key]
+        pt = Point(rep[0], prime, units)
         points.append(pt)
         stalks[pt.key] = loc
         point_at.update(dict.fromkeys(members, pt))
@@ -371,10 +231,10 @@ def _build_scheme_data(charts, gluings):
     # specialization order: the chart relations, then each down-set grows
     # by the down-sets of its members until none grows
     down = {pt.key: {pt.key} for pt in points}
-    for ci, (space, _) in enumerate(spectra):
-        for p in space.points:
-            for q in space.points:
-                if space.le(p, q):
+    for ci, A in enumerate(charts):
+        for p in chart_primes[A]:
+            for q in chart_primes[A]:
+                if p.is_subset_of(q):
                     down[point_at[(ci, q.key)].key].add(point_at[(ci, p.key)].key)
     grew = True
     while grew:
@@ -435,13 +295,86 @@ def _gluing_point_pairs(charts, rec: GluingData):
     return pairs
 
 
+# --- morphisms ---------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SpectrumMorphism:
+    """Morphism of monoidal spaces between schemes.
+
+    ``point_map`` sends each source point's key to a target point;
+    ``stalk_homs[x.key]`` is the stalk-level hom O_{Y,f(x)} -> O_{X,x}.
+    The constructor data is not required to be induced by a monoid hom, so
+    non-local morphisms can be represented (and detected).
+    """
+
+    source: MScheme
+    target: MScheme
+    point_map: dict = field(compare=False)
+    stalk_homs: dict = field(compare=False)
+
+    def __post_init__(self):
+        X, Y = self.source, self.target
+        if any(p.key not in self.point_map for p in X.points):
+            raise SchemeError("point map must cover the source")
+        # continuity on finite posets = order preservation
+        for p in X.points:
+            for q in X.points:
+                if X.le(p, q) and not Y.le(self.point_map[p.key], self.point_map[q.key]):
+                    raise SchemeError("point map is not continuous")
+
+
+def induced_spectrum_morphism(phi: MonoidHom) -> SpectrumMorphism:
+    """Spec(phi): Spec(B) -> Spec(A) for phi: A -> B, with stalk homs."""
+    A, B = phi.source, phi.target
+    if not isinstance(A, AffineMonoid) or not isinstance(B, AffineMonoid):
+        raise NotImplementedError("induced morphisms implemented for affine monoids")
+    src, tgt = MScheme.affine(B), MScheme.affine(A)
+    point_map, stalk_homs = {}, {}
+    for q in src.points:
+        comp_b = B.face_submonoid(q.prime.face)
+        pre_face = tuple(
+            i for i, g in enumerate(A.generators) if comp_b.contains(phi.apply(g))
+        )
+        p = next(pt for pt in tgt.points if pt.prime.face == pre_face)
+        point_map[q.key] = p
+        Ap = tgt.stalk(p)
+        loc_images = []
+        for g in Ap.generators:
+            # generators of A_p are generators of A plus negated face generators
+            neg = tuple(-x for x in g)
+            if A.contains(g):
+                loc_images.append(phi.apply(g))
+            elif A.contains(neg):
+                loc_images.append(tuple(-x for x in phi.apply(neg)))
+            else:
+                raise SchemeError("unexpected localization generator")
+        stalk_homs[q.key] = MonoidHom.affine(Ap, src.stalk(q), loc_images)
+    return SpectrumMorphism(src, tgt, point_map, stalk_homs)
+
+
+def is_local_morphism(f: SpectrumMorphism) -> bool:
+    """Check (f_x^#)^{-1}(units of source stalk) = units of target stalk.
+
+    Homs carry units into units automatically, so the content is that no
+    non-unit of O_{Y,f(x)} may map to a unit of O_{X,x}; on cancellative
+    monoids it suffices to test generators.
+    """
+    for x in f.source.points:
+        hom = f.stalk_homs[x.key]
+        stalk_x = f.source.stalk(x)
+        source_stalk = hom.source  # O_{Y, f(x)}
+        for g in source_stalk.generators:
+            if stalk_x.is_unit(hom.apply(g)) and not source_stalk.is_unit(g):
+                return False
+    return True
+
+
 # --- scheme-level operations ------------------------------------------------------
 
 def global_sections(X: MScheme):
     """The equalizer of the chart sections over the overlaps."""
     if len(X.charts) == 1:
-        # the sections over a whole spectrum are the stalk at its closed point
-        return X.stalk(next(p for p in X.points if len(X.down[p.key]) == len(X.points)))
+        return X.sections(X.points)
     charts = X.charts
     if any(not isinstance(c, AffineMonoid) or c.torsion for c in charts):
         raise NotImplementedError("multi-chart sections need torsion-free affine charts")
@@ -519,7 +452,7 @@ def plus_zero(X: MScheme) -> MScheme:
         GluingData(r.chart_a, r.prime_a.pointed_in(charts[r.chart_a]),
                    r.chart_b, r.prime_b.pointed_in(charts[r.chart_b]), r.iso)
         for r in X.gluings)
-    moved = {pt.key: Point(pt.chart_index, pt.prime.pointed_in(charts[pt.chart_index]), pt.rank)
+    moved = {pt.key: Point(pt.chart_index, pt.prime.pointed_in(charts[pt.chart_index]), pt.units)
              for pt in X.points}
     return MScheme(
         charts, records,
@@ -540,11 +473,9 @@ def classify(X: MScheme) -> dict:
     integral = True
     exponent_one = True
     for pt in X.points:
-        stalk = X.stalk(pt)
-        if not stalk.is_integral:
+        if not X.stalk(pt).is_integral:
             integral = False
-        u = stalk.units()
-        if u.invariant_factors:
+        if pt.units.invariant_factors:
             exponent_one = False
     return {
         "connected": connected,

@@ -2,7 +2,7 @@
 
 A torification is a decomposition of a variety's points into split tori,
 recorded as a multiset of torus ranks; its defining identity is
-sum_i (q-1)^{d_i} = N(q), verified symbolically in the (q-1) basis.
+sum_i (q-1)^{d_i} = N(q), verified as an exact polynomial identity.
 Constructors cover torus-orbit decompositions of fan schemes, cell
 decompositions on the pattern of Schubert cells, and the two-cell
 decompositions of the desk-scale matrix groups.  Triples (pointed monoid
@@ -69,10 +69,7 @@ class Torification:
                             tuple(l for _, l in paired), charts, chart_counts)
 
     def count_polynomial(self) -> CountingPolynomial:
-        basis = [0] * (max(self.ranks, default=0) + 1)
-        for d in self.ranks:
-            basis[d] += 1
-        return CountingPolynomial.from_qminus1_basis(basis)
+        return CountingPolynomial.of_tori(self.ranks)
 
 
 @dataclass(frozen=True)
@@ -101,20 +98,14 @@ class CellComplex:
     def count_polynomial(self) -> CountingPolynomial:
         out = CountingPolynomial.make([])
         for d, base in self.cells:
-            term = CountingPolynomial.from_qminus1_basis([0] * base + [1])
             qd = CountingPolynomial.make([0] * d + [1])
-            out = out + term * qd
+            out = out + CountingPolynomial.of_tori([base]) * qd
         return out
 
 
 def verify_torification(T: Torification, N: CountingPolynomial) -> bool:
-    """sum (q-1)^{d_i} == N(q), compared exactly in the (q-1) basis."""
-    counts = {}
-    for d in T.ranks:
-        counts[d] = counts.get(d, 0) + 1
-    target = N.to_qminus1_basis()
-    want = {r: c for r, c in enumerate(target) if c}
-    return counts == want
+    """sum (q-1)^{d_i} == N(q), compared exactly."""
+    return T.count_polynomial() == N
 
 
 def is_affinely_torified(T: Torification):
@@ -125,10 +116,10 @@ def is_affinely_torified(T: Torification):
     by_label = dict(zip(T.labels, T.ranks))
     failures = []
     for chart_id, label_list in sorted(T.charts.items(), key=lambda kv: str(kv[0])):
-        sub = Torification.make([by_label[l] for l in label_list])
-        if not verify_torification(sub, T.chart_counts[chart_id]):
+        tori = CountingPolynomial.of_tori(by_label[l] for l in label_list)
+        if tori != T.chart_counts[chart_id]:
             failures.append(
-                f"chart {chart_id}: tori sum to {sub.count_polynomial()}, "
+                f"chart {chart_id}: tori sum to {tori}, "
                 f"chart counts {T.chart_counts[chart_id]}")
     return (not failures), failures
 
@@ -152,11 +143,8 @@ def orbit_torification(X: MScheme) -> Torification:
     for mi, mc in enumerate(fan.maximal_cones):
         members = [cone_key[c] for c in fan.cones if c <= mc]
         charts[mi] = sorted(members)
-        basis = [0] * (n + 1)
-        for c in fan.cones:
-            if c <= mc:
-                basis[n - fan.cone_dim(c)] += 1
-        chart_counts[mi] = CountingPolynomial.from_qminus1_basis(basis)
+        chart_counts[mi] = CountingPolynomial.of_tori(
+            n - fan.cone_dim(c) for c in fan.cones if c <= mc)
     return Torification.make(ranks, labels, charts, chart_counts)
 
 
@@ -353,8 +341,7 @@ def is_torified_cc(t: GenTorifiedTriple) -> bool:
     scheme side is a disjoint union of split tori."""
     X = t.mscheme
     for pt in X.points:
-        stalk = X.stalk(pt)
-        if not stalk.is_integral or stalk.units().invariant_factors:
+        if not X.stalk(pt).is_integral or pt.units.invariant_factors:
             return False
     for component in X.connected_components:
         if len(component) != 1 or not X.stalk(component[0]).is_group:
@@ -371,7 +358,7 @@ def f1_points(t: GenTorifiedTriple) -> int:
     """
     X = t.mscheme
     for pt in X.points:
-        if X.stalk(pt).units().invariant_factors:
+        if pt.units.invariant_factors:
             raise TorifyError(
                 "stalk unit group has torsion; minimal-rank point counting "
                 "is only defined for split-torus stalks here")

@@ -8,6 +8,7 @@ is exact.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -39,23 +40,15 @@ class CountingPolynomial:
         return CountingPolynomial(tuple(cs))
 
     @staticmethod
-    def from_qminus1_basis(cs) -> "CountingPolynomial":
-        """sum c_r (q-1)^r rewritten in powers of q."""
-        out = [0] * (len(cs) or 1)
-        for r, c in enumerate(cs):
+    def of_tori(ranks) -> "CountingPolynomial":
+        """sum over the ranks r of (q-1)^r, in powers of q: the count of a
+        disjoint union of split tori."""
+        tori = Counter(ranks)
+        out = [0] * (max(tori, default=0) + 1)
+        for r, c in tori.items():
             for k in range(r + 1):
                 out[k] += c * comb(r, k) * (-1) ** (r - k)
         return CountingPolynomial.make(out)
-
-    def to_qminus1_basis(self) -> tuple[int, ...]:
-        """Coefficients c_r with N(q) = sum c_r (q-1)^r."""
-        out = [0] * (len(self.coefficients) or 1)
-        for k, a in enumerate(self.coefficients):
-            for r in range(k + 1):
-                out[r] += a * comb(k, r)
-        while out and out[-1] == 0 and len(out) > 1:
-            out.pop()
-        return tuple(out) if any(out) else ()
 
     @property
     def degree(self) -> int:

@@ -172,6 +172,22 @@ def test_grassmannian_past_the_schubert_cap_names_the_limit():
     assert "LIMITS['schubert_n']" in _error(["torify", "--grassmannian", "3,9"])
 
 
+FAN, MONOID = str(DATA / "p1.fan.json"), str(DATA / "n2.mon.json")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["torify", "--group", "SL3"], ["--group", "'SL3'"]),
+    (["fzoo", "--max-size", "x"], ["--max-size", "'x'"]),
+    (["count", "--fan", FAN, "--monoid", MONOID], ["--monoid", "--fan"]),
+    (["torify", "--fan", FAN, "--group", "SL2"], ["--group", "--fan"]),
+    (["zeta", "--counting", "q + 1", "--input", FAN], ["--input", "--counting"]),
+], ids=["unknown-group", "non-integer-size", "count-two-sources", "torify-two-sources",
+        "zeta-two-sources"])
+def test_bad_command_line_names_the_options(argv, expected):
+    message = _error(argv)
+    assert all(part in message for part in expected), message
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -1,15 +1,15 @@
 """The fan scheme and the fan conditions, each by two routes.
 
-`kato` reads the points, order and stalks of a fan scheme off the fan
-(orbit-cone correspondence); `glue` derives them by gluing the chart
-spectra along the same records.  `plus_zero` carries a scheme's point
-data over to its charts with zero; `glue` derives it again from those
-charts.  `fan_in_zn` reads conditions (2) and (3)
-off ray-index sets; `incomplete_fan_in_zn` checks them by monoid
-searches.  Both pairs must agree on every shipped fan, on the toric size
-ladder, on a few fans with lower-dimensional or singular cones, on
-GL_n(Z) images of all of these, and on random complete rank-2 fans that
-are not smooth.
+`kato` reads the points, order, stalks and stalk unit groups of a fan
+scheme off the fan (orbit-cone correspondence); `glue` derives them from
+the charts' primes and localizations along the same records, each unit
+group by Smith form.  `plus_zero` carries a scheme's point data over to
+its charts with zero; `glue` derives it again from those charts.
+`fan_in_zn` reads conditions (2) and (3) off ray-index sets;
+`incomplete_fan_in_zn` checks them by monoid searches.  Both pairs must
+agree on every shipped fan, on the toric size ladder, on a few fans with
+lower-dimensional or singular cones, on GL_n(Z) images of all of these,
+and on random complete rank-2 fans that are not smooth.
 """
 import itertools
 import math
@@ -148,11 +148,11 @@ def _kato_by_glue(fan):
 
 
 def assert_same_scheme(X, Y):
-    """X and Y have the same charts, records, points and ranks, order,
-    stalks and (chart, prime) -> point map."""
+    """X and Y have the same charts, records, points with their stalk unit
+    groups, order, stalks and (chart, prime) -> point map."""
     assert X.charts == Y.charts
     assert X.gluings == Y.gluings
-    assert [(p.key, p.rank) for p in X.points] == [(p.key, p.rank) for p in Y.points]
+    assert [(p.key, p.units) for p in X.points] == [(p.key, p.units) for p in Y.points]
     assert X.points == Y.points
     assert {(a.key, b.key): X.le(a, b) for a in X.points for b in X.points} == \
         {(a.key, b.key): Y.le(a, b) for a in Y.points for b in Y.points}
@@ -240,10 +240,10 @@ def no_gluing(monkeypatch):
         raise AssertionError("the fan scheme went through the gluing route")
 
     monkeypatch.setattr(spectrum, "_build_scheme_data", forbidden)
-    monkeypatch.setattr(spectrum, "spec", forbidden)
+    monkeypatch.setattr(spectrum, "localize", forbidden)
 
 
-def test_kato_neither_glues_nor_builds_chart_spectra(no_gluing):
+def test_kato_never_reaches_the_gluing_route(no_gluing):
     X = kato(standard_fans("projective_space", 3))
     assert count_points(X, 2).count == 15
     assert counting_polynomial(X).as_polynomial().coefficients == (1, 1, 1, 1)
@@ -251,19 +251,12 @@ def test_kato_neither_glues_nor_builds_chart_spectra(no_gluing):
     assert sorted(orbit_torification(X).ranks) == sorted(3 - len(c) for c in X.fan_data.fan.cones)
 
 
-def test_plus_zero_of_a_fan_scheme_neither_glues_nor_builds_chart_spectra(no_gluing):
+def test_plus_zero_of_a_fan_scheme_never_reaches_the_gluing_route(no_gluing):
     X = kato(standard_fans("projective_space", 3))
     Z = plus_zero(X)
     assert count_points(Z, 2).count == 15
     assert counting_polynomial(Z).as_polynomial().coefficients == (1, 1, 1, 1)
     assert classify(Z) == classify(X)
-
-
-def test_chart_spectra_are_built_on_demand():
-    X = kato(standard_fans("projective_space", 2))
-    spectra = X.chart_spectra()
-    assert [len(space.points) for space, _ in spectra] == [4, 4, 4]
-    assert X.chart_spectra() is spectra
 
 
 def test_fan_in_zn_reads_conditions_2_and_3_off_the_ray_sets():

@@ -28,7 +28,6 @@ from f1geom.spectrum import (
     is_local_morphism,
     minimal_rank_points,
     plus_zero,
-    spec,
 )
 
 SHEAF_CORPUS = [
@@ -45,24 +44,34 @@ SHEAF_CORPUS = [
 ]
 
 
+def _closed(X):
+    """The closed point of a spectrum: every point lies below it."""
+    return next(p for p in X.points if len(X.down[p.key]) == len(X.points))
+
+
+def _generic(X):
+    """The generic point of a spectrum: no other point lies below it."""
+    return next(p for p in X.points if len(X.down[p.key]) == 1)
+
+
 def p1_scheme():
     N = free_monoid(1)
     return glue([N, N], [(0, minimal_prime(N), 1, minimal_prime(N), ((-1,),))])
 
 
 def test_spec_of_n_is_sierpinski():
-    space, sheaf = spec(free_monoid(1))
-    assert len(space.points) == 2
-    eta, closed = space.generic_point, space.closed_point
-    assert sheaf.stalk(eta).is_group                      # Quot(N) = Z
-    assert sheaf.stalk(closed).same_submonoid(free_monoid(1))
-    assert space.is_open((eta,)) and not space.is_open((closed,))
+    X = MScheme.affine(free_monoid(1))
+    assert len(X.points) == 2
+    eta, closed = _generic(X), _closed(X)
+    assert X.stalk(eta).is_group                      # Quot(N) = Z
+    assert X.stalk(closed).same_submonoid(free_monoid(1))
+    assert X.is_open((eta,)) and not X.is_open((closed,))
 
 
 def test_spec_of_trivial_monoid():
-    space, sheaf = spec(trivial_monoid())
-    assert len(space.points) == 1
-    assert sheaf.stalk(space.points[0]).generators == ()
+    X = MScheme.affine(trivial_monoid())
+    assert len(X.points) == 1
+    assert X.stalk(X.points[0]).generators == ()
 
 
 def test_spec_of_n2_poset_and_ranks():
@@ -77,31 +86,41 @@ def test_spec_of_n2_poset_and_ranks():
 
 def test_sheaf_axioms_on_corpus():
     for A in SHEAF_CORPUS:
-        space, sheaf = spec(A)
-        gs = sheaf.sections(space.points)
+        X = MScheme.affine(A)
+        gs = X.sections(X.points)
         assert gs.same_submonoid(A), A
-        for p in space.points:
-            fresh, _ = localize(A, p)
-            assert sheaf.stalk(p).same_submonoid(fresh)
+        for p in X.points:
+            fresh, _ = localize(A, p.prime)
+            assert X.stalk(p).same_submonoid(fresh)
+
+
+def test_canonical_maps_pass_the_hom_check():
+    """Localization and restriction maps are built without the hom check;
+    the checked constructor accepts each one and returns an equal hom."""
+    for A in SHEAF_CORPUS:
+        X = MScheme.affine(A)
+        maps = [localize(A, p.prime)[1] for p in X.points]
+        maps += [X.restriction(b, a) for a in X.points for b in X.points if X.le(a, b)]
+        for hom in maps:
+            assert MonoidHom.affine(hom.source, hom.target, hom.gen_images) == hom, A
 
 
 def test_sheaf_axioms_on_table_monoids():
     for M in (TableMonoid.f1_monoid(), TableMonoid.cyclic_group_with_zero(3)):
-        space, sheaf = spec(M)
-        gs = sheaf.sections(space.points)
+        X = MScheme.affine(M)
+        gs = X.sections(X.points)
         assert gs._key == M._key or len(gs.elements) == len(M.elements)
 
 
 def test_restrictions_compose_along_specialization():
-    A = free_monoid(2)
-    space, sheaf = spec(A)
-    chain = sorted(space.points, key=lambda p: -len(p.face))
+    X = MScheme.affine(free_monoid(2))
+    chain = sorted(X.points, key=lambda p: -len(p.prime.face))
     eta, mid, closed = chain[0], chain[1], chain[3]
-    assert space.le(eta, mid) and space.le(mid, closed)
-    r1 = sheaf.restriction(closed, mid)
-    r2 = sheaf.restriction(mid, eta)
-    direct = sheaf.restriction(closed, eta)
-    for g in sheaf.stalk(closed).generators:
+    assert X.le(eta, mid) and X.le(mid, closed)
+    r1 = X.restriction(closed, mid)
+    r2 = X.restriction(mid, eta)
+    direct = X.restriction(closed, eta)
+    for g in X.stalk(closed).generators:
         assert r2.apply(r1.apply(g)) == direct.apply(g)
 
 
@@ -125,28 +144,28 @@ def _inverse(M, u):
 
 def test_table_chart_restrictions():
     M = two_idempotents()
-    space, sheaf = spec(M)
-    pts = space.points
+    X = MScheme.affine(M)
+    pts = X.points
     assert len(pts) == 4
-    assert sum(space.le(p, q) for p in pts for q in pts) == 9
-    homs = {p.key: localize(M, p)[1] for p in pts}
+    assert sum(X.le(p, q) for p in pts for q in pts) == 9
+    homs = {p.key: localize(M, p.prime)[1] for p in pts}
     for p in pts:
-        assert homs[p.key].target == sheaf.stalk(p)
+        assert homs[p.key].target == X.stalk(p)
 
     def as_map(hom):
         return {x: hom.apply(x) for x in hom.source.elements}
 
     for q in pts:
-        Aq, hom_q = sheaf.stalk(q), homs[q.key]
-        assert as_map(sheaf.restriction(q, q)) == {x: x for x in Aq.elements}
+        Aq, hom_q = X.stalk(q), homs[q.key]
+        assert as_map(X.restriction(q, q)) == {x: x for x in Aq.elements}
         for p in pts:
-            if not space.le(p, q):
+            if not X.le(p, q):
                 continue
-            res = sheaf.restriction(q, p)
-            Ap, hom_p = sheaf.stalk(p), homs[p.key]
+            res = X.restriction(q, p)
+            Ap, hom_p = X.stalk(p), homs[p.key]
             # the image of a/s is hom_p(a) hom_p(s)^-1, for every fraction a/s
             for s in M.elements:
-                if q.contains(s):
+                if q.prime.contains(s):
                     continue
                 for a in M.elements:
                     label = Aq.op(hom_q.apply(a), _inverse(Aq, hom_q.apply(s)))
@@ -154,39 +173,35 @@ def test_table_chart_restrictions():
                         Ap.op(hom_p.apply(a), _inverse(Ap, hom_p.apply(s)))
             # restrictions compose along every chain p <= m <= q
             for m in pts:
-                if space.le(p, m) and space.le(m, q):
-                    two_step = sheaf.restriction(m, p).compose(sheaf.restriction(q, m))
+                if X.le(p, m) and X.le(m, q):
+                    two_step = X.restriction(m, p).compose(X.restriction(q, m))
                     assert as_map(two_step) == as_map(res)
 
 
 def test_local_morphisms_on_table_stalks():
-    M = two_idempotents()
-    sM = spec(M)
-    space, sheaf = sM
-    ident = {p.key: MonoidHom.table(sheaf.stalk(p), sheaf.stalk(p),
-                                    {x: x for x in sheaf.stalk(p).elements})
-             for p in space.points}
-    assert is_local_morphism(SpectrumMorphism(sM, sM, {p.key: p for p in space.points},
-                                              ident))
+    X = MScheme.affine(two_idempotents())
+    ident = {p.key: MonoidHom.table(X.stalk(p), X.stalk(p),
+                                    {x: x for x in X.stalk(p).elements})
+             for p in X.points}
+    assert is_local_morphism(SpectrumMorphism(X, X, {p.key: p for p in X.points}, ident))
     # every point to the closed point, with stalk homs the restrictions
     # M_closed -> M_x: at the generic point the non-units a, b, ab become units
-    closed = space.closed_point
-    to_closed = {p.key: closed for p in space.points}
-    res = {p.key: sheaf.restriction(closed, p) for p in space.points}
-    assert not is_local_morphism(SpectrumMorphism(sM, sM, to_closed, res))
+    closed = _closed(X)
+    to_closed = {p.key: closed for p in X.points}
+    res = {p.key: X.restriction(closed, p) for p in X.points}
+    assert not is_local_morphism(SpectrumMorphism(X, X, to_closed, res))
 
 
 def test_sections_on_smaller_opens():
     A = free_monoid(2)
-    space, sheaf = spec(A)
-    eta = space.generic_point
-    assert sheaf.sections([eta]).is_group
+    X = MScheme.affine(A)
+    assert X.sections([_generic(X)]).is_group
     # the union of the two coordinate-face opens: sections are N^2 again
-    opens = [p for p in space.points if len(p.face) >= 1]
-    assert space.is_open(opens)
-    assert sheaf.sections(opens).same_submonoid(A)
+    opens = [p for p in X.points if len(p.prime.face) >= 1]
+    assert X.is_open(opens)
+    assert X.sections(opens).same_submonoid(A)
     with pytest.raises(SchemeError):
-        sheaf.sections([space.closed_point])  # not an open set
+        X.sections([_closed(X)])  # not an open set
 
 
 def test_glue_p1():
@@ -276,33 +291,29 @@ def test_induced_morphisms_are_local_and_continuous():
 def test_preimage_of_prime_is_prime():
     phi = MonoidHom.affine(free_monoid(2), free_monoid(1), [(1,), (1,)])
     m = induced_spectrum_morphism(phi)
-    src_space, _ = m.source
-    tgt_space, _ = m.target
-    for q in src_space.points:
-        assert m.point_map[q.key] in tgt_space.points
+    for q in m.source.points:
+        assert m.point_map[q.key] in m.target.points
 
 
 def test_non_local_morphism_detected():
     N, Z = free_monoid(1), group_monoid(1)
-    sZ, sN = spec(Z), spec(N)
-    closed = sN[0].closed_point
-    zpt = sZ[0].points[0]
-    # send the point of spec(Z) to the closed point of spec(N) with the
+    sZ, sN = MScheme.affine(Z), MScheme.affine(N)
+    closed = _closed(sN)
+    zpt = sZ.points[0]
+    # send the point of Spec(Z) to the closed point of Spec(N) with the
     # stalk hom N -> Z given by inclusion: the unit t^{-1} pattern fails
-    bad_hom = MonoidHom.affine(sN[1].stalk(closed), sZ[1].stalk(zpt), [(1,)])
+    bad_hom = MonoidHom.affine(sN.stalk(closed), sZ.stalk(zpt), [(1,)])
     bad = SpectrumMorphism(sZ, sN, {zpt.key: closed}, {zpt.key: bad_hom})
     assert not is_local_morphism(bad)
 
 
 def test_discontinuous_point_map_rejected():
-    A = free_monoid(1)
-    sA = spec(A)
-    eta, closed = sA[0].generic_point, sA[0].closed_point
-    ident = {p.key: MonoidHom.affine(sA[1].stalk(p), sA[1].stalk(p),
-                                     sA[1].stalk(p).generators)
-             for p in sA[0].points}
+    X = MScheme.affine(free_monoid(1))
+    eta, closed = _generic(X), _closed(X)
+    ident = {p.key: MonoidHom.affine(X.stalk(p), X.stalk(p), X.stalk(p).generators)
+             for p in X.points}
     with pytest.raises(SchemeError):
-        SpectrumMorphism(sA, sA, {eta.key: closed, closed.key: eta}, ident)
+        SpectrumMorphism(X, X, {eta.key: closed, closed.key: eta}, ident)
 
 
 @pytest.mark.parametrize("factors", [
