@@ -8,6 +8,7 @@ a schema version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -181,7 +182,7 @@ def _count_samples(path) -> dict:
     entries = data.get("counts") if isinstance(data, dict) else data
     if not isinstance(entries, list):
         raise CliError(f"{path} must hold a list of count samples, bare or under 'counts'")
-    samples = {}
+    samples, first = {}, {}
     for i, entry in enumerate(entries):
         if isinstance(entry, dict):
             entry = [entry.get("q"), entry.get("count")]
@@ -189,7 +190,11 @@ def _count_samples(path) -> dict:
                 and all(isinstance(x, int) for x in entry)):
             raise CliError(f"{path}: sample {i} must be {{'q': q, 'count': N}} or [q, N]"
                            " with integer entries")
-        samples[entry[0]] = entry[1]
+        q, count = entry
+        if samples.setdefault(q, count) != count:
+            raise CliError(f"{path}: samples {first[q]} and {i} give q = {q} the counts "
+                           f"{samples[q]} and {count}")
+        first.setdefault(q, i)
     return samples
 
 
@@ -250,6 +255,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lambda_check(args) -> int:
+    if args.trials < 1:
+        raise CliError(f"--trials must be a positive integer, got {args.trials}")
     A = _load(args.monoid, ("AffineMonoid", "TableMonoid"))
     ps = _parse_q_list(args.p)
     lam = LambdaStructure(A)
@@ -407,7 +414,10 @@ def cmd_diagram_check(args) -> int:
     return _emit({"checks": checks}, args.json, ok)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs far more than a parse."""
     parser = _Parser(
         prog="f1geom",
         description="Exact monoid schemes, toric fans, point counts, zeta data "

@@ -192,7 +192,10 @@ class FanInZn:
 
 
 def _fan_monoids(fan: Fan):
-    """Both monoid sides of every cone and the condition (1) violations."""
+    """Both monoid sides of every cone and the condition (1) violations.
+
+    ``is_saturated`` decides a smooth cone and its dual by a rank test on
+    the generators; singular cones go through their saturation generators."""
     members = {}
     charts = {}
     violations = []

@@ -825,6 +825,25 @@ def saturate(A: AffineMonoid) -> AffineMonoid:
 
 
 def is_saturated(A: AffineMonoid) -> bool:
+    """Whether A contains every x in Quot(A) whose free part lies in cone(A).
+
+    Rank route: let U be A's unit generators and G the rest.  If A has no
+    torsion and G is linearly independent modulo span(U), i.e.
+    rank(U + G) = rank(U) + len(G), then A is saturated.  U spans the
+    lineality space of cone(A), so the monoid U generates is a group.  Any
+    x in Quot(A) cap cone(A) is x = u + sum n_i g_i with u in <U> and
+    n_i in Z; independence modulo span(U) makes the n_i x's unique cone
+    coordinates along G, so every n_i >= 0 and x lies in A.  Every cone
+    of a smooth fan, and every dual of one, takes this route.
+
+    Otherwise (torsion, or dependent generators) A is saturated iff it
+    contains each generator of its saturation.
+    """
+    if not A.torsion:
+        unit_idx = A.unit_generator_indices
+        unit_rank = rat_rank([A.generators[i] for i in unit_idx])
+        if rat_rank(A.generators) == unit_rank + len(A.generators) - len(unit_idx):
+            return True
     return all(A.contains(g) for g in saturation_generators(A))
 
 

@@ -168,6 +168,28 @@ def test_negative_fzoo_size_names_the_option():
     assert "--max-size" in _error(["fzoo", "--max-size", "-1"])
 
 
+def test_zeta_input_with_a_repeated_q_names_q_and_both_samples(tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps([[2, 999], [2, 7], [3, 13], [4, 21]]))
+    message = _error(["zeta", "--input", str(path)])
+    assert "q = 2" in message and "samples 0 and 1" in message, message
+
+
+def test_zeta_input_may_repeat_a_sample_with_the_same_count(tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps([[2, 7], [2, 7], [3, 13], [4, 21]]))
+    rc, out, err = run_cli(["zeta", "--input", str(path), "--json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["counting_polynomial"] == "q^2 + q + 1"
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_nonpositive_lambda_trials_names_the_option(trials):
+    message = _error(["lambda-check", "--monoid", str(DATA / "n2.mon.json"),
+                      "--trials", trials])
+    assert "--trials" in message and trials in message, message
+
+
 def test_grassmannian_past_the_schubert_cap_names_the_limit():
     assert "LIMITS['schubert_n']" in _error(["torify", "--grassmannian", "3,9"])
 

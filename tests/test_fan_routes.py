@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import f1geom.monoid as monoid
 import f1geom.spectrum as spectrum
 from f1geom.cones import dual_cone, lattice_monoid_generators
 from f1geom.counting import count_points, counting_polynomial
@@ -257,6 +258,19 @@ def test_plus_zero_of_a_fan_scheme_never_reaches_the_gluing_route(no_gluing):
     assert count_points(Z, 2).count == 15
     assert counting_polynomial(Z).as_polynomial().coefficients == (1, 1, 1, 1)
     assert classify(Z) == classify(X)
+
+
+@pytest.fixture
+def no_saturation_generators(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("condition (1) rebuilt saturation generators")
+
+    monkeypatch.setattr(monoid, "saturation_generators", forbidden)
+
+
+@pytest.mark.parametrize("name", ["P^4", "(P^1)^3", "A^4", "H_3"])
+def test_fan_in_zn_decides_smooth_saturation_by_rank(name, no_saturation_generators):
+    assert fan_in_zn(LADDER[name]).violations == ()
 
 
 def test_fan_in_zn_reads_conditions_2_and_3_off_the_ray_sets():

@@ -29,6 +29,7 @@ from f1geom.monoid import (
     minimal_prime,
     primes,
     saturate,
+    saturation_generators,
     trivial_monoid,
     units,
 )
@@ -174,6 +175,81 @@ def test_saturate_with_torsion_ambient():
     # index-2 subgroup direction: <(2, 0)> inside Z x Z/2 misses (1, ...) entirely
     B = AffineMonoid.make(1, [[2, 0]], torsion=[2])
     assert is_saturated(B)
+
+
+def _saturated_by_generators(A):
+    """The general route: A contains every generator of its saturation."""
+    return all(A.contains(g) for g in saturation_generators(A))
+
+
+NOT_SATURATED = {
+    "<2,3> in Z": AffineMonoid.make(1, [[2], [3]]),
+    "<(1,0),(1,1),(0,2)>": AffineMonoid.make(2, [[1, 0], [1, 1], [0, 2]]),
+    "<+-(1,0),(0,2),(0,3)>": AffineMonoid.make(2, [[1, 0], [-1, 0], [0, 2], [0, 3]]),
+    # (0,2) and (1,3) are independent, but not modulo the units' span
+    "<+-(1,0),(0,2),(1,3)>": AffineMonoid.make(2, [[1, 0], [-1, 0], [0, 2], [1, 3]]),
+    # (1,1bar) = (3,0) - (2,1) is in Quot and in the cone, but not in A
+    "<(2,1),(3,0)> in Z x Z/2": AffineMonoid.make(1, [[2, 1], [3, 0]], torsion=[2]),
+}
+
+SATURATED = {
+    "<(1,0),(1,2)>": AffineMonoid.make(2, [[1, 0], [1, 2]]),
+    "<+-(1,0),(1,2)>": AffineMonoid.make(2, [[1, 0], [-1, 0], [1, 2]]),
+    "quadric": AffineMonoid.make(2, [[1, 0], [1, 1], [1, 2]]),
+    "Z^2": group_monoid(2),
+    "N^3": free_monoid(3),
+    "<(1,1)> in Z x Z/2": AffineMonoid.make(1, [[1, 1]], torsion=[2]),
+}
+
+
+@pytest.mark.parametrize("name, expected",
+                         [(n, False) for n in NOT_SATURATED] + [(n, True) for n in SATURATED])
+def test_is_saturated_examples_by_both_routes(name, expected):
+    A = {**NOT_SATURATED, **SATURATED}[name]
+    assert is_saturated(A) == expected
+    assert _saturated_by_generators(A) == expected
+
+
+@pytest.mark.parametrize("name", ["<(1,0),(1,2)>", "<+-(1,0),(1,2)>", "Z^2", "N^3"])
+def test_is_saturated_decides_independent_generators_by_rank(name, monkeypatch):
+    import f1geom.monoid as monoid
+
+    def forbidden(*args):
+        raise AssertionError("the rank route fell back to saturation generators")
+
+    monkeypatch.setattr(monoid, "saturation_generators", forbidden)
+    assert is_saturated(SATURATED[name])
+
+
+def test_is_saturated_agrees_with_the_general_route_on_the_fan_corpus():
+    from test_fan_routes import CORPUS
+    from f1geom.fans import fan_in_zn
+
+    monoids = set()
+    for fan in CORPUS.values():
+        fz = fan_in_zn(fan)
+        monoids.update(fz.members.values())
+        monoids.update(fz.chart_monoids.values())
+    for A in monoids:
+        assert is_saturated(A) == _saturated_by_generators(A), A
+
+
+@st.composite
+def small_monoids(draw):
+    """Submonoids of Z^2 or Z (+) Z/2 on 1-4 small generators, with the
+    negative of a generator added half the time so that units occur."""
+    rank, torsion = draw(st.sampled_from([(2, ()), (1, (2,))]))
+    vec = st.tuples(*[st.integers(-3, 3)] * (rank + len(torsion)))
+    gens = draw(st.lists(vec, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in gens[0]))
+    return AffineMonoid.make(rank, gens, torsion=torsion)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_monoids())
+def test_is_saturated_agrees_with_the_general_route(A):
+    assert is_saturated(A) == _saturated_by_generators(A)
 
 
 def test_units_examples():
