@@ -15,7 +15,7 @@ import sys
 from .counting import count_points, counting_polynomial, orbit_count_polynomial
 from .fans import fan_in_zn, kato
 from .io import ParseError, ValidationError, parse_input
-from .monoid import AffineMonoid, TableMonoid, primes
+from .monoid import AffineMonoid, TableMonoid
 from .semiring import (
     LambdaStructure,
     monomial_power_map,
@@ -187,7 +187,7 @@ def _count_samples(path) -> dict:
         if isinstance(entry, dict):
             entry = [entry.get("q"), entry.get("count")]
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, int) for x in entry)):
+                and all(type(x) is int for x in entry)):
             raise CliError(f"{path}: sample {i} must be {{'q': q, 'count': N}} or [q, N]"
                            " with integer entries")
         q, count = entry
@@ -339,7 +339,7 @@ def _matrix_laws_ok(M, size: int) -> bool:
 
 def cmd_diagram_check(args) -> int:
     from .fans import standard_fans
-    from .monoid import adjoin_zero, free_monoid, group_monoid
+    from .monoid import free_monoid, group_monoid
 
     checks = []
 
@@ -394,8 +394,8 @@ def cmd_diagram_check(args) -> int:
         for A in corpus:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                Az = adjoin_zero(A)
-            if [p.face for p in primes(A)] != [p.face for p in primes(Az)]:
+                Az = A.adjoin_zero()
+            if [p.face for p in A.primes()] != [p.face for p in Az.primes()]:
                 return False
         return True
 

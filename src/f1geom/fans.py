@@ -32,8 +32,6 @@ from .monoid import (
     AffineMonoid,
     PrimeIdeal,
     is_saturated,
-    primes,
-    units,
 )
 from .spectrum import GluingData, MScheme, Point
 
@@ -207,7 +205,7 @@ def _fan_monoids(fan: Fan):
         charts[c] = AffineMonoid.make(fan.rank, lattice_monoid_generators(dual))
         if not is_saturated(A):
             violations.append((1, tuple(sorted(c)), "member not saturated"))
-        if not units(A).is_trivial:
+        if not A.units().is_trivial:
             violations.append((1, tuple(sorted(c)), "member has nontrivial units"))
         qr, qf = quotient_invariants(fan.rank,
                                      [list(g) for g in A.generators])
@@ -243,34 +241,6 @@ def fan_in_zn(fan: Fan) -> FanInZn:
         violations += [_violation_2(c) for f in _faces(c) if f not in cones]
     for c, d in itertools.combinations(members, 2):
         if c & d not in cones:
-            violations.append(_violation_3(c, d))
-    return FanInZn(fan, members, charts, tuple(violations))
-
-
-def incomplete_fan_in_zn(fan_rank, rays, cone_ray_indices) -> FanInZn:
-    """Condition checking for a raw cone collection that may violate face
-    closure or meet badly; used to produce violation reports without the
-    constructor's validation.  Nothing about the collection is assumed, so
-    conditions (2) and (3) compare monoids: every prime complement of a
-    member with the members, and the lattice points of each geometric
-    intersection with the prime complements of both members."""
-    cones = tuple(frozenset(c) for c in cone_ray_indices)
-    prim = tuple(primitive_vector(r) for r in rays)
-    fan = Fan(fan_rank, prim, cones)
-    members, charts, violations = _fan_monoids(fan)
-    # condition (2): complements of primes stay in the collection
-    for c, A in members.items():
-        for p in primes(A):
-            comp = A.face_submonoid(p.face)
-            if not any(comp.same_submonoid(B) for B in members.values()):
-                violations.append(_violation_2(c))
-    # condition (3): pairwise intersections are common prime complements
-    for (c, A), (d, B) in itertools.combinations(members.items(), 2):
-        inter = AffineMonoid.make(
-            fan.rank, lattice_monoid_generators(_meet(fan, c, d)))
-        ok_a = any(inter.same_submonoid(A.face_submonoid(p.face)) for p in primes(A))
-        ok_b = any(inter.same_submonoid(B.face_submonoid(p.face)) for p in primes(B))
-        if not (ok_a and ok_b):
             violations.append(_violation_3(c, d))
     return FanInZn(fan, members, charts, tuple(violations))
 

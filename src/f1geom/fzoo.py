@@ -180,7 +180,6 @@ def monad_laws(M: TableMonoid, sizes=(0, 1, 2, 3)) -> dict:
         mu_x = tm_mult(M, X)
 
         # left unit: mu o eta_{T X} = id
-        eta_tx = tm_unit(M, tx)
         fail = None
         for xi in tx:
             if mu_x[(M.identity, xi)] != xi:

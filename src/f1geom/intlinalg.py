@@ -22,13 +22,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    if not A or not B:
-        return []
-    n, m, k = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(m)) for j in range(k)] for i in range(n)]
-
-
 def mat_vec(A, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in A]
 
@@ -142,11 +135,6 @@ def smith_normal_form(A: list[list[int]]):
 
 def diagonal_of(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-
-
-def matrix_rank(A) -> int:
-    _, D, _ = smith_normal_form(A)
-    return sum(1 for d in diagonal_of(D) if d != 0)
 
 
 def kernel_basis(A: list[list[int]]) -> list[list[int]]:

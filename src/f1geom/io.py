@@ -58,14 +58,16 @@ def object_from_dict(data):
 
 
 def _int_list(value, where):
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    # type(x) is int, not isinstance: JSON true and false are bools, and
+    # bool subclasses int
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ValidationError(f"{where} must be a list of integers")
     return value
 
 
 def _monoid_from_dict(data) -> AffineMonoid:
     rank = data.get("ambient_rank")
-    if not isinstance(rank, int) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise ValidationError("'ambient_rank' must be a nonnegative integer")
     torsion = _int_list(data.get("torsion", []), "'torsion'")
     gens = data.get("generators", [])
@@ -107,7 +109,7 @@ def _table_monoid_from_dict(data) -> TableMonoid:
 
 def _fan_from_dict(data) -> Fan:
     rank = data.get("rank")
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise ValidationError("'rank' must be a positive integer")
     rays = data.get("rays", [])
     if not isinstance(rays, list):
@@ -154,7 +156,7 @@ def _torification_from_dict(data) -> tuple:
 def _label_list(value, where):
     """Torus labels: integers, strings, or flat lists of them (as tuples)."""
     if not isinstance(value, list) or not all(
-            isinstance(x, (int, str)) for t in value for x in (t if isinstance(t, list) else [t])):
+            type(x) in (int, str) for t in value for x in (t if isinstance(t, list) else [t])):
         raise ValidationError(f"{where} must be a list of torus labels: integers, "
                               "strings or flat lists of them")
     return [tuple(t) if isinstance(t, list) else t for t in value]

@@ -13,18 +13,18 @@ Both carry one method set, so other modules never ask which they hold:
 ``pointed``, ``generators`` (all elements on ``TableMonoid``), ``op``,
 ``power``, ``member(x)`` (x normalised, or None if not in the monoid),
 ``is_unit``, ``is_integral`` (True on ``AffineMonoid``), ``is_group``
-(every nonzero element is a unit), ``units()``, ``primes()``,
-``localize(p)`` -> (A_p, canonical hom A -> A_p), ``restriction(hom_q,
-hom_p)`` -> the sheaf map A_q -> A_p for p <= q read off the two
-localization homs, and ``adjoin_zero()``.  The localization and
+(every nonzero element is a unit), ``units()``, ``primes()`` (the
+generic prime first, the closed point's prime last), ``localize(p)`` ->
+(A_p, canonical hom A -> A_p), ``restriction(hom_q, hom_p)`` -> the sheaf
+map A_q -> A_p for p <= q read off the two localization homs, and
+``adjoin_zero()``.  The localization and
 restriction maps of an ``AffineMonoid`` are homs by construction (each
 sends generators to generators of a larger monoid in the same ambient
 group) and are built without the check ``MonoidHom.affine`` runs.
 
 Primes, localizations, group completions, saturations and unit groups
 are all computed exactly; prime ideals of an affine monoid correspond to
-the faces of its recession cone.  The module functions ``primes``,
-``localize``, ``units`` and ``adjoin_zero`` are the public entry points.
+the faces of its recession cone.
 """
 from __future__ import annotations
 
@@ -449,7 +449,8 @@ class TableMonoid:
         return sorted(found, key=PrimeIdeal.sort_key)
 
     def localize(self, p: "PrimeIdeal"):
-        """Each class of fractions a/s is labelled by its least member."""
+        """Fractions a/s, s outside p, with a/s ~ b/t iff u t a = u s b for
+        some u outside p; each class is labelled by its least member."""
         S = [a for a in self.elements if a not in p.elements]
         pairs = [(a, s) for a in self.elements for s in S]
 
@@ -634,34 +635,6 @@ class PrimeIdeal:
         return f"prime({sorted(map(str, self.elements))})"
 
 
-def primes(A) -> list[PrimeIdeal]:
-    """All prime ideals, sorted by face dimension then lexicographically.
-
-    Affine monoids: complements of the faces of the recession cone.
-    Table monoids: exhaustive subset search (capped at 20 elements).
-    """
-    return A.primes()
-
-
-def maximal_prime(A) -> PrimeIdeal:
-    """m_A = A minus its units; unique maximal prime."""
-    ps = primes(A)
-    top = ps[0]
-    for p in ps:
-        if top.is_subset_of(p):
-            top = p
-    return top
-
-
-def minimal_prime(A) -> PrimeIdeal:
-    ps = primes(A)
-    bot = ps[0]
-    for p in ps:
-        if p.is_subset_of(bot):
-            bot = p
-    return bot
-
-
 # --- homomorphisms ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -722,7 +695,7 @@ class MonoidHom:
         return self.element_map[x]
 
     def adjoin_zero(self) -> "MonoidHom":
-        src, tgt = adjoin_zero(self.source), adjoin_zero(self.target)
+        src, tgt = self.source.adjoin_zero(), self.target.adjoin_zero()
         if self.gen_images is not None:
             return MonoidHom.affine(src, tgt, self.gen_images)
         return MonoidHom.table(src, tgt, {**self.element_map, src.zero: tgt.zero})
@@ -762,25 +735,7 @@ def _group_coordinates(A: AffineMonoid, x):
     return sol[: len(A.generators)]
 
 
-# --- module operations ---------------------------------------------------------
-
-def localize(A, p: PrimeIdeal):
-    """Localization A_p = (A minus p)^{-1} A with its canonical map.
-
-    Affine: adjoin the negatives of the complementary face's generators.
-    Table: explicit quotient-of-fractions construction with the relation
-    a/s ~ b/t iff u t a = u s b for some u in the complement.
-    """
-    return A.localize(p)
-
-
-def group_completion(A: AffineMonoid) -> AbelianGroup:
-    return A.group_completion()
-
-
-def units(A) -> AbelianGroup:
-    return A.units()
-
+# --- saturation ------------------------------------------------------------------
 
 def saturation_generators(A: AffineMonoid, cone=None) -> tuple[tuple[int, ...], ...]:
     """Generators of {x in Quot A : free(x) in cone} in the ambient group.
@@ -847,12 +802,6 @@ def is_saturated(A: AffineMonoid) -> bool:
     return all(A.contains(g) for g in saturation_generators(A))
 
 
-def adjoin_zero(M):
-    """Functorially adjoin an absorbing zero to a monoid or a hom; no-op
-    with a warning on a monoid that is already pointed."""
-    return M.adjoin_zero()
-
-
 # --- convenience constructors ---------------------------------------------------
 
 def free_monoid(n: int) -> AffineMonoid:
@@ -870,6 +819,3 @@ def group_monoid(n: int) -> AffineMonoid:
         gens.append([-x for x in e])
     return AffineMonoid.make(n, gens)
 
-
-def trivial_monoid() -> AffineMonoid:
-    return AffineMonoid.make(0, [])

@@ -32,9 +32,6 @@ from .monoid import (
     AffineMonoid,
     MonoidHom,
     PrimeIdeal,
-    adjoin_zero,
-    localize,
-    primes,
     saturation_generators,
 )
 
@@ -134,7 +131,7 @@ class MScheme:
         ci = b.chart_index
         A = self.charts[ci]
         p = next(p for (c, p), pt in self.class_of.items() if c == ci and pt.key == a.key)
-        return A.restriction(localize(A, b.prime)[1], localize(A, p)[1])
+        return A.restriction(A.localize(b.prime)[1], A.localize(p)[1])
 
     def sections(self, open_points):
         """Sections over an open set: the limit of the stalks over it.
@@ -164,9 +161,6 @@ class MScheme:
             raise NotImplementedError(
                 "sections over this open need a non-saturated intersection")
         return out
-
-    def point_of(self, chart_index: int, prime: PrimeIdeal) -> Point:
-        return self.class_of[(chart_index, prime)]
 
     @property
     def connected_components(self) -> tuple[tuple[Point, ...], ...]:
@@ -206,7 +200,7 @@ def _build_scheme_data(charts, gluings):
     charts glued along the records, derived from the charts' primes and
     localizations.  This is the reference route: the tests compare
     ``kato`` and ``plus_zero`` against it."""
-    chart_primes = {A: primes(A) for A in dict.fromkeys(charts)}  # equal charts share one
+    chart_primes = {A: A.primes() for A in dict.fromkeys(charts)}  # equal charts share one
     prime_at = {(ci, p.key): p for ci, A in enumerate(charts) for p in chart_primes[A]}
     pairs = []
     for rec in gluings:
@@ -219,7 +213,7 @@ def _build_scheme_data(charts, gluings):
         rep = min(members)
         A, prime = charts[rep[0]], prime_at[rep]
         if (A, prime.key) not in local:  # equal charts share their stalks too
-            loc, _ = localize(A, prime)
+            loc, _ = A.localize(prime)
             local[A, prime.key] = loc, loc.units()
         loc, units = local[A, prime.key]
         pt = Point(rep[0], prime, units)
@@ -252,8 +246,8 @@ def _validate_gluing(charts, rec: GluingData):
     A, B = charts[rec.chart_a], charts[rec.chart_b]
     if not isinstance(A, AffineMonoid) or not isinstance(B, AffineMonoid):
         raise GluingError("gluing records are supported for affine charts")
-    loc_a, _ = localize(A, rec.prime_a)
-    loc_b, _ = localize(B, rec.prime_b)
+    loc_a, _ = A.localize(rec.prime_a)
+    loc_b, _ = B.localize(rec.prime_b)
     T = [list(row) for row in rec.iso]
     if len(T) != B.ambient_rank or any(len(r) != A.ambient_rank for r in T):
         raise GluingError("iso matrix has the wrong shape")
@@ -277,10 +271,10 @@ def _gluing_point_pairs(charts, rec: GluingData):
     """Pairs (prime key of chart_a, prime key of chart_b) identified by the
     gluing: primes of the localized overlap, traced into both charts."""
     A, B = charts[rec.chart_a], charts[rec.chart_b]
-    loc_a, _ = localize(A, rec.prime_a)
+    loc_a, _ = A.localize(rec.prime_a)
     T = [list(row) for row in rec.iso]
     pairs = []
-    for r in primes(loc_a):
+    for r in loc_a.primes():
         comp = loc_a.face_submonoid(r.face)
         face_in_a = tuple(
             i for i, g in enumerate(A.generators) if comp.contains(g)
@@ -293,80 +287,6 @@ def _gluing_point_pairs(charts, rec: GluingData):
         )
         pairs.append((("face", face_in_a), ("face", face_in_b)))
     return pairs
-
-
-# --- morphisms ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectrumMorphism:
-    """Morphism of monoidal spaces between schemes.
-
-    ``point_map`` sends each source point's key to a target point;
-    ``stalk_homs[x.key]`` is the stalk-level hom O_{Y,f(x)} -> O_{X,x}.
-    The constructor data is not required to be induced by a monoid hom, so
-    non-local morphisms can be represented (and detected).
-    """
-
-    source: MScheme
-    target: MScheme
-    point_map: dict = field(compare=False)
-    stalk_homs: dict = field(compare=False)
-
-    def __post_init__(self):
-        X, Y = self.source, self.target
-        if any(p.key not in self.point_map for p in X.points):
-            raise SchemeError("point map must cover the source")
-        # continuity on finite posets = order preservation
-        for p in X.points:
-            for q in X.points:
-                if X.le(p, q) and not Y.le(self.point_map[p.key], self.point_map[q.key]):
-                    raise SchemeError("point map is not continuous")
-
-
-def induced_spectrum_morphism(phi: MonoidHom) -> SpectrumMorphism:
-    """Spec(phi): Spec(B) -> Spec(A) for phi: A -> B, with stalk homs."""
-    A, B = phi.source, phi.target
-    if not isinstance(A, AffineMonoid) or not isinstance(B, AffineMonoid):
-        raise NotImplementedError("induced morphisms implemented for affine monoids")
-    src, tgt = MScheme.affine(B), MScheme.affine(A)
-    point_map, stalk_homs = {}, {}
-    for q in src.points:
-        comp_b = B.face_submonoid(q.prime.face)
-        pre_face = tuple(
-            i for i, g in enumerate(A.generators) if comp_b.contains(phi.apply(g))
-        )
-        p = next(pt for pt in tgt.points if pt.prime.face == pre_face)
-        point_map[q.key] = p
-        Ap = tgt.stalk(p)
-        loc_images = []
-        for g in Ap.generators:
-            # generators of A_p are generators of A plus negated face generators
-            neg = tuple(-x for x in g)
-            if A.contains(g):
-                loc_images.append(phi.apply(g))
-            elif A.contains(neg):
-                loc_images.append(tuple(-x for x in phi.apply(neg)))
-            else:
-                raise SchemeError("unexpected localization generator")
-        stalk_homs[q.key] = MonoidHom.affine(Ap, src.stalk(q), loc_images)
-    return SpectrumMorphism(src, tgt, point_map, stalk_homs)
-
-
-def is_local_morphism(f: SpectrumMorphism) -> bool:
-    """Check (f_x^#)^{-1}(units of source stalk) = units of target stalk.
-
-    Homs carry units into units automatically, so the content is that no
-    non-unit of O_{Y,f(x)} may map to a unit of O_{X,x}; on cancellative
-    monoids it suffices to test generators.
-    """
-    for x in f.source.points:
-        hom = f.stalk_homs[x.key]
-        stalk_x = f.source.stalk(x)
-        source_stalk = hom.source  # O_{Y, f(x)}
-        for g in source_stalk.generators:
-            if stalk_x.is_unit(hom.apply(g)) and not source_stalk.is_unit(g):
-                return False
-    return True
 
 
 # --- scheme-level operations ------------------------------------------------------
@@ -447,7 +367,7 @@ def plus_zero(X: MScheme) -> MScheme:
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        charts = tuple(adjoin_zero(c) for c in X.charts)
+        charts = tuple(c.adjoin_zero() for c in X.charts)
     records = tuple(
         GluingData(r.chart_a, r.prime_a.pointed_in(charts[r.chart_a]),
                    r.chart_b, r.prime_b.pointed_in(charts[r.chart_b]), r.iso)

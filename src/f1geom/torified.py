@@ -17,7 +17,7 @@ from math import comb
 
 from .counting import CountingFunction, counting_polynomial
 from .limits import LIMITS
-from .monoid import adjoin_zero, group_monoid
+from .monoid import group_monoid
 from .spectrum import MScheme, glue, minimal_rank_points
 from .zeta import CountingPolynomial, q_poly
 
@@ -267,7 +267,7 @@ def f_functor(X: MScheme, name: str = "") -> GenTorifiedTriple:
 def torification_mscheme(T: Torification) -> MScheme:
     """The disjoint union of pointed torus spectra with the torification's
     ranks: the monoid-scheme side of a torified variety."""
-    return glue([adjoin_zero(group_monoid(d)) for d in T.ranks], [])
+    return glue([group_monoid(d).adjoin_zero() for d in T.ranks], [])
 
 
 def triple_from_torification(T: Torification, N: CountingPolynomial,

@@ -208,3 +208,11 @@ def _solve(cols, target):
     for r, col in enumerate(pivots):
         sol[col] = aug[r][ncols]
     return sol
+
+
+def mat_mul(A, B):
+    """The matrix product, entry by entry."""
+    if not A or not B:
+        return []
+    n, m, k = len(A), len(B), len(B[0])
+    return [[sum(A[i][t] * B[t][j] for t in range(m)) for j in range(k)] for i in range(n)]

@@ -194,6 +194,23 @@ def test_grassmannian_past_the_schubert_cap_names_the_limit():
     assert "LIMITS['schubert_n']" in _error(["torify", "--grassmannian", "3,9"])
 
 
+@pytest.mark.parametrize("verb, option, data", [
+    ("zeta", "--input", [[True, 3], [2, 7], [3, 13]]),
+    ("spec", "--monoid", {"kind": "monoid", "ambient_rank": True, "generators": [[1]]}),
+    ("count", "--monoid", {"kind": "monoid", "ambient_rank": 1, "generators": [[True]]}),
+    ("fan", "--fan", {"kind": "fan", "rank": 2, "rays": [[1, 0], [0, True]], "cones": [[0, 1]]}),
+    ("torify", "--cells", {"kind": "cells", "cells": [[True, 0], [0, 0]]}),
+    ("verify", "--torification", {"kind": "torification", "ranks": [True, 0],
+                                  "counting": [0, 1]}),
+    ("verify", "--torification", {"kind": "torification", "ranks": [0], "counting": [1],
+                                  "labels": [True]}),
+], ids=["zeta-sample", "ambient-rank", "generator", "ray", "cell", "rank", "label"])
+def test_json_booleans_are_not_integers(tmp_path, verb, option, data):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert "integer" in _error([verb, option, str(path)])
+
+
 FAN, MONOID = str(DATA / "p1.fan.json"), str(DATA / "n2.mon.json")
 
 

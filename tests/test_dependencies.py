@@ -21,3 +21,56 @@ def test_imports_are_relative_or_standard_library(path):
             continue
         outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports {outside}"
+
+
+# Public names that nothing in the package calls, each kept for a stated reason.
+UNREFERENCED_ON_PURPOSE = {
+    # claimed by ROADMAP items 2, 3 and 8
+    ("torified", "weyl_group_order"),
+    ("torified", "triple_from_torification"),
+    ("torified", "is_torified_cc"),
+    ("torified", "f1_points"),
+    # called by the benchmark in bench/
+    ("monoid", "saturate"),
+    ("cones", "hilbert_basis"),
+    ("io", "emit"),
+    # the public cone API the tests use
+    ("cones", "dual_cone"),
+    ("cones", "faces"),
+}
+
+
+def _unreferenced_public_names():
+    """(module, name) of each public top-level function and class that no
+    code in the package refers to outside its own definition.  A reference
+    is a bare name, resolved in its own module or through a relative
+    import, or an attribute of a package module (``cones.faces``)."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    defined = {(mod, node.name): node for mod, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    referenced = set()
+    for mod, tree in trees.items():
+        source_of = {alias.asname or alias.name: node.module
+                     for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                     for alias in node.names}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    key = (source_of.get(node.id, mod), node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and node.value.id in trees:
+                    key = (node.value.id, node.attr)
+                else:
+                    continue
+                if defined.get(key) is not top:
+                    referenced.add(key)
+    return set(defined) - referenced
+
+
+def test_every_public_name_is_used_in_the_package_or_allowed():
+    unreferenced = _unreferenced_public_names()
+    assert unreferenced <= UNREFERENCED_ON_PURPOSE, \
+        f"only tests reach {sorted(unreferenced - UNREFERENCED_ON_PURPOSE)}"
+    assert unreferenced == UNREFERENCED_ON_PURPOSE, \
+        f"allowed but now used or gone: {sorted(UNREFERENCED_ON_PURPOSE - unreferenced)}"

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from fan_reference import incomplete_fan_in_zn
 import f1geom.monoid as monoid
 import f1geom.spectrum as spectrum
 from f1geom.cones import dual_cone, lattice_monoid_generators
@@ -27,7 +28,6 @@ from f1geom.fans import (
     Fan,
     FanError,
     fan_in_zn,
-    incomplete_fan_in_zn,
     kato,
     make_fan,
     product_fan,
@@ -38,10 +38,7 @@ from f1geom.io import parse_input
 from f1geom.monoid import (
     AffineMonoid,
     TableMonoid,
-    adjoin_zero,
     free_monoid,
-    minimal_prime,
-    primes,
 )
 from f1geom.spectrum import GluingData, MScheme, classify, glue, plus_zero
 from f1geom.torified import orbit_torification
@@ -133,7 +130,7 @@ def _kato_by_glue(fan):
         A = charts[ci]
         face = tuple(i for i, g in enumerate(A.generators)
                      if all(dot(g, fan.rays[r]) == 0 for r in tau))
-        return next(p for p in primes(A) if p.face == face)
+        return next(p for p in A.primes() if p.face == face)
 
     ident = tuple(tuple(int(a == b) for a in range(fan.rank)) for b in range(fan.rank))
     records = []
@@ -144,7 +141,7 @@ def _kato_by_glue(fan):
     cone_of_point = {}
     for c in fan.cones:
         ci = next(k for k, mc in enumerate(fan.maximal_cones) if c <= mc)
-        cone_of_point[X.point_of(ci, prime_of(ci, c)).key] = c
+        cone_of_point[X.class_of[ci, prime_of(ci, c)].key] = c
     return X, cone_of_point
 
 
@@ -160,8 +157,8 @@ def assert_same_scheme(X, Y):
     for pt in Y.points:
         assert X.stalk(pt) == Y.stalk(pt), pt
     for ci, chart in enumerate(Y.charts):
-        for p in primes(chart):
-            assert X.point_of(ci, p) == Y.point_of(ci, p), (ci, p.key)
+        for p in chart.primes():
+            assert X.class_of[ci, p] == Y.class_of[ci, p], (ci, p.key)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -179,10 +176,10 @@ def _plus_zero_by_glue(X):
     records, each prime looked up among the primes of its pointed chart."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        charts = [adjoin_zero(c) for c in X.charts]
+        charts = [c.adjoin_zero() for c in X.charts]
 
     def pointed(ci, p):
-        return next(q for q in primes(charts[ci]) if q.face == p.face)
+        return next(q for q in charts[ci].primes() if q.face == p.face)
 
     return glue(charts, [GluingData(r.chart_a, pointed(r.chart_a, r.prime_a),
                                     r.chart_b, pointed(r.chart_b, r.prime_b), r.iso)
@@ -200,11 +197,12 @@ def _idempotents(letters):
 
 def _non_fan_schemes():
     N = free_monoid(1)
+    generic = N.primes()[0]
     # Z/2 named so that its least label is not the identity
     z2 = TableMonoid.make(("e", "a"), {("e", "e"): "e", ("e", "a"): "a", ("a", "a"): "e"},
                           identity="e")
     return {
-        "P^1 by hand": glue([N, N], [(0, minimal_prime(N), 1, minimal_prime(N), ((-1,),))]),
+        "P^1 by hand": glue([N, N], [(0, generic, 1, generic, ((-1,),))]),
         "table {1,a,b,ab}": MScheme.affine(_idempotents("ab")),
         # "#" sorts before the zero "0", so the prime keys change order
         "table {1,#}": MScheme.affine(_idempotents("#")),
@@ -241,7 +239,6 @@ def no_gluing(monkeypatch):
         raise AssertionError("the fan scheme went through the gluing route")
 
     monkeypatch.setattr(spectrum, "_build_scheme_data", forbidden)
-    monkeypatch.setattr(spectrum, "localize", forbidden)
 
 
 def test_kato_never_reaches_the_gluing_route(no_gluing):

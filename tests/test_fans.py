@@ -1,10 +1,10 @@
 import pytest
 
+from fan_reference import incomplete_fan_in_zn
 from f1geom.counting import orbit_count_polynomial
 from f1geom.fans import (
     FanError,
     fan_in_zn,
-    incomplete_fan_in_zn,
     kato,
     make_fan,
     product_fan,

@@ -4,7 +4,7 @@ import pytest
 
 from f1geom.cones import RANK_CAP, ResourceCapError, RationalCone, dual_cone, hilbert_basis
 from f1geom.limits import LIMITS
-from f1geom.monoid import TABLE_PRIME_CAP, ResourceError, TableMonoid, primes
+from f1geom.monoid import TABLE_PRIME_CAP, ResourceError, TableMonoid
 from f1geom.torified import TorifyError, gaussian_binomial, schubert_torification
 
 
@@ -28,9 +28,9 @@ def test_lattice_rank_cap():
 
 def test_table_primes_cap():
     cap = LIMITS["table_primes"]
-    assert len(primes(TableMonoid.cyclic_group_with_zero(cap - 1))) == 1  # cap elements
+    assert len(TableMonoid.cyclic_group_with_zero(cap - 1).primes()) == 1  # cap elements
     with pytest.raises(ResourceError, match=r"LIMITS\['table_primes'\]"):
-        primes(TableMonoid.cyclic_group_with_zero(cap))
+        TableMonoid.cyclic_group_with_zero(cap).primes()
 
 
 def test_schubert_cap():

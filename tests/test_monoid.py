@@ -18,38 +18,30 @@ from f1geom.monoid import (
     PrimeIdeal,
     ResourceError,
     TableMonoid,
-    adjoin_zero,
     free_monoid,
-    group_completion,
     group_monoid,
     hom_count_to_cyclic,
     is_saturated,
-    localize,
-    maximal_prime,
-    minimal_prime,
-    primes,
     saturate,
     saturation_generators,
-    trivial_monoid,
-    units,
 )
 
 
 # --- primes ---------------------------------------------------------------------
 
 def test_primes_of_free_rank_one():
-    ps = primes(free_monoid(1))
+    ps = free_monoid(1).primes()
     assert len(ps) == 2
     faces = sorted(p.face for p in ps)
     assert faces == [(), (0,)]  # maximal prime (empty face) and the empty prime
 
 
 def test_primes_of_trivial_monoid():
-    assert len(primes(trivial_monoid())) == 1
+    assert len(AffineMonoid.make(0, []).primes()) == 1
 
 
 def test_primes_of_n2_match_truncated_enumeration():
-    ps = primes(free_monoid(2))
+    ps = free_monoid(2).primes()
     assert len(ps) == 4
     # independent oracle: prime truncations of the degree-2 window
     assert len(truncated_primes_of_free_monoid(2)) == 4
@@ -66,25 +58,25 @@ def test_primes_count_matches_faces_for_corpus():
     for A in corpus:
         from f1geom.cones import face_index_sets
 
-        assert len(primes(A)) == len(face_index_sets(A.recession_cone))
+        assert len(A.primes()) == len(face_index_sets(A.recession_cone))
 
 
 def test_prime_list_order_and_extremes():
     A = free_monoid(2)
-    ps = primes(A)
-    assert ps[0] == minimal_prime(A)      # generic first (largest face)
-    assert ps[-1] == maximal_prime(A)     # closed point last
+    ps = A.primes()
+    # generic first (in every prime), closed point last (holds every prime)
+    assert all(ps[0].is_subset_of(p) and p.is_subset_of(ps[-1]) for p in ps)
     assert ps[0].face == (0, 1)
     assert ps[-1].face == ()
 
 
 def test_table_monoid_primes_and_cap():
     M = TableMonoid.cyclic_group_with_zero(3)
-    ps = primes(M)
+    ps = M.primes()
     assert len(ps) == 1 and ps[0].elements == frozenset({"0"})
     big = TableMonoid.cyclic_group_with_zero(20)  # 21 elements
     with pytest.raises(ResourceError):
-        primes(big)
+        big.primes()
 
 
 def test_pointed_table_primes_contain_zero():
@@ -93,7 +85,7 @@ def test_pointed_table_primes_contain_zero():
         {("1", "1"): "1", ("1", "x"): "x", ("1", "0"): "0",
          ("x", "x"): "x", ("x", "0"): "0", ("0", "0"): "0"},
         identity="1", zero="0")
-    ps = primes(M)
+    ps = M.primes()
     assert sorted(sorted(p.elements) for p in ps) == [["0"], ["0", "x"]]
     assert all("0" in p.elements for p in ps)
 
@@ -103,7 +95,7 @@ def test_pointed_table_primes_contain_zero():
 def test_localize_at_maximal_prime_is_identity():
     for A in (free_monoid(1), free_monoid(2),
               AffineMonoid.make(2, [[1, 0], [1, 1], [1, 2]])):
-        loc, hom = localize(A, maximal_prime(A))
+        loc, hom = A.localize(A.primes()[-1])
         assert loc.same_submonoid(A)
         for g in A.generators:
             assert hom.apply(g) == g
@@ -111,16 +103,16 @@ def test_localize_at_maximal_prime_is_identity():
 
 def test_localize_at_minimal_prime_is_group_completion():
     A = free_monoid(2)
-    loc, _ = localize(A, minimal_prime(A))
+    loc, _ = A.localize(A.primes()[0])
     assert loc.is_group
-    assert loc.units() == group_completion(A)
+    assert loc.units() == A.group_completion()
 
 
 def test_localize_n2_at_coordinate_face():
     A = free_monoid(2)
     # generators sorted: (0,1) is index 0, (1,0) is index 1
-    p = next(q for q in primes(A) if q.face == (1,))
-    loc, _ = localize(A, p)
+    p = next(q for q in A.primes() if q.face == (1,))
+    loc, _ = A.localize(p)
     expected = AffineMonoid.make(2, [[1, 0], [-1, 0], [0, 1]])
     assert loc.same_submonoid(expected)
 
@@ -132,27 +124,27 @@ def test_localize_table_collapse():
         {("1", "1"): "1", ("1", "x"): "x", ("1", "0"): "0",
          ("x", "x"): "x", ("x", "0"): "0", ("0", "0"): "0"},
         identity="1", zero="0")
-    p0 = next(p for p in primes(M) if p.elements == frozenset({"0"}))
-    loc, hom = localize(M, p0)
+    p0 = next(p for p in M.primes() if p.elements == frozenset({"0"}))
+    loc, hom = M.localize(p0)
     assert len(loc.elements) == 2
     assert hom.apply("x") == hom.apply("1")
-    pmax = next(p for p in primes(M) if p.elements == frozenset({"x", "0"}))
-    loc2, _ = localize(M, pmax)
+    pmax = next(p for p in M.primes() if p.elements == frozenset({"x", "0"}))
+    loc2, _ = M.localize(pmax)
     assert len(loc2.elements) == 3
 
 
 def test_localize_rejects_foreign_prime():
     A, B = free_monoid(1), free_monoid(2)
     with pytest.raises(MonoidError):
-        localize(B, primes(A)[0])
+        B.localize(A.primes()[0])
 
 
 # --- group completion, saturation, units ------------------------------------------
 
 def test_group_completion_examples():
-    assert group_completion(free_monoid(2)) == AbelianGroup(2)
-    assert group_completion(AffineMonoid.make(1, [[2], [3]])) == AbelianGroup(1)
-    assert group_completion(AffineMonoid.make(2, [[2, 0], [0, 1]])) == AbelianGroup(2)
+    assert free_monoid(2).group_completion() == AbelianGroup(2)
+    assert AffineMonoid.make(1, [[2], [3]]).group_completion() == AbelianGroup(1)
+    assert AffineMonoid.make(2, [[2, 0], [0, 1]]).group_completion() == AbelianGroup(2)
 
 
 def test_saturation_examples():
@@ -253,42 +245,42 @@ def test_is_saturated_agrees_with_the_general_route(A):
 
 
 def test_units_examples():
-    assert units(free_monoid(2)).is_trivial
-    assert units(AffineMonoid.make(2, [[1, 0], [-1, 0], [0, 1]])) == AbelianGroup(1)
+    assert free_monoid(2).units().is_trivial
+    assert AffineMonoid.make(2, [[1, 0], [-1, 0], [0, 1]]).units() == AbelianGroup(1)
     A = AffineMonoid.make(1, [[1, 0], [0, 1]], torsion=[3])
-    assert units(A) == AbelianGroup(0, (3,))
-    assert units(group_monoid(3)) == AbelianGroup(3)
+    assert A.units() == AbelianGroup(0, (3,))
+    assert group_monoid(3).units() == AbelianGroup(3)
 
 
 def test_units_found_through_combinations():
     # no single generator is reversible, but the lineality is the x-axis
     A = AffineMonoid.make(2, [[1, 1], [-1, 1], [0, -1]])
     # cone(A) is the whole plane: everything is a unit
-    assert units(A).free_rank == 2
+    assert A.units().free_rank == 2
 
 
 def test_adjoin_zero():
     A = free_monoid(1)
-    Az = adjoin_zero(A)
+    Az = A.adjoin_zero()
     assert Az.pointed
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
-        again = adjoin_zero(Az)
+        again = Az.adjoin_zero()
         assert again is Az
         assert any("no-op" in str(x.message) for x in w)
-    assert [p.face for p in primes(A)] == [p.face for p in primes(Az)]
+    assert [p.face for p in A.primes()] == [p.face for p in Az.primes()]
     # table variant grows by one absorbing element
     M = TableMonoid.cyclic_group_with_zero(2)
     N = TableMonoid.make(("1", "g"), {("1", "1"): "1", ("1", "g"): "g",
                                       ("g", "g"): "1"}, identity="1")
-    Nz = adjoin_zero(N)
+    Nz = N.adjoin_zero()
     assert Nz.pointed and len(Nz.elements) == 3
 
 
 def test_adjoin_zero_lifts_homs():
     A = free_monoid(1)
     h = MonoidHom.affine(A, A, [(2,)])
-    hz = adjoin_zero(h)
+    hz = h.adjoin_zero()
     assert hz.source.pointed and hz.target.pointed
     assert hz.apply((3,)) == (6,)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f1geom.monoid import AffineMonoid, TableMonoid, adjoin_zero, free_monoid
+from f1geom.monoid import AffineMonoid, TableMonoid, free_monoid
 from f1geom.semiring import (
     LambdaStructure,
     RingError,

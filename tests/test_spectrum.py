@@ -8,24 +8,16 @@ from f1geom.monoid import (
     AffineMonoid,
     MonoidHom,
     TableMonoid,
-    adjoin_zero,
     free_monoid,
     group_monoid,
-    localize,
-    minimal_prime,
-    primes,
-    trivial_monoid,
 )
 from f1geom.spectrum import (
     GluingError,
     MScheme,
     SchemeError,
-    SpectrumMorphism,
     classify,
     glue,
     global_sections,
-    induced_spectrum_morphism,
-    is_local_morphism,
     minimal_rank_points,
     plus_zero,
 )
@@ -34,13 +26,13 @@ SHEAF_CORPUS = [
     free_monoid(1),
     free_monoid(2),
     free_monoid(3),
-    trivial_monoid(),
+    AffineMonoid.make(0, []),
     AffineMonoid.make(1, [[2], [3]]),
     AffineMonoid.make(2, [[1, 0], [1, 1], [1, 2]]),
     group_monoid(1),
     AffineMonoid.make(2, [[1, 0], [-1, 0], [0, 1]]),
     AffineMonoid.make(1, [[1, 0], [0, 1]], torsion=[3]),
-    adjoin_zero(free_monoid(2)),
+    free_monoid(2).adjoin_zero(),
 ]
 
 
@@ -56,7 +48,8 @@ def _generic(X):
 
 def p1_scheme():
     N = free_monoid(1)
-    return glue([N, N], [(0, minimal_prime(N), 1, minimal_prime(N), ((-1,),))])
+    generic = N.primes()[0]
+    return glue([N, N], [(0, generic, 1, generic, ((-1,),))])
 
 
 def test_spec_of_n_is_sierpinski():
@@ -69,7 +62,7 @@ def test_spec_of_n_is_sierpinski():
 
 
 def test_spec_of_trivial_monoid():
-    X = MScheme.affine(trivial_monoid())
+    X = MScheme.affine(AffineMonoid.make(0, []))
     assert len(X.points) == 1
     assert X.stalk(X.points[0]).generators == ()
 
@@ -90,7 +83,7 @@ def test_sheaf_axioms_on_corpus():
         gs = X.sections(X.points)
         assert gs.same_submonoid(A), A
         for p in X.points:
-            fresh, _ = localize(A, p.prime)
+            fresh, _ = A.localize(p.prime)
             assert X.stalk(p).same_submonoid(fresh)
 
 
@@ -99,7 +92,7 @@ def test_canonical_maps_pass_the_hom_check():
     the checked constructor accepts each one and returns an equal hom."""
     for A in SHEAF_CORPUS:
         X = MScheme.affine(A)
-        maps = [localize(A, p.prime)[1] for p in X.points]
+        maps = [A.localize(p.prime)[1] for p in X.points]
         maps += [X.restriction(b, a) for a in X.points for b in X.points if X.le(a, b)]
         for hom in maps:
             assert MonoidHom.affine(hom.source, hom.target, hom.gen_images) == hom, A
@@ -148,7 +141,7 @@ def test_table_chart_restrictions():
     pts = X.points
     assert len(pts) == 4
     assert sum(X.le(p, q) for p in pts for q in pts) == 9
-    homs = {p.key: localize(M, p.prime)[1] for p in pts}
+    homs = {p.key: M.localize(p.prime)[1] for p in pts}
     for p in pts:
         assert homs[p.key].target == X.stalk(p)
 
@@ -176,20 +169,6 @@ def test_table_chart_restrictions():
                 if X.le(p, m) and X.le(m, q):
                     two_step = X.restriction(m, p).compose(X.restriction(q, m))
                     assert as_map(two_step) == as_map(res)
-
-
-def test_local_morphisms_on_table_stalks():
-    X = MScheme.affine(two_idempotents())
-    ident = {p.key: MonoidHom.table(X.stalk(p), X.stalk(p),
-                                    {x: x for x in X.stalk(p).elements})
-             for p in X.points}
-    assert is_local_morphism(SpectrumMorphism(X, X, {p.key: p for p in X.points}, ident))
-    # every point to the closed point, with stalk homs the restrictions
-    # M_closed -> M_x: at the generic point the non-units a, b, ab become units
-    closed = _closed(X)
-    to_closed = {p.key: closed for p in X.points}
-    res = {p.key: X.restriction(closed, p) for p in X.points}
-    assert not is_local_morphism(SpectrumMorphism(X, X, to_closed, res))
 
 
 def test_sections_on_smaller_opens():
@@ -231,10 +210,10 @@ def test_disjoint_union():
 
 def test_gluing_error_on_bad_iso():
     N = free_monoid(1)
-    pmin = minimal_prime(N)
+    pmin = N.primes()[0]
     with pytest.raises(GluingError):
         glue([N, N], [(0, pmin, 1, pmin, ((2,),))])  # not a lattice iso
-    closed = [p for p in primes(N) if p.face == ()][0]
+    closed = [p for p in N.primes() if p.face == ()][0]
     with pytest.raises(GluingError):
         # identity does not map the overlap (all of N inverted) into N
         glue([N, N], [(0, pmin, 1, closed, ((1,),))])
@@ -270,50 +249,7 @@ def test_plus_zero_preserves_structure():
 
 def test_mixed_pointedness_rejected():
     with pytest.raises(SchemeError):
-        glue([free_monoid(1), adjoin_zero(free_monoid(1))], [])
-
-
-# --- morphisms -------------------------------------------------------------------
-
-def test_induced_morphisms_are_local_and_continuous():
-    N, Z = free_monoid(1), group_monoid(1)
-    cases = [
-        MonoidHom.affine(N, N, [(1,)]),           # identity
-        MonoidHom.affine(N, N, [(2,)]),           # t -> t^2
-        MonoidHom.affine(N, Z, [(1,)]),           # inclusion N -> Z
-        MonoidHom.affine(free_monoid(2), N, [(1,), (1,)]),
-    ]
-    for phi in cases:
-        m = induced_spectrum_morphism(phi)  # constructor checks continuity
-        assert is_local_morphism(m)
-
-
-def test_preimage_of_prime_is_prime():
-    phi = MonoidHom.affine(free_monoid(2), free_monoid(1), [(1,), (1,)])
-    m = induced_spectrum_morphism(phi)
-    for q in m.source.points:
-        assert m.point_map[q.key] in m.target.points
-
-
-def test_non_local_morphism_detected():
-    N, Z = free_monoid(1), group_monoid(1)
-    sZ, sN = MScheme.affine(Z), MScheme.affine(N)
-    closed = _closed(sN)
-    zpt = sZ.points[0]
-    # send the point of Spec(Z) to the closed point of Spec(N) with the
-    # stalk hom N -> Z given by inclusion: the unit t^{-1} pattern fails
-    bad_hom = MonoidHom.affine(sN.stalk(closed), sZ.stalk(zpt), [(1,)])
-    bad = SpectrumMorphism(sZ, sN, {zpt.key: closed}, {zpt.key: bad_hom})
-    assert not is_local_morphism(bad)
-
-
-def test_discontinuous_point_map_rejected():
-    X = MScheme.affine(free_monoid(1))
-    eta, closed = _generic(X), _closed(X)
-    ident = {p.key: MonoidHom.affine(X.stalk(p), X.stalk(p), X.stalk(p).generators)
-             for p in X.points}
-    with pytest.raises(SchemeError):
-        SpectrumMorphism(X, X, {eta.key: closed, closed.key: eta}, ident)
+        glue([free_monoid(1), free_monoid(1).adjoin_zero()], [])
 
 
 @pytest.mark.parametrize("factors", [
