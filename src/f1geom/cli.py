@@ -155,6 +155,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    if args.degree_bound is not None and args.counting is not None:
+        raise CliError("--degree-bound bounds a fit to --input samples, not --counting")
+    if args.degree_bound is not None and args.degree_bound < 0:
+        raise CliError(f"--degree-bound must be a nonnegative integer, got {args.degree_bound}")
     if args.counting is not None:
         N = parse_counting_polynomial(args.counting)
     else:

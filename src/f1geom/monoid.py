@@ -24,24 +24,30 @@ group) and are built without the check ``MonoidHom.affine`` runs.
 
 Primes, localizations, group completions, saturations and unit groups
 are all computed exactly; prime ideals of an affine monoid correspond to
-the faces of its recession cone.
+the faces of its recession cone.  ``AffineMonoid.contains`` reads
+membership off a residue table (Apery set) over one generator per
+extremal ray where the monoid has no torsion, no units and a simplicial
+cone, and searches the generators' multiples everywhere else.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from . import cones
 from .cones import RationalCone
 from .intlinalg import (
     column_lattice_basis,
     dot,
+    identity_matrix,
     integer_solver,
     kernel_basis,
     rat_rank,
+    rat_solve,
     solve_integer,
     subgroup_invariants,
     transpose,
@@ -49,6 +55,7 @@ from .intlinalg import (
 from .limits import LIMITS
 
 TABLE_PRIME_CAP = LIMITS["table_primes"]
+MEMBERSHIP_TABLE_CAP = LIMITS["membership_table"]
 
 
 class MonoidError(ValueError):
@@ -207,23 +214,23 @@ class AffineMonoid:
         return x if self.contains(x) else None
 
     def contains(self, v) -> bool:
-        """Exact monoid membership: v = sum n_i g_i with n_i >= 0."""
+        """Exact membership v = sum n_i g_i, n_i >= 0: looked up in `_membership_table`
+        where it exists (no torsion or units, a simplicial cone, a table within
+        its cap), else found by a depth-first search over nonunit multiples."""
         v = self._reduce(tuple(v))
         if not any(v):
             return True
-        rows = self.recession_cone.inequalities
+        if self._membership_table is not None:
+            coords, P, D, basis, kept = self._membership_table
+            y = [dot(p, [v[i] for i in coords]) for p in P]
+            if any(dot([b[i] for b in basis], y) != D * x for i, x in enumerate(v)):
+                return False  # v is not in span(basis)
+            return any(all(a <= b for a, b in zip(p, y))
+                       for p in kept.get(tuple(c % D for c in y), ()))
+        rows, steps, unit_solver = self._search_setup
         slack = [dot(a, self.free_part(v)) for a in rows]
         if any(s < 0 for s in slack):
             return False
-        unit_idx = self.unit_generator_indices
-        # For rem in the cone, rem - n g stays in it iff n <= (a.rem) // (a.g)
-        # for every row a with a.g > 0, and each nonunit g has such a row.
-        # Carrying the slacks a.rem bounds every multiple tried, so each rem
-        # searched is in the cone; torsion is reduced only by the unit solve.
-        steps = [(g, [dot(a, self.free_part(g)) for a in rows])
-                 for i, g in enumerate(self.generators) if i not in unit_idx]
-        unit_matrix = self.lattice_matrix(self.generators[i] for i in unit_idx)
-        unit_solver = integer_solver(unit_matrix) if unit_matrix else None
 
         def search(k, rem, slack) -> bool:
             if k == len(steps):
@@ -237,6 +244,64 @@ class AffineMonoid:
                        for n in range(top + 1))
 
         return search(0, v, slack)
+
+    @cached_property
+    def _search_setup(self):
+        """The search's cone rows, nonunit steps and unit solver.  For rem in
+        the cone, rem - n g stays in it iff n <= (a.rem) // (a.g) for every
+        row a with a.g > 0, and each nonunit g has such a row.  Carrying the
+        slacks a.rem bounds every multiple tried, so each rem searched is in
+        the cone; torsion is reduced only by the unit solve."""
+        rows = self.recession_cone.inequalities
+        unit_idx = self.unit_generator_indices
+        steps = [(g, [dot(a, self.free_part(g)) for a in rows])
+                 for i, g in enumerate(self.generators) if i not in unit_idx]
+        unit_matrix = self.lattice_matrix(self.generators[i] for i in unit_idx)
+        return rows, steps, integer_solver(unit_matrix) if unit_matrix else None
+
+    @cached_property
+    def _membership_table(self):
+        """(coords, P, D, basis, kept) where A has no torsion, no unit
+        generators (so its cone is pointed) and dim extremal rays, and at most
+        LIMITS['membership_table'] vectors are kept; else None.  B holds the
+        least generator on each extremal ray, C the rest.  With P = D B_I^-1
+        for dim independent coordinates I, y = P x_I is D times x over B, and
+        x is in span(B) iff B y = D x.  Per residue of y mod D, `kept` holds
+        the minimal sums of C (the Apery set of A over B): x is in A iff some
+        kept p <= y has y's residue, as then x - p is in N B.  Sums leave a
+        heap by coordinate sum, so no kept vector is dominated later; each
+        residue keeps an antichain, finite by Dickson's lemma."""
+        if self.torsion or self.unit_generator_indices:
+            return None
+        cone = self.recession_cone
+        extremal = [cone.rays[i] for s in cones.face_index_sets(cone) if len(s) == 1 for i in s]
+        if len(extremal) != cone.dim:
+            return None
+        basis = [min((g for g in self.generators if cones.primitive_vector(g) == r),
+                     key=lambda g: sum(map(abs, g))) for r in extremal]
+        coords = []
+        for i in range(self.ambient_rank):
+            if rat_rank([[b[j] for b in basis] for j in coords + [i]]) > len(coords):
+                coords.append(i)
+        inverse = [rat_solve([[b[j] for j in coords] for b in basis], e)
+                   for e in identity_matrix(len(basis))]  # columns of B_I^-1
+        D = lcm(*(x.denominator for col in inverse for x in col))
+        P = [[int(D * col[j]) for col in inverse] for j in range(len(basis))]
+        steps = [[dot(p, [c[i] for i in coords]) for p in P]
+                 for c in self.generators if c not in basis]
+        kept, size, heap = {}, 0, [(0, (0,) * len(basis))]
+        while heap:
+            _, y = heapq.heappop(heap)
+            same = kept.setdefault(tuple(c % D for c in y), [])
+            if any(all(a <= b for a, b in zip(p, y)) for p in same):
+                continue
+            if (size := size + 1) > MEMBERSHIP_TABLE_CAP:
+                return None
+            same.append(y)
+            for step in steps:
+                z = tuple(a + b for a, b in zip(y, step))
+                heapq.heappush(heap, (sum(z), z))
+        return coords, P, D, basis, kept
 
     def same_submonoid(self, other: "AffineMonoid") -> bool:
         """Equality as submonoids of a shared ambient group.  Equal monoids

@@ -183,6 +183,18 @@ def test_zeta_input_may_repeat_a_sample_with_the_same_count(tmp_path):
     assert json.loads(out)["counting_polynomial"] == "q^2 + q + 1"
 
 
+def test_negative_zeta_degree_bound_names_the_option(tmp_path):
+    path = tmp_path / "p2.counts.json"
+    path.write_text(json.dumps(P2_SAMPLES))
+    message = _error(["zeta", "--input", str(path), "--degree-bound", "-1"])
+    assert "--degree-bound" in message and "-1" in message, message
+
+
+def test_zeta_degree_bound_with_counting_names_the_option():
+    message = _error(["zeta", "--counting", "q^2+q+1", "--degree-bound", "2"])
+    assert "--degree-bound" in message and "--counting" in message, message
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_nonpositive_lambda_trials_names_the_option(trials):
     message = _error(["lambda-check", "--monoid", str(DATA / "n2.mon.json"),

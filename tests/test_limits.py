@@ -4,7 +4,13 @@ import pytest
 
 from f1geom.cones import RANK_CAP, ResourceCapError, RationalCone, dual_cone, hilbert_basis
 from f1geom.limits import LIMITS
-from f1geom.monoid import TABLE_PRIME_CAP, ResourceError, TableMonoid
+from f1geom.monoid import (
+    MEMBERSHIP_TABLE_CAP,
+    TABLE_PRIME_CAP,
+    AffineMonoid,
+    ResourceError,
+    TableMonoid,
+)
 from f1geom.torified import TorifyError, gaussian_binomial, schubert_torification
 
 
@@ -13,8 +19,10 @@ def _orthant(rank):
 
 
 def test_the_table_holds_every_cap():
-    assert LIMITS == {"lattice_rank": 4, "table_primes": 20, "schubert_n": 8, "gaussian_n": 12}
+    assert LIMITS == {"lattice_rank": 4, "table_primes": 20, "schubert_n": 8, "gaussian_n": 12,
+                      "membership_table": 4096}
     assert RANK_CAP == LIMITS["lattice_rank"] and TABLE_PRIME_CAP == LIMITS["table_primes"]
+    assert MEMBERSHIP_TABLE_CAP == LIMITS["membership_table"]
 
 
 def test_lattice_rank_cap():
@@ -31,6 +39,21 @@ def test_table_primes_cap():
     assert len(TableMonoid.cyclic_group_with_zero(cap - 1).primes()) == 1  # cap elements
     with pytest.raises(ResourceError, match=r"LIMITS\['table_primes'\]"):
         TableMonoid.cyclic_group_with_zero(cap).primes()
+
+
+def test_membership_table_cap():
+    # <m, m + 1> keeps exactly m vectors, one per residue mod m; past the cap
+    # there is no table and the search answers: x = k m + b is in <m, m + 1>
+    # iff b <= k
+    cap = LIMITS["membership_table"]
+    for m, tabled in ((cap, True), (cap + 1, False)):
+        A = AffineMonoid.make(1, [[m], [m + 1]])
+        table = A._membership_table
+        assert (table is not None) == tabled
+        if tabled:
+            assert sum(len(kept) for kept in table[-1].values()) == m
+        for x in [k * m + b for k in range(5) for b in (0, 1, k, k + 1, m - 1)]:
+            assert A.contains((x,)) == (x % m <= x // m), (m, x)
 
 
 def test_schubert_cap():

@@ -1,5 +1,7 @@
 import itertools
 import warnings
+from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from f1geom.monoid import (
     saturate,
     saturation_generators,
 )
+from f1geom.intlinalg import dot
 
 
 # --- primes ---------------------------------------------------------------------
@@ -325,7 +328,7 @@ def test_membership_oracle():
     assert B.contains((-7, 3)) and not B.contains((0, -1))
 
 
-def test_contains_computes_one_smith_form_per_call(monkeypatch):
+def test_contains_computes_one_smith_form_per_monoid(monkeypatch):
     import f1geom.intlinalg as intlinalg
 
     A = AffineMonoid.make(2, [[1, 0], [-1, 0], [1, 3], [2, 5]])
@@ -336,11 +339,121 @@ def test_contains_computes_one_smith_form_per_call(monkeypatch):
                         lambda M: calls.append(1) or snf(M))
     assert A.contains((7, 9))
     assert len(calls) == 1
+    assert not A.contains((7, 4))  # the search's unit solver is built once
+    assert len(calls) == 1
     # (x, y) is in A iff y is in the numerical semigroup <3, 5>
     semigroup = {3 * a + 5 * b for a in range(5) for b in range(3)}
     for x in range(-4, 9):
         for y in range(-2, 13):
             assert A.contains((x, y)) == (y in semigroup)
+
+
+def _searched(A):
+    """A copy of A whose membership is always decided by the search."""
+    B = AffineMonoid.make(A.ambient_rank, A.generators, torsion=A.torsion)
+    B.__dict__["_membership_table"] = None
+    return B
+
+
+def _table_size(A):
+    return sum(len(kept) for kept in A._membership_table[-1].values())
+
+
+@st.composite
+def pointed_monoids(draw):
+    """(A, simplicial): a pointed submonoid of Z^2 or Z^3 on d <= rank
+    rays with entries in -3..3, independent because ray i has a nonzero
+    entry in coordinate i and rays after it have 0 there (coordinates are
+    then permuted).  Each ray carries generators at one or two of its
+    multiples 1..5, and up to three nonnegative integer combinations of the
+    rays are added.  In a third of the draws with d = 3 a generator on
+    r1 + r2 - r3 makes the cone a pointed cone over a quadrilateral, whose
+    membership the search decides."""
+    rank = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, rank))
+    entry, pivot = st.integers(-3, 3), st.sampled_from([1, 2, 3, -1, -2, -3])
+    rays = [tuple(0 if j < i else draw(pivot) if j == i else draw(entry)
+                  for j in range(rank)) for i in range(d)]
+    order = draw(st.permutations(range(rank)))
+    rays = [tuple(r[j] for j in order) for r in rays]
+    gens = [tuple(k * x for x in r) for r in rays
+            for k in draw(st.sets(st.integers(1, 5), min_size=1, max_size=2))]
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+        gens.append(tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(rank)))
+    square = d == 3 and draw(st.integers(0, 2)) == 0
+    if square:
+        gens.append(tuple(a + b - c for a, b, c in zip(*rays)))
+    return AffineMonoid.make(rank, gens), not square
+
+
+def test_contains_agrees_with_the_search_and_enumeration():
+    routes = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pointed_monoids())
+    def check(drawn):
+        A, simplicial = drawn
+        routes.append(A._membership_table is not None)
+        assert routes[-1] == simplicial
+        searched = _searched(A)
+        # the sum of the facet normals, l, is positive on the cone minus 0;
+        # with c = max |g|_1 / l(g), every partial sum of a representation
+        # of x has an L1 norm of at most c l(x)
+        grading = [sum(col) for col in zip(*A.recession_cone.facet_normals)]
+        c = max(Fraction(sum(map(abs, g)), dot(grading, g)) for g in A.generators)
+        bound, side = (14, 4) if A.ambient_rank == 2 else (8, 2)
+        lifted = generated_lattice_points(list(A.generators), bound)
+        box = itertools.product(range(-side, side + 1), repeat=A.ambient_rank)
+        steps = [tuple(s * (i == j) for j in range(A.ambient_rank))
+                 for i in range(A.ambient_rank) for s in (1, -1)]
+        near = {tuple(a + b for a, b in zip(y, e)) for y in lifted for e in steps}
+        for x in lifted | near | set(box):
+            assert A.contains(x) == searched.contains(x), (A, x)
+            if c * dot(grading, x) <= bound:
+                assert A.contains(x) == (x in lifted), (A, x)
+
+    check()
+    # only the quadrilateral draws may search: the table answers at least half
+    assert sum(routes) >= len(routes) // 2, routes
+
+
+def test_apery_set_of_a_two_generator_numerical_semigroup():
+    # x = k m + b is in <m, m + 1> iff b <= k; Frobenius number m^2 - m - 1
+    m = 1000
+    A = AffineMonoid.make(1, [[m], [m + 1]])
+    assert _table_size(A) == m
+    searched = _searched(A)
+    for x in [k * m + b for k in range(6) for b in (0, 1, k, k + 1, m - 1)]:
+        assert A.contains((x,)) == (x % m <= x // m) == searched.contains((x,)), x
+    assert not A.contains((m * m - m - 1,)) and A.contains((m * m - m,))
+    assert not A.contains((-m,))
+
+
+def test_rank_four_monoid_with_interior_generators():
+    rays = [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (1, 1, 1, 2)]
+    gens = rays + [(1, 1, 1, 0), (2, 3, 1, 1), (3, 0, 0, 0), (1, 1, 1, 4)]
+    A = AffineMonoid.make(4, gens)
+    assert A._membership_table is not None and _table_size(A) > 1
+    searched = _searched(A)
+    lifted = generated_lattice_points(gens, 12)  # nonnegative: partial sums stay below x
+    for x in itertools.product(range(4), range(4), range(4), range(-1, 4)):
+        assert A.contains(x) == (x in lifted) == searched.contains(x), x
+
+
+def test_membership_table_is_built_once_per_monoid(monkeypatch):
+    builds = []
+    build = AffineMonoid._membership_table.func
+    table = cached_property(lambda A: builds.append(A) or build(A))
+    table.__set_name__(AffineMonoid, "_membership_table")
+    monkeypatch.setattr(AffineMonoid, "_membership_table", table)
+    A = AffineMonoid.make(2, [[2, 0], [3, 0], [0, 2], [1, 1], [-1, 4]])
+    for x in itertools.product(range(-3, 7), repeat=2):
+        A.contains(x), A.member(x), A.is_unit(x)
+    B = AffineMonoid.make(2, A.generators)
+    assert B.contains((1, 1)) and not B.contains((1, 0))
+    assert len(builds) == 2 and builds[0] is A and builds[1] is B
+    assert A._membership_table is not None
 
 
 @st.composite
