@@ -12,7 +12,13 @@ import functools
 import json
 import sys
 
-from .counting import count_points, counting_polynomial, orbit_count_polynomial
+from .counting import (
+    CountError,
+    count_points,
+    counting_polynomial,
+    orbit_count_polynomial,
+    prime_power_base,
+)
 from .fans import fan_in_zn, kato
 from .io import ParseError, ValidationError, parse_input
 from .monoid import AffineMonoid, TableMonoid
@@ -130,8 +136,7 @@ def cmd_count(args) -> int:
     if args.fan is not None:
         fan = _load(args.fan, ("Fan",))
         X = kato(fan)
-        subject = "fan-scheme"
-        records = [count_points(X, q, subject).as_dict() for q in qs]
+        records = [count_points(X, q).as_dict() for q in qs]
         orbit = orbit_count_polynomial(fan)
         cf = counting_polynomial(X)
         report["orbit_polynomial"] = str(orbit)
@@ -142,7 +147,7 @@ def cmd_count(args) -> int:
             r["count"] == orbit(r["q"]) for r in records)
     else:
         A = _load(args.monoid, ("AffineMonoid", "TableMonoid"))
-        records = [count_points(A, q, "affine").as_dict() for q in qs]
+        records = [count_points(A, q).as_dict() for q in qs]
         cf = counting_polynomial(A)
         if cf.is_polynomial:
             report["counting_polynomial"] = str(cf.as_polynomial())
@@ -186,6 +191,8 @@ def _count_samples(path) -> dict:
     entries = data.get("counts") if isinstance(data, dict) else data
     if not isinstance(entries, list):
         raise CliError(f"{path} must hold a list of count samples, bare or under 'counts'")
+    if not entries:
+        raise CliError(f"{path} holds no count samples")
     samples, first = {}, {}
     for i, entry in enumerate(entries):
         if isinstance(entry, dict):
@@ -195,6 +202,10 @@ def _count_samples(path) -> dict:
             raise CliError(f"{path}: sample {i} must be {{'q': q, 'count': N}} or [q, N]"
                            " with integer entries")
         q, count = entry
+        try:
+            prime_power_base(q)
+        except CountError:
+            raise CliError(f"{path}: sample {i} has q = {q}, which is not a prime power") from None
         if samples.setdefault(q, count) != count:
             raise CliError(f"{path}: samples {first[q]} and {i} give q = {q} the counts "
                            f"{samples[q]} and {count}")

@@ -234,11 +234,12 @@ def intersection(cone_list, rank: int) -> RationalCone:
 
 
 def pullback_generators(rows, basis) -> tuple[tuple[int, ...], ...]:
-    """Monoid generators of {c in Z^k : a . (sum_j c_j basis_j) >= 0 for all rows a},
-    as coefficient vectors c over the k basis vectors."""
+    """Monoid generators of {x in the lattice the k basis vectors span :
+    a . x >= 0 for all rows a}, as ambient vectors sum_j c_j basis_j."""
     k = len(basis)
     lin, rays = double_description([[dot(a, b) for b in basis] for a in rows], k)
-    return lattice_monoid_generators(RationalCone(k, rays, lin))
+    return tuple(tuple(sum(c * b[i] for c, b in zip(h, basis)) for i in range(len(basis[0])))
+                 for h in lattice_monoid_generators(RationalCone(k, rays, lin)))
 
 
 def dual_cone(sigma: RationalCone) -> RationalCone:

@@ -45,7 +45,6 @@ def prime_power_base(q: int):
 
 @dataclass(frozen=True)
 class CountRecord:
-    subject: str
     q: int
     count: int
     method: str = "stalk-formula"
@@ -58,14 +57,14 @@ def _scheme_of(X) -> MScheme:
     return X if isinstance(X, MScheme) else MScheme.affine(X)
 
 
-def count_points(X, q: int, subject: str = "") -> CountRecord:
+def count_points(X, q: int) -> CountRecord:
     """#X(F_q) = sum over points of #Hom(units of stalk, Z/(q-1))."""
     prime_power_base(q)
     scheme = _scheme_of(X)
     total = 0
     for pt in scheme.points:
         total += hom_count_to_cyclic(pt.units, q - 1)
-    return CountRecord(subject or "scheme", q, total)
+    return CountRecord(q, total)
 
 
 @dataclass(frozen=True)

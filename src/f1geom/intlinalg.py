@@ -161,13 +161,9 @@ def unimodular_inverse(U: list[list[int]]) -> list[list[int]]:
     return [[x // row[i] for x in row[n:]] for i, row in enumerate(M)]
 
 
-def solve_integer(A: list[list[int]], b: list[int]):
-    """One integer solution x of A x = b, or None if none exists."""
-    return integer_solver(A)(b)
-
-
 def integer_solver(A: list[list[int]]):
-    """The map b -> solve_integer(A, b), computing A's Smith form once.
+    """The map b -> one integer solution x of A x = b, or None if none
+    exists, computing A's Smith form once.
 
     With U A V = D, A x = b has an integer solution iff U b is divisible
     entrywise by the diagonal of D (and zero where it is zero).

@@ -17,14 +17,13 @@ Both carry one method set, so other modules never ask which they hold:
 generic prime first, the closed point's prime last), ``localize(p)`` ->
 (A_p, canonical hom A -> A_p), ``restriction(hom_q, hom_p)`` -> the sheaf
 map A_q -> A_p for p <= q read off the two localization homs, and
-``adjoin_zero()``.  The localization and
-restriction maps of an ``AffineMonoid`` are homs by construction (each
-sends generators to generators of a larger monoid in the same ambient
-group) and are built without the check ``MonoidHom.affine`` runs.
+``adjoin_zero()``.  The localization and restriction maps of an
+``AffineMonoid`` are inclusions of submonoids of one ambient group, so
+they are stored without an element map.
 
-Primes, localizations, group completions, saturations and unit groups
-are all computed exactly; prime ideals of an affine monoid correspond to
-the faces of its recession cone.  ``AffineMonoid.contains`` reads
+Primes, localizations, saturations and unit groups are all computed
+exactly; prime ideals of an affine monoid correspond to the faces of its
+recession cone.  ``AffineMonoid.contains`` reads
 membership off a residue table (Apery set) over one generator per
 extremal ray where the monoid has no torsion, no units and a simplicial
 cone, and searches the generators' multiples everywhere else.
@@ -45,10 +44,8 @@ from .intlinalg import (
     dot,
     identity_matrix,
     integer_solver,
-    kernel_basis,
     rat_rank,
     rat_solve,
-    solve_integer,
     subgroup_invariants,
     transpose,
 )
@@ -192,11 +189,6 @@ class AffineMonoid:
 
     def units(self) -> AbelianGroup:
         vecs = [list(self.generators[i]) for i in self.unit_generator_indices]
-        rank, factors = subgroup_invariants(vecs, self.ambient_rank, list(self.torsion))
-        return AbelianGroup(rank, tuple(factors))
-
-    def group_completion(self) -> AbelianGroup:
-        vecs = [list(g) for g in self.generators]
         rank, factors = subgroup_invariants(vecs, self.ambient_rank, list(self.torsion))
         return AbelianGroup(rank, tuple(factors))
 
@@ -362,7 +354,7 @@ class AffineMonoid:
         if p.owner != self:
             raise MonoidError("prime does not belong to this monoid")
         loc = self._localized(p.face)
-        return loc, MonoidHom(self, loc, gen_images=self.generators)
+        return loc, MonoidHom(self, loc)
 
     def _localized(self, face) -> "AffineMonoid":
         """A_p for the prime whose complement is ``face``: the generators
@@ -374,9 +366,9 @@ class AffineMonoid:
                                  pointed=self.pointed)
 
     def restriction(self, hom_q: "MonoidHom", hom_p: "MonoidHom") -> "MonoidHom":
-        """A_q -> A_p: A_q's generators are localization generators of A_p too."""
-        Aq = hom_q.target
-        return MonoidHom(Aq, hom_p.target, gen_images=Aq.generators)
+        """A_q -> A_p, an inclusion: A_q's generators are localization
+        generators of A_p too."""
+        return MonoidHom(hom_q.target, hom_p.target)
 
     def adjoin_zero(self) -> "AffineMonoid":
         if self.pointed:
@@ -704,33 +696,14 @@ class PrimeIdeal:
 
 @dataclass(frozen=True)
 class MonoidHom:
-    """Monoid homomorphism given by generator images (affine) or an
-    element map (table).  The ``affine`` and ``table`` constructors check
-    the hom laws; for generator images, the relations of the source are
-    checked against the kernel lattice of its generator matrix."""
+    """Monoid homomorphism.  ``element_map`` is None for an affine
+    inclusion, a localization or restriction map of an ``AffineMonoid``,
+    whose source is a submonoid of the target in one ambient group;
+    otherwise it is a table hom's element map, checked by ``table``."""
 
     source: object
     target: object
-    gen_images: tuple = None
     element_map: dict = field(default=None, compare=False)
-
-    @staticmethod
-    def affine(source: AffineMonoid, target: AffineMonoid, gen_images) -> "MonoidHom":
-        gen_images = tuple(target._reduce(tuple(v)) for v in gen_images)
-        if len(gen_images) != len(source.generators):
-            raise MonoidError("need one image per source generator")
-        for v in gen_images:
-            if not target.contains(v):
-                raise MonoidError(f"image {v} not in the target monoid")
-        for z in _relation_lattice(source):
-            img = (0,) * target.width
-            for c, v in zip(z, gen_images):
-                img = target._reduce(tuple(a + c * b for a, b in zip(img, v)))
-            if any(img):
-                raise MonoidError(f"source relation {z} not respected")
-        if source.pointed != target.pointed:
-            raise MonoidError("pointedness mismatch between source and target")
-        return MonoidHom(source, target, gen_images=gen_images)
 
     @staticmethod
     def table(source: TableMonoid, target: TableMonoid, element_map: dict) -> "MonoidHom":
@@ -748,56 +721,12 @@ class MonoidHom:
         return MonoidHom(source, target, element_map=dict(element_map))
 
     def apply(self, x):
-        if self.gen_images is not None:
-            src: AffineMonoid = self.source
-            coeffs = _group_coordinates(src, x)
-            if coeffs is None:
-                raise MonoidError(f"{x} is not in the source's quotient group")
-            out = (0,) * self.target.width
-            for c, v in zip(coeffs, self.gen_images):
-                out = self.target._reduce(tuple(a + c * b for a, b in zip(out, v)))
-            return out
+        if self.element_map is None:
+            y = self.source.member(x)
+            if y is None:
+                raise MonoidError(f"{x} is not in the source monoid")
+            return y
         return self.element_map[x]
-
-    def adjoin_zero(self) -> "MonoidHom":
-        src, tgt = self.source.adjoin_zero(), self.target.adjoin_zero()
-        if self.gen_images is not None:
-            return MonoidHom.affine(src, tgt, self.gen_images)
-        return MonoidHom.table(src, tgt, {**self.element_map, src.zero: tgt.zero})
-
-    def compose(self, other: "MonoidHom") -> "MonoidHom":
-        """self o other (other applied first)."""
-        if other.target != self.source:
-            raise MonoidError("composition mismatch")
-        if other.gen_images is not None:
-            images = tuple(self.apply(v) for v in other.gen_images)
-            return MonoidHom.affine(other.source, self.target, images)
-        return MonoidHom.table(
-            other.source, self.target,
-            {a: self.apply(other.apply(a)) for a in other.source.elements},
-        )
-
-
-def _relation_lattice(A: AffineMonoid) -> list[list[int]]:
-    """Basis of {z : sum z_i g_i = 0 in the ambient group}, restricted to
-    the generator coordinates."""
-    M = A.lattice_matrix(A.generators)
-    if not M:
-        return []
-    full = kernel_basis(M)
-    return [z[: len(A.generators)] for z in full]
-
-
-def _group_coordinates(A: AffineMonoid, x):
-    """Integer coordinates of x over the generators, inside Quot(A)."""
-    x = A._reduce(tuple(x))
-    M = A.lattice_matrix(A.generators)
-    if not M:
-        return [] if not any(x) else None
-    sol = solve_integer(M, list(x))
-    if sol is None:
-        return None
-    return sol[: len(A.generators)]
 
 
 # --- saturation ------------------------------------------------------------------
@@ -825,12 +754,9 @@ def saturation_generators(A: AffineMonoid, cone=None) -> tuple[tuple[int, ...], 
             out.add(red)
             out.add(A._reduce(tuple(-x for x in red)))
     if free_members:
-        # pull the cone back through the free parts of the basis
-        for h in cones.pullback_generators(cone.inequalities,
-                                           [A.free_part(b) for b in free_members]):
-            vec = (0,) * A.width
-            for c, b in zip(h, free_members):
-                vec = tuple(a + c * x for a, x in zip(vec, b))
+        # pull the cone back through the basis; its rows ignore the torsion coordinates
+        rows = [a + [0] * len(A.torsion) for a in cone.inequalities]
+        for vec in cones.pullback_generators(rows, free_members):
             red = A._reduce(vec)
             if any(red):
                 out.add(red)

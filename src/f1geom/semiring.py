@@ -56,10 +56,6 @@ class SemigroupRingElement:
         return SemigroupRingElement(owner, items)
 
     @staticmethod
-    def monomial(owner, k, c: int = 1) -> "SemigroupRingElement":
-        return SemigroupRingElement.make(owner, {k: c})
-
-    @staticmethod
     def one(owner) -> "SemigroupRingElement":
         return SemigroupRingElement.make(owner, {owner.identity: 1})
 

@@ -21,10 +21,8 @@ from functools import cached_property
 from .cones import intersection, pullback_generators
 from .intlinalg import (
     column_lattice_basis,
-    diagonal_of,
     dot,
     kernel_basis,
-    smith_normal_form,
     unimodular_inverse,
 )
 from .monoid import (
@@ -249,14 +247,15 @@ def _validate_gluing(charts, rec: GluingData):
     loc_a, _ = A.localize(rec.prime_a)
     loc_b, _ = B.localize(rec.prime_b)
     T = [list(row) for row in rec.iso]
-    if len(T) != B.ambient_rank or any(len(r) != A.ambient_rank for r in T):
+    n = A.ambient_rank
+    if B.ambient_rank != n or len(T) != n or any(len(r) != n for r in T):
         raise GluingError("iso matrix has the wrong shape")
     if A.torsion or B.torsion:
         raise GluingError("gluing with ambient torsion is not supported")
-    _, D, _ = smith_normal_form(T)
-    if any(d != 1 for d in diagonal_of(D)):
-        raise GluingError("iso matrix is not a lattice isomorphism")
-    Tinv = unimodular_inverse(T)
+    try:
+        Tinv = unimodular_inverse(T)
+    except ValueError:
+        raise GluingError("iso matrix is not a lattice isomorphism") from None
     for g in loc_a.generators:
         img = tuple(dot(row, g) for row in T)
         if not loc_b.contains(img):
@@ -338,14 +337,7 @@ def global_sections(X: MScheme):
     for ci, c in enumerate(charts):
         pad = total - offsets[ci] - c.ambient_rank
         rows += [[0] * offsets[ci] + a + [0] * pad for a in c.recession_cone.inequalities]
-    gens = []
-    for h in pullback_generators(rows, lattice):
-        vec = tuple(
-            sum(h[j] * lattice[j][i] for j in range(len(lattice))) for i in range(total)
-        )
-        if any(vec):
-            gens.append(vec)
-    result = AffineMonoid.make(total, gens, pointed=X.pointed)
+    result = AffineMonoid.make(total, pullback_generators(rows, lattice), pointed=X.pointed)
     for g in result.generators:
         for ci, c in enumerate(charts):
             part = g[offsets[ci]: offsets[ci] + c.ambient_rank]

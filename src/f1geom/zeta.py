@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+
+from .intlinalg import rat_solve
 
 
 class ZetaError(ValueError):
@@ -142,29 +143,16 @@ def parse_counting_polynomial(text: str) -> CountingPolynomial:
 
 
 def fit_counting_polynomial(samples, degree_bound: int) -> CountingPolynomial:
-    """Lagrange interpolation through (q, N(q)) samples with an integrality
-    check; extra samples beyond degree_bound + 1 must agree exactly."""
+    """Interpolation through (q, N(q)) samples, by solving the Vandermonde
+    system, with an integrality check; extra samples beyond degree_bound + 1
+    must agree exactly."""
     pts = sorted(dict(samples).items())
     if len(pts) < degree_bound + 1:
         raise ZetaError(
             f"need at least {degree_bound + 1} samples for degree {degree_bound}")
     base = pts[: degree_bound + 1]
-    coeffs = [Fraction(0)] * (degree_bound + 1)
-    for qi, ni in base:
-        # Lagrange basis polynomial for qi, accumulated exactly
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for qj, _ in base:
-            if qj == qi:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] += c * (-qj)
-                new[k + 1] += c
-            basis = new
-            denom *= qi - qj
-        for k, c in enumerate(basis):
-            coeffs[k] += Fraction(ni) * c / denom
+    coeffs = rat_solve([[q ** k for q, _ in base] for k in range(degree_bound + 1)],
+                       [n for _, n in base])
     if any(c.denominator != 1 for c in coeffs):
         raise NonIntegralFit(f"interpolant has non-integer coefficients: {coeffs}")
     poly = CountingPolynomial.make([int(c) for c in coeffs])

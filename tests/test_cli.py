@@ -175,6 +175,22 @@ def test_zeta_input_with_a_repeated_q_names_q_and_both_samples(tmp_path):
     assert "q = 2" in message and "samples 0 and 1" in message, message
 
 
+@pytest.mark.parametrize("data", [[], {"counts": []}], ids=["bare", "under-counts"])
+def test_zeta_input_without_samples_names_the_file(tmp_path, data):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    message = _error(["zeta", "--input", str(path)])
+    assert str(path) in message and "no count samples" in message, message
+
+
+@pytest.mark.parametrize("q", [1, 0, -3, 6])
+def test_zeta_input_with_a_q_that_is_no_field_size_names_the_sample(tmp_path, q):
+    path = tmp_path / "bad-q.json"
+    path.write_text(json.dumps([[2, 3], [q, 1]]))
+    message = _error(["zeta", "--input", str(path)])
+    assert str(path) in message and f"sample 1 has q = {q}" in message, message
+
+
 def test_zeta_input_may_repeat_a_sample_with_the_same_count(tmp_path):
     path = tmp_path / "repeated.json"
     path.write_text(json.dumps([[2, 7], [2, 7], [3, 13], [4, 21]]))

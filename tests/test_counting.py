@@ -128,7 +128,7 @@ def test_torsion_chart_is_flagged():
 
 
 def test_count_record_shape():
-    rec = count_points(group_monoid(1), 4, subject="torus")
+    rec = count_points(group_monoid(1), 4)
     assert rec.as_dict() == {"q": 4, "count": 3, "method": "stalk-formula"}
     with pytest.raises(CountError):
         count_points(group_monoid(1), 6)

@@ -9,6 +9,7 @@ from f1geom.intlinalg import (
     column_lattice_basis,
     diagonal_of,
     identity_matrix,
+    integer_solver,
     kernel_basis,
     mat_vec,
     primitive_vector,
@@ -16,7 +17,6 @@ from f1geom.intlinalg import (
     rat_rank,
     rat_solve,
     smith_normal_form,
-    solve_integer,
     subgroup_invariants,
     transpose,
     unimodular_inverse,
@@ -65,14 +65,14 @@ def test_kernel_members_are_killed(A):
 def test_solve_integer_solutions_check_out(A, x):
     x = (x * 4)[: len(A[0])]
     b = mat_vec(A, x)
-    sol = solve_integer(A, b)
+    sol = integer_solver(A)(b)
     assert sol is not None
     assert mat_vec(A, sol) == b
 
 
 def test_solve_integer_detects_unsolvable():
-    assert solve_integer([[2]], [3]) is None
-    assert solve_integer([[1, 0], [0, 0]], [1, 1]) is None
+    assert integer_solver([[2]])([3]) is None
+    assert integer_solver([[1, 0], [0, 0]])([1, 1]) is None
 
 
 def test_unimodular_inverse_round_trip():
@@ -188,8 +188,8 @@ def test_column_lattice_basis_spans():
     assert len(basis) == 2
     for target in ([2, 0], [0, 1], [2, 3]):
         cols = transpose(basis)
-        assert solve_integer(cols, target) is not None
-    assert solve_integer(transpose(basis), [1, 0]) is None
+        assert integer_solver(cols)(target) is not None
+    assert integer_solver(transpose(basis))([1, 0]) is None
 
 
 def test_subgroup_invariants_examples():

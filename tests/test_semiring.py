@@ -31,7 +31,7 @@ elements_of_zn2 = st.dictionaries(
 
 
 def mono(owner, key, c=1):
-    return SemigroupRingElement.monomial(owner, key, c)
+    return SemigroupRingElement.make(owner, {key: c})
 
 
 def test_basic_products():
