@@ -204,8 +204,8 @@ def _count_samples(path) -> dict:
         q, count = entry
         try:
             prime_power_base(q)
-        except CountError:
-            raise CliError(f"{path}: sample {i} has q = {q}, which is not a prime power") from None
+        except CountError as e:
+            raise CliError(f"{path}: sample {i} has q = {q}: {e}") from None
         if samples.setdefault(q, count) != count:
             raise CliError(f"{path}: samples {first[q]} and {i} give q = {q} the counts "
                            f"{samples[q]} and {count}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .fans import Fan
+from .limits import LIMITS
 from .monoid import hom_count_to_cyclic
 from .spectrum import MScheme
 from .zeta import CountingPolynomial
@@ -22,25 +23,63 @@ class CountError(ValueError):
     pass
 
 
+# Miller-Rabin with these bases is exact for n < 3,317,044,064,679,887,385,961,981
+# (Sorenson and Webster 2015); LIMITS["field_size"] is that bound less one
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n <= LIMITS['field_size'];
+    larger n are refused."""
+    if n > LIMITS["field_size"]:
+        raise CountError(f"{n} exceeds the largest field size {LIMITS['field_size']} "
+                         "(LIMITS['field_size']) for which primality is decided exactly")
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1, by Newton's iteration from above."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_base(q: int):
-    """(p, e) with q = p^e, or raise."""
+    """(p, e) with q = p^e, or raise.  For composite q, the largest e > 1
+    with q a perfect e-th power gives the only candidate p, which must
+    then be prime."""
     if q < 2:
         raise CountError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
+    if is_prime(q):
         return q, 1
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise CountError(f"{q} is not a prime power")
-    return p, e
+    for e in range(q.bit_length() - 1, 1, -1):
+        p = _integer_root(q, e)
+        if p ** e == q:
+            if is_prime(p):
+                return p, e
+            break
+    raise CountError(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Every input is JSON with a ``kind`` discriminator: monoid, table_monoid,
 fan, torification, or cells.  Parsing returns the corresponding typed
 object; syntax errors carry the line/column, semantic errors the
-offending entry.  Emission is canonical (sorted keys) so that emit then
-re-parse is the identity.  Torus labels are optional in a torification
-file: they are written only when the torification carries some, and a
-file without them parses to an unlabeled torification.
+offending entry.  Emission is compact, sorted-key JSON on one line plus
+a newline, written by the json module's C encoder; it is canonical, so
+emit then re-parse is the identity.  Torus labels are optional in a
+torification file: they are written only when the torification carries
+some, and a file without them parses to an unlabeled torification.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ def object_from_dict(data):
 def _int_list(value, where):
     # type(x) is int, not isinstance: JSON true and false are bools, and
     # bool subclasses int
-    if not isinstance(value, list) or not all(type(x) is int for x in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise ValidationError(f"{where} must be a list of integers")
     return value
 
@@ -242,6 +243,6 @@ def object_to_dict(obj, counting=None) -> dict:
 
 
 def emit(obj, path, counting=None):
+    text = json.dumps(object_to_dict(obj, counting), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(object_to_dict(obj, counting), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

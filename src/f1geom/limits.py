@@ -6,4 +6,6 @@ LIMITS = {
     "schubert_n": 8,     # n of a Gr(k, n) Schubert torification
     "gaussian_n": 12,    # n of a Gaussian binomial [n choose k]_q
     "membership_table": 4096,  # vectors kept by a monoid's membership table
+    "field_size": 3_317_044_064_679_887_385_961_980,  # q whose primality is decided
+    "ring_mul_terms": 10_000,  # monomial products |x| * |y| in one ring_mul
 }

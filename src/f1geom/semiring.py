@@ -10,20 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .counting import is_prime
+from .limits import LIMITS
+
 
 class RingError(ValueError):
     pass
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -94,8 +86,13 @@ def ring_sub(x, y):
 
 
 def ring_mul(x: SemigroupRingElement, y: SemigroupRingElement) -> SemigroupRingElement:
-    """Convolution product; a pointed monoid's zero is absorbed into 0."""
+    """Convolution product; a pointed monoid's zero is absorbed into 0.
+    More than LIMITS['ring_mul_terms'] monomial products are refused."""
     _same_owner(x, y)
+    if len(x.coeffs) * len(y.coeffs) > LIMITS["ring_mul_terms"]:
+        raise RingError(f"a product of {len(x.coeffs)} by {len(y.coeffs)} terms exceeds "
+                        f"{LIMITS['ring_mul_terms']} monomial products "
+                        "(LIMITS['ring_mul_terms'])")
     A = x.owner
     out: dict = {}
     for k1, c1 in x.coeffs:
@@ -133,14 +130,14 @@ def monomial_power_map(x: SemigroupRingElement, k: int) -> SemigroupRingElement:
 
 def psi(x: SemigroupRingElement, p: int) -> SemigroupRingElement:
     """psi_p, the lift of Frobenius: monomials a -> a^p."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise RingError(f"{p} is not prime")
     return monomial_power_map(x, p)
 
 
 def frobenius_check(x: SemigroupRingElement, p: int) -> bool:
     """psi_p(x) == x^p coefficientwise mod p (the Frobenius square)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise RingError(f"{p} is not prime")
     lhs = psi(x, p)
     rhs = ring_pow(x, p)

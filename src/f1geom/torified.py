@@ -12,7 +12,10 @@ point bookkeeping down to counts of minimal-rank points.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
 from math import comb
 
 from .counting import CountingFunction, counting_polynomial
@@ -32,26 +35,30 @@ class TorifyError(ValueError):
 class Torification:
     """Multiset of torus ranks with optional labels and chart assignment.
 
-    ``ranks`` is the full sorted tuple, which is all that counting needs.
-    Labels are kept only when the caller supplies them or a chart
-    assignment refers to tori; a chart assignment without labels uses the
+    ``rank_counts`` holds the multiset as ascending (rank, multiplicity)
+    pairs, multiplicity > 0, which is all that counting needs: a Schubert
+    torification of Gr(4, 8) has 200,787 tori but only 17 ranks.
+    ``ranks``, one entry per torus in ascending order, is derived from it
+    on first use.  Labels are kept only when the caller supplies them or
+    a chart assignment refers to tori; they are then paired with
+    ``ranks`` entry by entry.  A chart assignment without labels uses the
     torus indices.  Otherwise ``labels == ()``.  ``charts`` maps a chart
     id to the labels of the tori lying in it, together with the chart's
     own counting polynomial, which is what the affineness check needs.
     """
 
-    ranks: tuple[int, ...]
+    rank_counts: tuple[tuple[int, int], ...]
     labels: tuple = ()
     charts: dict = field(default=None, compare=False)
     chart_counts: dict = field(default=None, compare=False)
 
     @staticmethod
     def make(ranks, labels=None, charts=None, chart_counts=None) -> "Torification":
-        ranks = [int(d) for d in ranks]
-        if any(d < 0 for d in ranks):
-            raise TorifyError("torus ranks must be nonnegative")
+        """``ranks`` is a list with one rank per torus, or, when no labels or
+        charts are given, a {rank: multiplicity} mapping."""
         if labels is None and charts is None:
-            return Torification(tuple(sorted(ranks)))
+            return Torification(_tally(Counter(ranks)))
+        ranks = [int(d) for d in ranks]
         labels = list(range(len(ranks))) if labels is None else list(labels)
         known = set(labels)
         if len(labels) != len(ranks):
@@ -65,11 +72,24 @@ class Torification:
                 if t not in known:
                     raise TorifyError(f"charts[{cid}] names torus {t!r}, which has no label")
         paired = sorted(zip(ranks, labels), key=lambda rl: (rl[0], str(rl[1])))
-        return Torification(tuple(r for r, _ in paired),
-                            tuple(l for _, l in paired), charts, chart_counts)
+        return Torification(_tally(Counter(ranks)), tuple(l for _, l in paired),
+                            charts, chart_counts)
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(repeat(r, m) for r, m in self.rank_counts))
 
     def count_polynomial(self) -> CountingPolynomial:
-        return CountingPolynomial.of_tori(self.ranks)
+        return CountingPolynomial.of_tori(dict(self.rank_counts))
+
+
+def _tally(tori: Counter) -> tuple[tuple[int, int], ...]:
+    """Ascending (rank, multiplicity) pairs of a rank Counter, zero
+    multiplicities dropped."""
+    tally = tuple(sorted((int(r), m) for r, m in tori.items() if m))
+    if any(r < 0 or m < 0 for r, m in tally):
+        raise TorifyError("torus ranks and multiplicities must be nonnegative")
+    return tally
 
 
 @dataclass(frozen=True)
@@ -148,17 +168,19 @@ def orbit_torification(X: MScheme) -> Torification:
     return Torification.make(ranks, labels, charts, chart_counts)
 
 
-def torify_cells(cells) -> list[int]:
-    """Sorted ranks of the subset decomposition of (dimension, base) cells:
-    a d-cell over a rank-``base`` torus splits into the 2^d tori
-    {base + |S| : S subset of [d]}, so rank base + r occurs C(d, r) times."""
+def torify_cells(cells) -> dict[int, int]:
+    """Rank multiplicities {rank: count}, in ascending rank order, of the
+    subset decomposition of (dimension, base) cells: a d-cell over a
+    rank-``base`` torus splits into the 2^d tori {base + |S| : S subset
+    of [d]}, so rank base + r occurs C(d, r) times.  The tori are never
+    listed one by one; ``Torification.make`` takes the dict as it is."""
     mult = {}
     for d, base in cells:
         if d < 0 or base < 0:
             raise TorifyError("cell dimension and base rank must be nonnegative")
         for r in range(d + 1):
             mult[base + r] = mult.get(base + r, 0) + comb(d, r)
-    return [r for r in sorted(mult) for _ in range(mult[r])]
+    return dict(sorted(mult.items()))
 
 
 def box_partitions(k: int, m: int):
@@ -196,7 +218,8 @@ def schubert_torification(k: int, n: int, with_pivot_charts: bool = False):
     ranks, labels, charts, chart_counts = [], [], {}, {}
     chart_poly = CountingPolynomial.make([0] * (k * (n - k)) + [1])  # q^{k(n-k)}
     for idx, d in enumerate(cells):
-        cell = [(idx, d, r, seq) for seq, r in enumerate(torify_cells([(d, 0)]))]
+        tori = Counter(torify_cells([(d, 0)])).elements()  # one rank per torus
+        cell = [(idx, d, r, seq) for seq, r in enumerate(tori)]
         ranks += [r for _, _, r, _ in cell]
         labels += cell
         charts[f"pivot-{idx}"] = cell

@@ -11,14 +11,17 @@ recorded) with
     PYTHONPATH=src python tests/test_cli.py
 """
 import contextlib
+import hashlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from f1geom import cli
+from f1geom.limits import LIMITS
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -87,6 +90,36 @@ def test_golden_output(case, tmp_path):
     assert rc == (0 if json.loads(out)["status"] == "pass" else 1)
     if any(str(DATA) in a for a in CASES[case]):
         assert rc == 0, "every shipped data file passes its verb"
+
+
+# Outputs too large for a golden file, pinned by the sha256 of the JSON the
+# CLI printed before torifications were stored as rank multiplicities.
+LARGE_OUTPUTS = {
+    "torify-gr38": (["torify", "--grassmannian", "3,8"],
+                    "0ad92673806bb50abae5b5bd465ff62c0521aad260bff94d0cb13b0e6d1b0de5"),
+    "torify-gr48": (["torify", "--grassmannian", "4,8"],
+                    "0a33bb4b26efddd9e60336d7f0fd297028e3a6a8eba0dbaa1ec4d0ffe3318b49"),
+    "torify-gr58": (["torify", "--grassmannian", "5,8"],
+                    "0c22fd47aeb64630514ed44bceaf41083042219c39b9f7dcefa8d8e97b88df38"),
+    "torify-gr48-charts": (["torify", "--grassmannian", "4,8", "--charts"],
+                           "4d02fdabaa6309ede157810880fc88052fba1dcaf4ae17beed5e95862df11f4d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_OUTPUTS))
+def test_large_output_is_pinned_by_its_hash(case):
+    argv, digest = LARGE_OUTPUTS[case]
+    rc, out, err = run_cli(argv + ["--json"])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_count_at_a_large_prime_field_size():
+    q = 10**16 + 61
+    rc, out, err = run_cli(["count", "--monoid", str(DATA / "n2.mon.json"), "--q", str(q),
+                            "--json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["counts"] == [{"count": q * q, "method": "stalk-formula", "q": q}]
 
 
 # --- error contract: every failure is one JSON object on stderr, exit 2 ---------
@@ -216,6 +249,32 @@ def test_nonpositive_lambda_trials_names_the_option(trials):
     message = _error(["lambda-check", "--monoid", str(DATA / "n2.mon.json"),
                       "--trials", trials])
     assert "--trials" in message and trials in message, message
+
+
+def test_lambda_check_at_a_large_prime_stops_at_the_ring_mul_cap():
+    start = time.perf_counter()
+    message = _error(["lambda-check", "--monoid", str(DATA / "n2.mon.json"), "--p", "31",
+                      "--trials", "20"])
+    assert time.perf_counter() - start < 1.0
+    assert "LIMITS['ring_mul_terms']" in message, message
+
+
+def test_lambda_check_on_a_finite_monoid_runs_at_large_primes():
+    rc, out, err = run_cli(["lambda-check", "--monoid", str(DATA / "mu3.mon.json"),
+                            "--p", "31,37,41", "--json"])
+    assert (rc, err) == (0, "") and json.loads(out)["frobenius_reduction"] == "pass"
+
+
+@pytest.mark.parametrize("verb", ["count", "zeta"])
+def test_field_size_past_the_cap_names_the_limit(tmp_path, verb):
+    q = LIMITS["field_size"] + 2
+    if verb == "count":
+        argv = ["count", "--monoid", str(DATA / "n2.mon.json"), "--q", str(q)]
+    else:
+        path = tmp_path / "huge-q.json"
+        path.write_text(json.dumps([[2, 3], [q, 1]]))
+        argv = ["zeta", "--input", str(path)]
+    assert "LIMITS['field_size']" in _error(argv)
 
 
 def test_grassmannian_past_the_schubert_cap_names_the_limit():

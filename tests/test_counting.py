@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +15,12 @@ from f1geom.counting import (
     CountError,
     count_points,
     counting_polynomial,
+    is_prime,
     orbit_count_polynomial,
     prime_power_base,
 )
 from f1geom.fans import kato, standard_fans
+from f1geom.limits import LIMITS
 from f1geom.monoid import AffineMonoid, group_monoid
 from f1geom.spectrum import plus_zero
 from f1geom.zeta import (
@@ -36,6 +40,60 @@ def test_prime_power_validation():
     for bad in (1, 6, 12, 0):
         with pytest.raises(CountError):
             prime_power_base(bad)
+
+
+def _trial_division_base(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 0
+    while q % p == 0:
+        q, e = q // p, e + 1
+    return (p, e) if q == 1 else None
+
+
+def test_prime_power_base_agrees_with_trial_division():
+    for q in range(-2, 20_000):
+        want = _trial_division_base(q) if q >= 2 else None
+        if want is None:
+            with pytest.raises(CountError):
+                prime_power_base(q)
+        else:
+            assert prime_power_base(q) == want, q
+
+
+@pytest.mark.parametrize("q, base", [
+    (10**16 + 61, (10**16 + 61, 1)),
+    (2**61, (2, 61)),
+    ((10**9 + 7) ** 2, (10**9 + 7, 2)),
+    (2**81, (2, 81)),
+], ids=["large-prime", "2^61", "square-of-a-prime", "2^81"])
+def test_prime_power_base_of_large_q(q, base):
+    assert prime_power_base(q) == base
+
+
+@pytest.mark.parametrize("q", [3 * (10**16 + 61), (10**9 + 7) * (10**9 + 9), 2**61 * 3,
+                               3215031751, 3825123056546413051, 318665857834031151167461])
+def test_large_composites_are_not_prime_powers(q):
+    # the last three are strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    with pytest.raises(CountError, match="not a prime power"):
+        prime_power_base(q)
+
+
+def test_is_prime_agrees_with_sympy_up_to_the_cap():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    cap = LIMITS["field_size"]
+    for n in [rng.randrange(2, 2**bits) for bits in range(2, cap.bit_length()) for _ in range(40)]:
+        n = min(n, cap)
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_field_size_cap_names_its_key():
+    cap = LIMITS["field_size"]
+    largest = next(n for n in range(cap, 0, -1) if is_prime(n))
+    assert cap - largest < 1000 and prime_power_base(largest) == (largest, 1)
+    for q in (cap + 1, 2**82):
+        with pytest.raises(CountError, match=r"LIMITS\['field_size'\]"):
+            prime_power_base(q)
 
 
 def test_torus_counts():

@@ -69,6 +69,15 @@ def test_schubert_torification_round_trip(tmp_path, k, n, charts):
     assert back.charts == T.charts and back.chart_counts == T.chart_counts
 
 
+def test_largest_schubert_torification_round_trip(tmp_path):
+    # Gr(4, 8): 200,787 tori in 17 ranks, written as compact one-line JSON
+    T, N = schubert_torification(4, 8)
+    assert round_trip(T, tmp_path, counting=N) == (T, N)
+    text = (tmp_path / "obj.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text)["ranks"] == list(T.ranks) and len(T.ranks) == 200_787
+
+
 @pytest.mark.parametrize("path", CELL_FILES, ids=lambda p: p.name)
 def test_cell_torification_round_trip(tmp_path, path):
     cells = parse_input(path)

@@ -10,7 +10,9 @@ from f1geom.monoid import (
     AffineMonoid,
     ResourceError,
     TableMonoid,
+    free_monoid,
 )
+from f1geom.semiring import RingError, SemigroupRingElement, ring_mul
 from f1geom.torified import TorifyError, gaussian_binomial, schubert_torification
 
 
@@ -20,7 +22,9 @@ def _orthant(rank):
 
 def test_the_table_holds_every_cap():
     assert LIMITS == {"lattice_rank": 4, "table_primes": 20, "schubert_n": 8, "gaussian_n": 12,
-                      "membership_table": 4096}
+                      "membership_table": 4096,
+                      "field_size": 3_317_044_064_679_887_385_961_980,
+                      "ring_mul_terms": 10_000}
     assert RANK_CAP == LIMITS["lattice_rank"] and TABLE_PRIME_CAP == LIMITS["table_primes"]
     assert MEMBERSHIP_TABLE_CAP == LIMITS["membership_table"]
 
@@ -69,3 +73,16 @@ def test_gaussian_cap():
     assert gaussian_binomial(n, 2)(1) == n * (n - 1) // 2
     with pytest.raises(TorifyError, match=r"LIMITS\['gaussian_n'\]"):
         gaussian_binomial(n + 1, 2)
+
+
+def test_ring_mul_terms_cap():
+    # cap = 100 * 100 and cap + 1 = 73 * 137 monomial products
+    N = free_monoid(1)
+
+    def terms(count, step=1):
+        return SemigroupRingElement.make(N, {(step * i,): 1 for i in range(count)})
+
+    assert LIMITS["ring_mul_terms"] == 100 * 100
+    assert len(ring_mul(terms(100), terms(100, step=1000)).coeffs) == 100 * 100
+    with pytest.raises(RingError, match=r"LIMITS\['ring_mul_terms'\]"):
+        ring_mul(terms(73), terms(137, step=1000))

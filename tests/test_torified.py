@@ -1,9 +1,14 @@
+from collections import Counter
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import f1geom.spectrum as spectrum
+from f1geom.io import parse_input
 from oracles import count_matrices, count_subspaces
 from f1geom.torified import (
     Torification,
@@ -19,6 +24,8 @@ from f1geom.torified import (
     weyl_group_order,
 )
 from f1geom.zeta import q_poly
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def torus_sum(T, p):
@@ -75,7 +82,9 @@ def test_cell_ranks_match_subset_enumeration():
     cells = [(0, 0), (1, 2), (3, 0), (4, 1), (2, 2)]
     subsets = sorted(base + k for d, base in cells
                      for k in range(d + 1) for _ in combinations(range(d), k))
-    assert torify_cells(cells) == subsets
+    # the multiplicities, in ascending rank order, and never a per-torus list
+    assert torify_cells(cells) == dict(Counter(subsets))
+    assert list(torify_cells(cells)) == sorted(set(subsets))
 
 
 def test_unlabeled_make_stores_no_labels():
@@ -97,3 +106,47 @@ def test_make_refuses_charts_it_cannot_check(charts, chart_counts, message):
     with pytest.raises(TorifyError) as err:
         Torification.make([0, 1], labels=["a", "b"], charts=charts, chart_counts=chart_counts)
     assert message in str(err.value)
+
+
+def _shifted_coefficients(N):
+    """Coefficients of N(t + 1) in powers of t.  Since N(q) = sum_r m_r (q-1)^r
+    for a torification with m_r tori of rank r, these are the m_r."""
+    out = [0] * len(N.coefficients)
+    for k, c in enumerate(N.coefficients):
+        for r in range(k + 1):
+            out[r] += c * comb(k, r)
+    return [(r, m) for r, m in enumerate(out) if m]
+
+
+def _cell_torification(path):
+    cells = parse_input(path)
+    return cells.torification(), cells.count_polynomial()
+
+
+TORIFICATIONS = {
+    **{f"Gr({k},{n})": (schubert_torification, k, n) for n in range(9) for k in range(n + 1)},
+    "SL2": (bruhat_torification, "SL2"),
+    "GL2": (bruhat_torification, "GL2"),
+    **{path.name: (_cell_torification, path) for path in sorted(DATA.glob("*.cells.json"))},
+}
+
+
+@pytest.mark.parametrize("case", TORIFICATIONS)
+def test_rank_multiplicities_are_the_coefficients_of_n_at_t_plus_one(case):
+    build, *args = TORIFICATIONS[case]
+    T, N = build(*args)
+    assert list(T.rank_counts) == _shifted_coefficients(N)
+
+
+@given(st.lists(st.integers(0, 6), max_size=30))
+def test_make_reads_a_rank_list_and_its_multiplicities_alike(ranks):
+    T = Torification.make(ranks)
+    assert T == Torification.make(Counter(ranks)) == Torification.make(dict(Counter(ranks)))
+    assert T.labels == () and T.ranks == tuple(sorted(ranks))
+    assert all(m > 0 for _, m in T.rank_counts)
+
+
+@pytest.mark.parametrize("ranks", [[0, -1], {2: 1, -1: 3}, {1: -2}])
+def test_make_refuses_negative_ranks_and_multiplicities(ranks):
+    with pytest.raises(TorifyError, match="nonnegative"):
+        Torification.make(ranks)
