@@ -11,7 +11,9 @@ Two concrete representations are used throughout:
 Both carry one method set, so other modules never ask which they hold:
 ``identity``, ``zero`` (None on ``AffineMonoid``, whose zero is formal),
 ``pointed``, ``generators`` (all elements on ``TableMonoid``), ``op``,
-``power``, ``member(x)`` (x normalised, or None if not in the monoid),
+``power`` (on normalised members; ``AffineMonoid`` reduces only the
+torsion coordinates of the result, and only when it has torsion),
+``member(x)`` (x normalised, or None if not in the monoid),
 ``is_unit``, ``is_integral`` (True on ``AffineMonoid``), ``is_group``
 (every nonzero element is a unit), ``units()``, ``primes()`` (the
 generic prime first, the closed point's prime last), ``localize(p)`` ->
@@ -36,6 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
+from operator import add
 
 from . import cones
 from .cones import RationalCone
@@ -139,19 +142,22 @@ class AffineMonoid:
     def _reduce(self, v) -> tuple[int, ...]:
         if len(v) != self.width:
             raise MonoidError("element has wrong length")
-        return tuple(
-            x if i < self.ambient_rank else x % self.torsion[i - self.ambient_rank]
-            for i, x in enumerate(v)
-        )
+        return self._torsion_mod(tuple(v)) if self.torsion else tuple(v)
+
+    def _torsion_mod(self, v: tuple) -> tuple[int, ...]:
+        r = self.ambient_rank
+        return v[:r] + tuple(x % d for x, d in zip(v[r:], self.torsion))
 
     zero = None         # a pointed monoid's zero is formal, never an element
     is_integral = True  # cancellative by construction
 
     def op(self, a, b) -> tuple[int, ...]:
-        return self._reduce(tuple(x + y for x, y in zip(a, b)))
+        v = tuple(map(add, a, b))
+        return self._torsion_mod(v) if self.torsion else v
 
     def power(self, a, n: int) -> tuple[int, ...]:
-        return self._reduce(tuple(n * x for x in a))
+        v = tuple(n * x for x in a)
+        return self._torsion_mod(v) if self.torsion else v
 
     def lattice_matrix(self, vectors) -> list[list[int]]:
         """Matrix whose columns are the given vectors, then the torsion
@@ -438,8 +444,11 @@ class TableMonoid:
 
     def power(self, a, n: int):
         out = self.identity
-        for _ in range(n):
-            out = self.op(out, a)
+        while n:
+            if n & 1:
+                out = self.op(out, a)
+            n >>= 1
+            a = self.op(a, a)
         return out
 
     @cached_property

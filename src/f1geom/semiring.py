@@ -5,6 +5,8 @@ coefficients.  For a pointed monoid the ring is Z[A]/(zero of A ~ ring
 zero), realized by never letting the monoid zero into a support.  The
 endomorphisms psi_p act on monomials by a -> a^p; reduction mod p turns
 psi_p into the Frobenius, which frobenius_check verifies elementwise.
+The Frobenius power x^p it compares against is computed in F_p[A], its
+coefficients reduced mod p after each product, so they never outgrow p.
 """
 from __future__ import annotations
 
@@ -85,9 +87,11 @@ def ring_sub(x, y):
     return ring_add(x, ring_neg(y))
 
 
-def ring_mul(x: SemigroupRingElement, y: SemigroupRingElement) -> SemigroupRingElement:
-    """Convolution product; a pointed monoid's zero is absorbed into 0.
-    More than LIMITS['ring_mul_terms'] monomial products are refused."""
+def ring_mul(x: SemigroupRingElement, y: SemigroupRingElement,
+             modulus: int = 0) -> SemigroupRingElement:
+    """Convolution product, in (Z/modulus)[A] when a modulus is given; a pointed
+    monoid's zero is absorbed into 0.  More than LIMITS['ring_mul_terms']
+    monomial products are refused."""
     _same_owner(x, y)
     if len(x.coeffs) * len(y.coeffs) > LIMITS["ring_mul_terms"]:
         raise RingError(f"a product of {len(x.coeffs)} by {len(y.coeffs)} terms exceeds "
@@ -95,25 +99,29 @@ def ring_mul(x: SemigroupRingElement, y: SemigroupRingElement) -> SemigroupRingE
                         "(LIMITS['ring_mul_terms'])")
     A = x.owner
     out: dict = {}
+    op, zero, get = A.op, A.zero, out.get
     for k1, c1 in x.coeffs:
         for k2, c2 in y.coeffs:
-            k = A.op(k1, k2)
-            if k != A.zero:
-                out[k] = out.get(k, 0) + c1 * c2
+            k = op(k1, k2)
+            if k != zero:
+                out[k] = get(k, 0) + c1 * c2
+    if modulus:
+        out = {k: c % modulus for k, c in out.items()}
     return SemigroupRingElement._unchecked(A, out)
 
 
-def ring_pow(x: SemigroupRingElement, n: int) -> SemigroupRingElement:
+def ring_pow(x: SemigroupRingElement, n: int, modulus: int = 0) -> SemigroupRingElement:
+    """x^n by repeated squaring, in (Z/modulus)[A] when a modulus is given."""
     if n < 0:
         raise RingError("negative powers are not defined")
     out = SemigroupRingElement.one(x.owner)
     base = x
     while n:
         if n & 1:
-            out = ring_mul(out, base)
+            out = ring_mul(out, base, modulus)
         n >>= 1
         if n:
-            base = ring_mul(base, base)
+            base = ring_mul(base, base, modulus)
     return out
 
 
@@ -135,14 +143,14 @@ def psi(x: SemigroupRingElement, p: int) -> SemigroupRingElement:
     return monomial_power_map(x, p)
 
 
+def is_frobenius_image(y: SemigroupRingElement, x: SemigroupRingElement, p: int) -> bool:
+    """y == x^p coefficientwise mod p, with x^p taken in F_p[A]."""
+    return all(c % p == 0 for _, c in ring_sub(y, ring_pow(x, p, modulus=p)).coeffs)
+
+
 def frobenius_check(x: SemigroupRingElement, p: int) -> bool:
     """psi_p(x) == x^p coefficientwise mod p (the Frobenius square)."""
-    if not is_prime(p):
-        raise RingError(f"{p} is not prime")
-    lhs = psi(x, p)
-    rhs = ring_pow(x, p)
-    diff = ring_sub(lhs, rhs)
-    return all(c % p == 0 for _, c in diff.coeffs)
+    return is_frobenius_image(psi(x, p), x, p)
 
 
 @dataclass(frozen=True)

@@ -216,3 +216,36 @@ def mat_mul(A, B):
         return []
     n, m, k = len(A), len(B), len(B[0])
     return [[sum(A[i][t] * B[t][j] for t in range(m)) for j in range(k)] for i in range(n)]
+
+
+def polynomial_product(x: dict, y: dict, r: int) -> dict:
+    """Product in Z[t_1..t_r] of two dicts exponent vector -> coefficient,
+    multiplied as sympy polynomials."""
+    import sympy
+
+    t = sympy.symbols(f"t1:{r + 1}")
+    prod = sympy.Poly.from_dict(x, *t) * sympy.Poly.from_dict(y, *t)
+    return {tuple(k): int(c) for k, c in prod.terms() if c}
+
+
+def cyclic_product(x: dict, y: dict, d: int) -> dict:
+    """Product in Z[t]/(t^d - 1) of two dicts exponent -> coefficient: the
+    sympy product of polynomials in t, then its remainder by t^d - 1."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    prod = sympy.Poly.from_dict(x, t) * sympy.Poly.from_dict(y, t)
+    rem = prod.rem(sympy.Poly(t ** d - 1, t))
+    return {k[0]: int(c) for k, c in rem.terms() if c}
+
+
+def table_convolution(x: dict, y: dict, table: dict, zero=None) -> dict:
+    """Product in Z[M]/(zero) of two dicts element -> coefficient, read off
+    a multiplication table given on unordered pairs."""
+    out = {}
+    for a, c in x.items():
+        for b, e in y.items():
+            k = table[(a, b)] if (a, b) in table else table[(b, a)]
+            if k != zero:
+                out[k] = out.get(k, 0) + c * e
+    return {k: c for k, c in out.items() if c}

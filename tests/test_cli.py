@@ -265,6 +265,23 @@ def test_lambda_check_on_a_finite_monoid_runs_at_large_primes():
     assert (rc, err) == (0, "") and json.loads(out)["frobenius_reduction"] == "pass"
 
 
+# 3317044064679887385961813 is the largest prime within LIMITS['field_size']
+@pytest.mark.parametrize("p", [1000003, 3317044064679887385961813])
+@pytest.mark.parametrize("name", ["mu3", "z3zero"])
+def test_lambda_check_on_a_finite_monoid_answers_fast_at_huge_primes(name, p):
+    assert p <= LIMITS["field_size"]
+    start = time.perf_counter()
+    rc, out, err = run_cli(["lambda-check", "--monoid", str(DATA / f"{name}.mon.json"),
+                            "--p", str(p), "--json"])
+    assert time.perf_counter() - start < 2.0
+    assert (rc, err) == (0, "") and json.loads(out)["frobenius_reduction"] == "pass"
+
+
+def test_lambda_check_on_n2_at_a_huge_prime_stops_at_the_ring_mul_cap():
+    message = _error(["lambda-check", "--monoid", str(DATA / "n2.mon.json"), "--p", "1000003"])
+    assert "LIMITS['ring_mul_terms']" in message, message
+
+
 @pytest.mark.parametrize("verb", ["count", "zeta"])
 def test_field_size_past_the_cap_names_the_limit(tmp_path, verb):
     q = LIMITS["field_size"] + 2

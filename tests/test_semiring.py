@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f1geom.monoid import AffineMonoid, TableMonoid, free_monoid
+from oracles import cyclic_product, polynomial_product, table_convolution
 from f1geom.semiring import (
     LambdaStructure,
     RingError,
@@ -145,3 +146,109 @@ def test_psi_on_pointed_table_ring():
     x = mono(M, "x")
     assert psi(x, 2) == SemigroupRingElement.zero(M)  # x^2 = 0 collapses
     assert frobenius_check(ring_add(SemigroupRingElement.one(M), x), 2)
+
+
+# --- the product kernel against independent routes
+
+N3 = free_monoid(3)
+elements_of_n3 = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9), max_size=5)
+
+
+def _by_repeated_product(product, one, x, n):
+    out = one
+    for _ in range(n):
+        out = product(out, x)
+    return out
+
+
+def _mod(d, m):
+    return {k: c % m for k, c in d.items() if c % m}
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements_of_n3, elements_of_n3, st.integers(0, 3), st.sampled_from([2, 3, 7]))
+def test_products_on_a_free_monoid_are_sympy_polynomial_products(x, y, n, m):
+    X, Y = (SemigroupRingElement.make(N3, d) for d in (x, y))
+    assert ring_mul(X, Y).as_dict() == polynomial_product(x, y, 3)
+    power = _by_repeated_product(lambda u, v: polynomial_product(u, v, 3), {(0, 0, 0): 1}, x, n)
+    assert ring_pow(X, n).as_dict() == power
+    assert ring_pow(X, n, modulus=m).as_dict() == _mod(power, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.tuples(
+    st.just(d),
+    *[st.dictionaries(st.integers(0, d - 1), st.integers(-9, 9), max_size=d)] * 2,
+    st.integers(0, 4))))
+def test_products_on_a_cyclic_group_reduce_mod_t_to_the_d_minus_1(case):
+    d, x, y, n = case
+    Zd = AffineMonoid.make(0, [[1]], torsion=[d])
+    X, Y = (SemigroupRingElement.make(Zd, {(e,): c for e, c in z.items()}) for z in (x, y))
+    assert ring_mul(X, Y).as_dict() == {(e,): c for e, c in cyclic_product(x, y, d).items()}
+    power = _by_repeated_product(lambda u, v: cyclic_product(u, v, d), {0: 1}, x, n)
+    assert ring_pow(X, n).as_dict() == {(e,): c for e, c in power.items()}
+
+
+# x^2 = 0 with zero, and Z/3 with zero adjoined, each on unordered pairs
+TRUNCATED = ("1", "x", "0"), {("1", "1"): "1", ("1", "x"): "x", ("1", "0"): "0",
+                              ("x", "x"): "0", ("x", "0"): "0", ("0", "0"): "0"}
+Z3_ZERO = ("0", "1", "g", "g2"), {
+    ("0", "0"): "0", ("0", "1"): "0", ("0", "g"): "0", ("0", "g2"): "0",
+    ("1", "1"): "1", ("1", "g"): "g", ("1", "g2"): "g2",
+    ("g", "g"): "g2", ("g", "g2"): "1", ("g2", "g2"): "g"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([TRUNCATED, Z3_ZERO]).flatmap(lambda t: st.tuples(
+    st.just(t),
+    *[st.dictionaries(st.sampled_from(t[0]), st.integers(-9, 9), max_size=4)] * 2,
+    st.integers(0, 5))))
+def test_products_on_a_table_monoid_are_table_convolutions(case):
+    (elements, table), x, y, n = case
+    M = TableMonoid.make(elements, table, identity="1", zero="0")
+    X, Y = (SemigroupRingElement.make(M, d) for d in (x, y))
+    x = {k: c for k, c in x.items() if k != "0"}
+    y = {k: c for k, c in y.items() if k != "0"}
+    assert ring_mul(X, Y).as_dict() == table_convolution(x, y, table, zero="0")
+    power = _by_repeated_product(lambda u, v: table_convolution(u, v, table, zero="0"),
+                                 {"1": 1}, x, n)
+    assert ring_pow(X, n).as_dict() == power
+
+
+@pytest.mark.parametrize("table", [TRUNCATED, Z3_ZERO], ids=["truncated", "z3zero"])
+def test_table_power_is_the_repeated_product(table):
+    M = TableMonoid.make(*table, identity="1", zero="0")
+    for a in M.elements:
+        assert [M.power(a, n) for n in range(12)] == \
+            [_by_repeated_product(M.op, "1", a, n) for n in range(12)]
+
+
+def test_table_power_takes_huge_exponents():
+    M = TableMonoid.make(*Z3_ZERO, identity="1", zero="0")
+    assert M.power("g", 10 ** 30 + 1) == "g2"  # 10^30 + 1 = 2 mod 3
+
+
+MIXED = [
+    AffineMonoid.make(1, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], torsion=[2, 3]),
+    AffineMonoid.make(2, [[1, 0, 1], [0, 1, 3], [1, 1, 0]], torsion=[4]),
+    AffineMonoid.make(2, [[1, 0], [1, 1], [1, 2]]),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MIXED).flatmap(lambda A: st.tuples(
+    st.just(A),
+    *[st.lists(st.integers(0, 7), min_size=len(A.generators),
+               max_size=len(A.generators))] * 2,
+    st.integers(0, 10 ** 20))))
+def test_affine_op_and_power_reduce_the_coordinatewise_sum_and_multiple(case):
+    A, m1, m2, n = case
+
+    def member(ms):
+        return A._reduce(tuple(sum(k * g[i] for k, g in zip(ms, A.generators))
+                               for i in range(A.width)))
+
+    a, b = member(m1), member(m2)
+    assert A.op(a, b) == A._reduce(tuple(x + y for x, y in zip(a, b)))
+    assert A.power(a, n) == A._reduce(tuple(n * x for x in a))
