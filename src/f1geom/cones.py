@@ -2,12 +2,14 @@
 
 Cones are given by primitive integer ray generators plus an optional
 lineality basis.  Duals are computed by the double description method
-over exact integers (the fraction-free kernel of `intlinalg`).  Hilbert
-bases follow Normaliz (Bruns-Ichim 2010): a placing triangulation, the
-lattice points of each simplex's fundamental parallelepiped listed one
-per coset straight from a Smith form, then a reduction in order of a
-positive grading.  Everything runs at desk scale: the public dual/Hilbert
-operations enforce the lattice-rank cap LIMITS["lattice_rank"] = 4.
+over exact integers (the fraction-free kernel of `intlinalg`).  A Hilbert
+basis in Z^2 is the Hirzebruch-Jung chain of the two extremal rays (Oda
+1988, Sec. 1.6).  In ranks 3-4 a simplicial cone has one fundamental
+parallelepiped, walked coset by coset from a Smith form; any other cone
+first takes a placing triangulation (Normaliz, Bruns-Ichim 2010).  Those
+points are then reduced in order of a positive grading.  Everything runs
+at desk scale: the public dual/Hilbert operations enforce the lattice-rank
+cap LIMITS["lattice_rank"] = 4.
 
 Fans ask for the same few duals over and over, so `double_description`
 keeps the results of its last `DD_MEMO_SIZE` distinct inputs in a
@@ -337,16 +339,35 @@ def _parallelepiped_points(vectors: list[tuple[int, ...]]) -> list[tuple[int, ..
     is integral iff t = W D^-1 y for an integer y, and y mod (d_1, ..., d_k)
     indexes the points one to one: one point V frac(t) per coset of V Z^k
     in its saturation.  Scaled by d_k, which every d_i divides, t is integral.
+    The walk is a mixed-radix counter over the d_i > 1: a digit adds its step
+    to scale * frac(t) and V step / scale to the point, minus v_j for each t_j
+    that wraps; its d_i-th step brings t back to where the digit started.
     """
     _, D, W = smith_normal_form(transpose([list(v) for v in vectors]))
     d = diagonal_of(D)
     scale = d[-1]
-    pts = []
-    for y in itertools.product(*[range(di) for di in d]):
-        ys = [yi * (scale // di) for yi, di in zip(y, d)]
-        t = [dot(row, ys) % scale for row in W]  # scale * frac(t)
-        pts.append(tuple(dot(t, col) // scale for col in zip(*vectors)))
-    return pts
+    digits = []  # (radix, step of scale * frac(t), step of the point)
+    for i, di in enumerate(d):
+        if di > 1:
+            step = [row[i] * (scale // di) % scale for row in W]
+            digits.append((di, step, [dot(step, col) // scale for col in zip(*vectors)]))
+    t, x, y = [0] * len(vectors), [0] * len(vectors[0]), [0] * len(digits)
+    pts = [tuple(x)]
+    while True:
+        for i, (di, step, move) in enumerate(digits):
+            for j, s in enumerate(step):
+                t[j] += s
+                if t[j] >= scale:
+                    t[j] -= scale
+                    x = [a - b for a, b in zip(x, vectors[j])]
+            x = [a + b for a, b in zip(x, move)]
+            y[i] += 1
+            if y[i] < di:
+                break
+            y[i] = 0
+        else:
+            return pts
+        pts.append(tuple(x))
 
 
 def hilbert_basis(sigma: RationalCone) -> HilbertBasis:
@@ -360,9 +381,10 @@ def hilbert_basis(sigma: RationalCone) -> HilbertBasis:
 
 
 def _hilbert_vectors(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
-    """Hilbert basis of a pointed cone: the rays and the parallelepiped
-    points of a placing triangulation, reduced in order of the grading
-    sum(facet_normals), which is positive on sigma minus 0.
+    """Hilbert basis of a pointed cone.  In Z^2 it is the Hirzebruch-Jung
+    chain.  Otherwise the rays and the points of one parallelepiped (a
+    simplicial cone) or of a placing triangulation's parallelepipeds are
+    reduced in order of the grading sum(facet_normals), positive on sigma - 0.
 
     Every candidate lies in the span of sigma, so h - c is in sigma iff
     u.h >= u.c for every facet normal u.  If h = a + b with a, b nonzero
@@ -372,11 +394,16 @@ def _hilbert_vectors(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
     """
     if not sigma.rays:
         return ()
+    normals = sigma.facet_normals
+    if sigma.rank == 2 and len(normals) == 2:
+        return _hirzebruch_jung(*(next(r for r in sigma.rays if dot(u, r) == 0)
+                                  for u in normals))
     candidates: set[tuple[int, ...]] = set(sigma.rays)
-    for simplex in _placing_triangulation(sigma):
+    simplices = ([tuple(range(len(sigma.rays)))] if sigma.simplicial
+                 else _placing_triangulation(sigma))
+    for simplex in simplices:
         candidates.update(_parallelepiped_points([sigma.rays[i] for i in simplex]))
     candidates.discard((0,) * sigma.rank)
-    normals = sigma.facet_normals
     grading = [sum(column) for column in zip(*normals)]
     basis: list[tuple[int, ...]] = []
     slacks: list[tuple[int, ...]] = []  # (u.c for u in normals) per basis element c
@@ -392,6 +419,27 @@ def _hilbert_vectors(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(basis))
 
 
+def _hirzebruch_jung(u, v) -> tuple[tuple[int, ...], ...]:
+    """Hilbert basis of the cone over independent primitive u, v in Z^2: the
+    chain u = u_0, u_1, ..., u_m = v with u_{i+1} = b_i u_i - u_{i-1}, each
+    neighbour pair a lattice basis (Oda 1988, Convex Bodies and Algebraic
+    Geometry, Sec. 1.6).  It costs its length, whatever det(u, v) is."""
+    def det(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    if det(u, v) < 0:
+        u, v = v, u
+    x = pow(u[0], -1, abs(u[1])) if u[1] else u[0]  # u_0 x = 1 mod u_1, as u is primitive
+    w = ((u[0] * x - 1) // u[1] if u[1] else 0, x)  # det(u, w) = 1
+    m = -(-det(v, w) // det(u, v))  # u_1 = w + m u: height 1 over u, nearest to u
+    chain = [u, (w[0] + m * u[0], w[1] + m * u[1])]
+    while chain[-1] != v:  # the heights det(u_i, v) fall strictly to 0
+        (p0, p1), (c0, c1) = chain[-2], chain[-1]
+        b = -(-det(chain[-2], v) // det(chain[-1], v))
+        chain.append((b * c0 - p0, b * c1 - p1))
+    return tuple(sorted(chain))
+
+
 def lattice_monoid_generators(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
     """Generators of the monoid sigma cap Z^n, lineality allowed.
 
@@ -403,22 +451,10 @@ def lattice_monoid_generators(sigma: RationalCone) -> tuple[tuple[int, ...], ...
     lin = sigma.effective_lineality
     if not lin:
         return _hilbert_vectors(sigma)
-    l = len(lin)
     proj, lift_cols = _lineality_complement(lin, n)
-    gens = set()
-    if n - l > 0:
-        proj_rays = set()
-        for r in sigma.rays:
-            img = tuple(dot(p, r) for p in proj)
-            if any(x != 0 for x in img):
-                proj_rays.add(primitive_vector(img))
-        if proj_rays:
-            qcone = RationalCone.make(sorted(proj_rays), rank=n - l)
-            for h in _hilbert_vectors(qcone):
-                lift = tuple(
-                    sum(lift_cols[j][i] * h[j] for j in range(n - l)) for i in range(n)
-                )
-                gens.add(lift)
+    qcone = RationalCone.make([[dot(p, r) for p in proj] for r in sigma.rays], rank=len(proj))
+    gens = {tuple(sum(c[i] * x for c, x in zip(lift_cols, h)) for i in range(n))
+            for h in _hilbert_vectors(qcone)}
     for v in lin:
         gens.add(tuple(v))
         gens.add(tuple(-x for x in v))

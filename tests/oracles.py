@@ -153,21 +153,46 @@ def in_rational_cone(rays, x) -> bool:
     return False
 
 
+def _corner_box(vectors):
+    """Per coordinate, the integer range spanned by the 0/1 combinations
+    of the vectors."""
+    n = len(vectors[0])
+    corners = [[sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n)]
+               for coeffs in itertools.product((0, 1), repeat=len(vectors))]
+    return [range(min(c[i] for c in corners), max(c[i] for c in corners) + 1)
+            for i in range(n)]
+
+
 def parallelepiped_points(vectors):
     """Lattice points of {sum t_i v_i : 0 <= t_i < 1} for independent
     vectors: scan the integer box spanned by their 0/1 combinations and
     solve for t at every point of it."""
-    n = len(vectors[0])
-    corners = [[sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n)]
-               for coeffs in itertools.product((0, 1), repeat=len(vectors))]
-    box = [range(min(c[i] for c in corners), max(c[i] for c in corners) + 1)
-           for i in range(n)]
     points = set()
-    for p in itertools.product(*box):
+    for p in itertools.product(*_corner_box(vectors)):
         t = _solve(vectors, list(p))
         if t is not None and all(0 <= x < 1 for x in t):
             points.add(p)
     return points
+
+
+def minimal_lattice_points(rays):
+    """Hilbert basis of the pointed cone over rays (any signs), by
+    enumeration.  By Caratheodory each element is a ray or a lattice point
+    of the half-open parallelepiped of independent rays, so it lies in the
+    integer box spanned by the 0/1 sums of the rays.  A point p of the cone
+    there is reducible iff p - q is in the cone for some basis element q;
+    so points are first dropped when p - q is a cone point of the box, and
+    the rest, which keep every basis element, are compared among themselves
+    exactly, since p - q may leave the box when the rays have mixed signs."""
+    box = _corner_box(rays)
+    points = {p for p in itertools.product(*box) if any(p) and in_rational_cone(rays, p)}
+
+    def minus(p, q):
+        return tuple(a - b for a, b in zip(p, q))
+
+    rest = {p for p in points if not any(minus(p, q) in points for q in points)}
+    return {p for p in rest
+            if not any(q != p and in_rational_cone(rays, minus(p, q)) for q in rest)}
 
 
 def _solve_nonneg(cols, target):

@@ -1,13 +1,19 @@
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import itertools
+import time
 from math import gcd
 
 import sympy
 
-from oracles import generated_lattice_points, in_rational_cone, parallelepiped_points
+from oracles import (
+    generated_lattice_points,
+    in_rational_cone,
+    minimal_lattice_points,
+    parallelepiped_points,
+)
 from f1geom.cones import (
     DD_MEMO_SIZE,
     ConeError,
@@ -125,28 +131,62 @@ def test_parallelepiped_points_match_the_box_scan(vectors):
     assert len(points) == gcd(*minors)
 
 
-def _minimal_lattice_points(rays):
-    """Minimal nonzero lattice points of the cone over nonnegative rays, by
-    enumeration: each is at most the sum of the rays coordinatewise, and
-    so is every point of a decomposition of it."""
-    box = [range(sum(c) + 1) for c in zip(*rays)]
-    points = {p for p in itertools.product(*box) if any(p) and in_rational_cone(rays, p)}
-    return {p for p in points
-            if not any(tuple(a - b for a, b in zip(p, q)) in points for q in points)}
-
-
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(st.data())
 def test_hilbert_basis_is_the_set_of_minimal_lattice_points(data):
-    # 2 to n + 1 rays in Z^2 and Z^3 and 2 or 3 rays in Z^4, so cones of
-    # lower dimension embedded in Z^3 and Z^4 come up as well
-    n = data.draw(st.integers(2, 4))
-    k = data.draw(st.integers(2, 3)) if n == 4 else data.draw(st.integers(2, n + 1))
-    rays = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
-                              min_size=k, max_size=k))
-    assume(all(any(r) for r in rays) and _box_size(rays) <= 400)
+    # 2 to n + 1 nonnegative rays in Z^2 and Z^3 and 2 or 3 in Z^4, so cones
+    # of lower dimension embedded in Z^3 and Z^4 come up as well; or k <= n
+    # independent rays of any signs, a simplicial cone off the orthant
+    if data.draw(st.booleans()):
+        rays = data.draw(independent_vectors())
+        n = len(rays[0])
+        assume(_box_size(rays) <= 250)
+    else:
+        n = data.draw(st.integers(2, 4))
+        k = data.draw(st.integers(2, 3)) if n == 4 else data.draw(st.integers(2, n + 1))
+        rays = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                                  min_size=k, max_size=k))
+        assume(all(any(r) for r in rays) and _box_size(rays) <= 400)
     sigma = RationalCone.make(rays, rank=n)
-    assert set(hilbert_basis(sigma).vectors) == _minimal_lattice_points(rays)
+    assert set(hilbert_basis(sigma).vectors) == minimal_lattice_points(rays)
+
+
+@st.composite
+def pointed_plane_rays(draw):
+    """Two or three rays with entries in [-12, 12] spanning a pointed
+    two-dimensional cone in Z^2."""
+    rays = draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(any),
+                         min_size=2, max_size=3))
+    sigma = RationalCone.make(rays, rank=2)
+    assume(sigma.dim == 2 and sigma.pointed)
+    return rays
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pointed_plane_rays(), st.integers(-3, 3), st.integers(-3, 3),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+@example([(1, 0), (1, 5)], 0, 0, [0, 0, 0])  # det(u, v) > 0 as the facets list them
+@example([(1, 0), (1, -5)], 2, -1, [1, -2, 0])  # det(u, v) < 0
+@example([(2, -1), (-3, 2)], 1, 1, [0, 3, 0])  # det 1: the basis is the two rays
+@example([(5, -3), (1, 1), (-2, 7)], -1, 2, [2, 0, -3])  # (1, 1) is not extremal
+def test_plane_hilbert_basis_matches_the_signed_oracle(rays, a, b, heights):
+    expected = minimal_lattice_points(rays)
+    assert set(hilbert_basis(RationalCone.make(rays, rank=2)).vectors) == expected
+    # the same monoid as the pointed quotient of a rank-3 cone with lineality
+    # (a, b, 1), which (x, y, z) -> (x - a z, y - b z) maps onto Z^2 and kills
+    lifted = [(x + a * z, y + b * z, z) for (x, y), z in zip(rays, heights)]
+    gens = lattice_monoid_generators(
+        RationalCone.make(lifted, rank=3, lineality=((a, b, 1),)))
+    assert (a, b, 1) in gens and (-a, -b, -1) in gens
+    assert {(x - a * z, y - b * z) for x, y, z in gens} == expected | {(0, 0)}
+
+
+def test_hilbert_basis_of_a_huge_determinant_plane_cone_skips_the_cosets():
+    # det 10^6 + 1: a walk over the cosets would list every one of them
+    start = time.perf_counter()
+    basis = hilbert_basis(cone((1, 0), (1000002, 1000003))).vectors
+    assert basis == ((1, 0), (1, 1), (1000002, 1000003))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hilbert_basis_of_a_large_determinant_cone():
