@@ -5,7 +5,8 @@ into the multiplicative monoid of F_q, stratified over the primes of A;
 on each stratum the count is the number of homs from the stalk unit
 group into the cyclic group of order q - 1.  Counts are therefore sums
 of hom counts computed by Smith normal form, never by enumeration --
-enumeration lives in the test oracles.
+enumeration lives in the test oracles.  Every count takes a scheme; a
+monoid A is counted as its spectrum ``MScheme.affine(A)``.
 """
 from __future__ import annotations
 
@@ -92,16 +93,11 @@ class CountRecord:
         return {"q": self.q, "count": self.count, "method": self.method}
 
 
-def _scheme_of(X) -> MScheme:
-    return X if isinstance(X, MScheme) else MScheme.affine(X)
-
-
-def count_points(X, q: int) -> CountRecord:
+def count_points(X: MScheme, q: int) -> CountRecord:
     """#X(F_q) = sum over points of #Hom(units of stalk, Z/(q-1))."""
     prime_power_base(q)
-    scheme = _scheme_of(X)
     total = 0
-    for pt in scheme.points:
+    for pt in X.points:
         total += hom_count_to_cyclic(pt.units, q - 1)
     return CountRecord(q, total)
 
@@ -118,9 +114,9 @@ class CountingFunction:
     terms: tuple[tuple[int, tuple[int, ...]], ...]  # (rank, torsion factors)
 
     @staticmethod
-    def of_scheme(X) -> "CountingFunction":
+    def of_scheme(X: MScheme) -> "CountingFunction":
         terms = ((pt.units.free_rank, pt.units.invariant_factors)
-                 for pt in _scheme_of(X).points)
+                 for pt in X.points)
         return CountingFunction(tuple(sorted(terms)))
 
     @property
@@ -165,7 +161,7 @@ class CountingFunction:
         return total
 
 
-def counting_polynomial(X) -> CountingFunction:
+def counting_polynomial(X: MScheme) -> CountingFunction:
     """The symbolic counting function of a scheme (flagged if torsion)."""
     return CountingFunction.of_scheme(X)
 

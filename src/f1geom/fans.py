@@ -64,8 +64,11 @@ class Fan:
         return tuple(sorted(self.cones, key=lambda c: (len(c), sorted(c))))
 
 
-def make_fan(rank: int, rays, cone_ray_indices, complete_faces: bool = True) -> Fan:
-    """Validate and build a fan; face closure is completed when asked."""
+def make_fan(rank: int, rays, cone_ray_indices) -> Fan:
+    """Validate and build a fan: rays are made primitive and must be
+    distinct, each listed cone must have independent rays, and two cones
+    must meet in a common face.  The faces of the listed cones are always
+    added, so listing the maximal cones is enough."""
     prim = []
     seen = set()
     for r in rays:
@@ -87,13 +90,7 @@ def make_fan(rank: int, rays, cone_ray_indices, complete_faces: bool = True) -> 
         if rat_rank([list(rays[i]) for i in c]) != len(c):
             raise FanError(f"cone {sorted(c)} rays are not linearly independent")
         cones.add(c)
-    if complete_faces:
-        cones = {f for c in cones for f in _faces(c)}
-    else:
-        for c in cones:
-            for f in _faces(c):
-                if f not in cones:
-                    raise FanError(f"fan is not face-closed: missing face {sorted(f)}")
+    cones = {f for c in cones for f in _faces(c)}
     fan = Fan(rank, rays, tuple(sorted(cones, key=lambda c: (len(c), sorted(c)))))
     _check_intersections(fan)
     return fan

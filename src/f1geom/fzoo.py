@@ -20,7 +20,7 @@ class FZooError(ValueError):
 
 
 def _require_finite_pointed(M) -> TableMonoid:
-    if not isinstance(M, TableMonoid) or not M.pointed:
+    if M.zero is None:  # no zero element; an AffineMonoid's zero is formal
         raise FZooError("only genuine finite pointed monoids are accepted here")
     return M
 

@@ -1,13 +1,17 @@
 """Reading and writing the description file formats.
 
 Every input is JSON with a ``kind`` discriminator: monoid, table_monoid,
-fan, torification, or cells.  Parsing returns the corresponding typed
-object; syntax errors carry the line/column, semantic errors the
-offending entry.  Emission is compact, sorted-key JSON on one line plus
-a newline, written by the json module's C encoder; it is canonical, so
-emit then re-parse is the identity.  Torus labels are optional in a
-torification file: they are written only when the torification carries
-some, and a file without them parses to an unlabeled torification.
+fan, torification, or cells.  ``KINDS`` is the one table of them: it maps
+each kind to its class, its parser and its emitter, so parsing looks the
+kind up by name and emission by the object's class.  Parsing returns the
+typed object (a torification file gives the pair (torification, counting
+polynomial or None)); syntax errors carry the line/column, semantic
+errors the offending entry.  Emission is compact, sorted-key JSON on one
+line plus a newline, written by the json module's C encoder; it is
+canonical, so emit then re-parse is the identity.  Torus labels are
+optional in a torification file: they are written only when the
+torification carries some, and a file without them parses to an
+unlabeled torification.
 """
 from __future__ import annotations
 
@@ -46,16 +50,9 @@ def object_from_dict(data):
     if not isinstance(data, dict) or "kind" not in data:
         raise ValidationError("input must be an object with a 'kind' field")
     kind = data["kind"]
-    builders = {
-        "monoid": _monoid_from_dict,
-        "table_monoid": _table_monoid_from_dict,
-        "fan": _fan_from_dict,
-        "torification": _torification_from_dict,
-        "cells": _cells_from_dict,
-    }
-    if kind not in builders:
-        raise ValidationError(f"unknown kind {kind!r}; expected one of {sorted(builders)}")
-    return builders[kind](data)
+    if kind not in KINDS:
+        raise ValidationError(f"unknown kind {kind!r}; expected one of {sorted(KINDS)}")
+    return KINDS[kind][1](data)
 
 
 def _int_list(value, where):
@@ -133,9 +130,8 @@ def _torification_from_dict(data) -> tuple:
     if "counting" in data:
         counting = CountingPolynomial.make(_int_list(data["counting"], "'counting'"))
     charts = None
-    chart_counts = None
     if "charts" in data:
-        charts, chart_counts = {}, {}
+        charts = {}
         if not isinstance(data["charts"], dict):
             raise ValidationError("'charts' must map chart ids to records")
         for cid, recdata in data["charts"].items():
@@ -145,13 +141,12 @@ def _torification_from_dict(data) -> tuple:
             for key in ("tori", "counting"):
                 if key not in recdata:
                     raise ValidationError(f"{where} lacks the {key!r} entry")
-            charts[cid] = _label_list(recdata["tori"], f"{where}.tori")
-            chart_counts[cid] = CountingPolynomial.make(
-                _int_list(recdata["counting"], f"{where}.counting"))
+            charts[cid] = (_label_list(recdata["tori"], f"{where}.tori"), CountingPolynomial.make(
+                _int_list(recdata["counting"], f"{where}.counting")))
     labels = None
     if "labels" in data:
         labels = _label_list(data["labels"], "'labels'")
-    return Torification.make(ranks, labels, charts, chart_counts), counting
+    return Torification.make(ranks, labels, charts), counting
 
 
 def _label_list(value, where):
@@ -176,9 +171,8 @@ def _cells_from_dict(data) -> CellComplex:
 
 # --- emission --------------------------------------------------------------------
 
-def monoid_to_dict(A: AffineMonoid) -> dict:
+def _monoid_to_dict(A: AffineMonoid) -> dict:
     return {
-        "kind": "monoid",
         "ambient_rank": A.ambient_rank,
         "torsion": list(A.torsion),
         "generators": [list(g) for g in A.generators],
@@ -186,9 +180,8 @@ def monoid_to_dict(A: AffineMonoid) -> dict:
     }
 
 
-def table_monoid_to_dict(M: TableMonoid) -> dict:
+def _table_monoid_to_dict(M: TableMonoid) -> dict:
     out = {
-        "kind": "table_monoid",
         "elements": list(M.elements),
         "table": [[M.op(a, b) for b in M.elements] for a in M.elements],
         "identity": M.identity,
@@ -198,48 +191,55 @@ def table_monoid_to_dict(M: TableMonoid) -> dict:
     return out
 
 
-def fan_to_dict(fan: Fan) -> dict:
+def _fan_to_dict(fan: Fan) -> dict:
     return {
-        "kind": "fan",
         "rank": fan.rank,
         "rays": [list(r) for r in fan.rays],
         "cones": [sorted(c) for c in fan.sorted_cones()],
     }
 
 
-def torification_to_dict(T: Torification, counting: CountingPolynomial = None) -> dict:
-    out = {"kind": "torification", "ranks": list(T.ranks)}
+def _torification_to_dict(T: Torification) -> dict:
+    out = {"ranks": list(T.ranks)}
     if T.labels:
         out["labels"] = [list(l) if isinstance(l, tuple) else l for l in T.labels]
-    if counting is not None:
-        out["counting"] = list(counting.coefficients)
     if T.charts is not None:
         out["charts"] = {
             str(cid): {
                 "tori": [list(t) if isinstance(t, tuple) else t for t in tori],
-                "counting": list(T.chart_counts[cid].coefficients),
+                "counting": list(poly.coefficients),
             }
-            for cid, tori in T.charts.items()
+            for cid, (tori, poly) in T.charts.items()
         }
     return out
 
 
-def cells_to_dict(c: CellComplex) -> dict:
-    return {"kind": "cells", "cells": [list(p) for p in c.cells]}
+def _cells_to_dict(c: CellComplex) -> dict:
+    return {"cells": [list(p) for p in c.cells]}
+
+
+# kind -> (class, parser, emitter); an emitter writes every entry but the kind
+KINDS = {
+    "monoid": (AffineMonoid, _monoid_from_dict, _monoid_to_dict),
+    "table_monoid": (TableMonoid, _table_monoid_from_dict, _table_monoid_to_dict),
+    "fan": (Fan, _fan_from_dict, _fan_to_dict),
+    "torification": (Torification, _torification_from_dict, _torification_to_dict),
+    "cells": (CellComplex, _cells_from_dict, _cells_to_dict),
+}
+_KIND_OF_CLASS = {cls: kind for kind, (cls, _, _) in KINDS.items()}
 
 
 def object_to_dict(obj, counting=None) -> dict:
-    if isinstance(obj, AffineMonoid):
-        return monoid_to_dict(obj)
-    if isinstance(obj, TableMonoid):
-        return table_monoid_to_dict(obj)
-    if isinstance(obj, Fan):
-        return fan_to_dict(obj)
-    if isinstance(obj, Torification):
-        return torification_to_dict(obj, counting)
-    if isinstance(obj, CellComplex):
-        return cells_to_dict(obj)
-    raise ValidationError(f"cannot emit {obj!r}")
+    """The file dict of ``obj``.  ``counting``, the polynomial a torification
+    file is verified against, is written as the 'counting' entry, which
+    only the torification parser reads."""
+    kind = _KIND_OF_CLASS.get(type(obj))
+    if kind is None:
+        raise ValidationError(f"cannot emit {obj!r}")
+    out = {"kind": kind, **KINDS[kind][2](obj)}
+    if counting is not None:
+        out["counting"] = list(counting.coefficients)
+    return out
 
 
 def emit(obj, path, counting=None):

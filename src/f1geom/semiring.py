@@ -7,6 +7,8 @@ endomorphisms psi_p act on monomials by a -> a^p; reduction mod p turns
 psi_p into the Frobenius, which frobenius_check verifies elementwise.
 The Frobenius power x^p it compares against is computed in F_p[A], its
 coefficients reduced mod p after each product, so they never outgrow p.
+The family {psi_p} commutes, which psi_commute verifies elementwise;
+these two checks are the desk-scale content of a Frobenius-lift family.
 """
 from __future__ import annotations
 
@@ -153,27 +155,14 @@ def frobenius_check(x: SemigroupRingElement, p: int) -> bool:
     return is_frobenius_image(psi(x, p), x, p)
 
 
-@dataclass(frozen=True)
-class LambdaStructure:
-    """The commuting family {psi_p} on a semigroup ring.
-
-    ``check_commuting`` verifies psi_p o psi_q = psi_q o psi_p on given
-    elements, ``check_frobenius`` the mod-p Frobenius square; both are the
-    desk-scale content of a Frobenius-lift family.
-    """
-
-    owner: object
-
-    def check_commuting(self, x: SemigroupRingElement, ps) -> bool:
-        ps = list(ps)
-        for i, p in enumerate(ps):
-            for q in ps[i + 1:]:
-                if psi(psi(x, p), q) != psi(psi(x, q), p):
-                    return False
-        return True
-
-    def check_frobenius(self, x: SemigroupRingElement, ps) -> bool:
-        return all(frobenius_check(x, p) for p in ps)
+def psi_commute(x: SemigroupRingElement, ps) -> bool:
+    """psi_p o psi_q == psi_q o psi_p on x for every pair of ps."""
+    ps = list(ps)
+    for i, p in enumerate(ps):
+        for q in ps[i + 1:]:
+            if psi(psi(x, p), q) != psi(psi(x, q), p):
+                return False
+    return True
 
 
 def random_ring_elements(A, count: int, seed: int, max_exponent: int = 4,

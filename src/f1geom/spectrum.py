@@ -187,9 +187,9 @@ def _classes(keys, pairs) -> list[list]:
 
 
 def glue(charts, gluings) -> MScheme:
-    """Build an MScheme, checking the gluing isomorphisms."""
+    """Build an MScheme from charts and ``GluingData`` records, checking their isos."""
     charts = tuple(charts)
-    records = tuple(g if isinstance(g, GluingData) else GluingData(*g) for g in gluings)
+    records = tuple(gluings)
     return MScheme(charts, records, *_build_scheme_data(charts, records))
 
 

@@ -41,19 +41,19 @@ class Torification:
     ``ranks``, one entry per torus in ascending order, is derived from it
     on first use.  Labels are kept only when the caller supplies them or
     a chart assignment refers to tori; they are then paired with
-    ``ranks`` entry by entry.  A chart assignment without labels uses the
-    torus indices.  Otherwise ``labels == ()``.  ``charts`` maps a chart
-    id to the labels of the tori lying in it, together with the chart's
-    own counting polynomial, which is what the affineness check needs.
+    ``ranks`` entry by entry, tori of equal rank in the caller's order.  A
+    chart assignment without labels uses the torus indices.  Otherwise
+    ``labels == ()``.  ``charts`` maps a chart id to the pair (labels of
+    the tori lying in the chart, the chart's own counting polynomial),
+    which is what the affineness check needs.
     """
 
     rank_counts: tuple[tuple[int, int], ...]
     labels: tuple = ()
     charts: dict = field(default=None, compare=False)
-    chart_counts: dict = field(default=None, compare=False)
 
     @staticmethod
-    def make(ranks, labels=None, charts=None, chart_counts=None) -> "Torification":
+    def make(ranks, labels=None, charts=None) -> "Torification":
         """``ranks`` is a list with one rank per torus, or, when no labels or
         charts are given, a {rank: multiplicity} mapping."""
         if labels is None and charts is None:
@@ -65,15 +65,12 @@ class Torification:
             raise TorifyError("need one label per torus")
         if len(known) != len(labels):
             raise TorifyError("torus labels must be unique")
-        for cid, tori in (charts or {}).items():
-            if cid not in (chart_counts or {}):
-                raise TorifyError(f"charts[{cid}] has no entry in chart_counts")
+        for cid, (tori, _) in (charts or {}).items():
             for t in tori:
                 if t not in known:
                     raise TorifyError(f"charts[{cid}] names torus {t!r}, which has no label")
-        paired = sorted(zip(ranks, labels), key=lambda rl: (rl[0], str(rl[1])))
-        return Torification(_tally(Counter(ranks)), tuple(l for _, l in paired),
-                            charts, chart_counts)
+        paired = sorted(zip(ranks, labels), key=lambda rl: rl[0])  # stable within a rank
+        return Torification(_tally(Counter(ranks)), tuple(l for _, l in paired), charts)
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -131,16 +128,16 @@ def verify_torification(T: Torification, N: CountingPolynomial) -> bool:
 def is_affinely_torified(T: Torification):
     """Every chart's assigned tori must verify the chart's own counting
     polynomial.  Without an assignment the result is indeterminate."""
-    if T.charts is None or T.chart_counts is None:
+    if T.charts is None:
         return None, ["no chart assignment present; affineness is indeterminate"]
     by_label = dict(zip(T.labels, T.ranks))
     failures = []
-    for chart_id, label_list in sorted(T.charts.items(), key=lambda kv: str(kv[0])):
+    for chart_id, (label_list, chart_poly) in sorted(T.charts.items(), key=lambda kv: str(kv[0])):
         tori = CountingPolynomial.of_tori(by_label[l] for l in label_list)
-        if tori != T.chart_counts[chart_id]:
+        if tori != chart_poly:
             failures.append(
                 f"chart {chart_id}: tori sum to {tori}, "
-                f"chart counts {T.chart_counts[chart_id]}")
+                f"chart counts {chart_poly}")
     return (not failures), failures
 
 
@@ -159,13 +156,12 @@ def orbit_torification(X: MScheme) -> Torification:
     for c in fan.sorted_cones():
         ranks.append(n - fan.cone_dim(c))
         labels.append(cone_key[c])
-    charts, chart_counts = {}, {}
+    charts = {}
     for mi, mc in enumerate(fan.maximal_cones):
-        members = [cone_key[c] for c in fan.cones if c <= mc]
-        charts[mi] = sorted(members)
-        chart_counts[mi] = CountingPolynomial.of_tori(
-            n - fan.cone_dim(c) for c in fan.cones if c <= mc)
-    return Torification.make(ranks, labels, charts, chart_counts)
+        faces = [c for c in fan.cones if c <= mc]
+        charts[mi] = (sorted(cone_key[c] for c in faces),
+                      CountingPolynomial.of_tori(n - fan.cone_dim(c) for c in faces))
+    return Torification.make(ranks, labels, charts)
 
 
 def torify_cells(cells) -> dict[int, int]:
@@ -215,16 +211,15 @@ def schubert_torification(k: int, n: int, with_pivot_charts: bool = False):
     N = gaussian_binomial(n, k)
     if not with_pivot_charts:
         return Torification.make(torify_cells((d, 0) for d in cells)), N
-    ranks, labels, charts, chart_counts = [], [], {}, {}
+    ranks, labels, charts = [], [], {}
     chart_poly = CountingPolynomial.make([0] * (k * (n - k)) + [1])  # q^{k(n-k)}
     for idx, d in enumerate(cells):
         tori = Counter(torify_cells([(d, 0)])).elements()  # one rank per torus
         cell = [(idx, d, r, seq) for seq, r in enumerate(tori)]
         ranks += [r for _, _, r, _ in cell]
         labels += cell
-        charts[f"pivot-{idx}"] = cell
-        chart_counts[f"pivot-{idx}"] = chart_poly
-    return Torification.make(ranks, labels, charts, chart_counts), N
+        charts[f"pivot-{idx}"] = (cell, chart_poly)
+    return Torification.make(ranks, labels, charts), N
 
 
 def bruhat_torification(group: str):

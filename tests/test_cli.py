@@ -3,7 +3,8 @@
 Every verb runs on every `data/` file it applies to, and the JSON it
 prints must match `tests/golden/<case>.json` byte for byte.  The golden
 files pin the library's results through refactors: a change that moves
-any of them shows up here.
+any of them shows up here.  A few cases also pin the text output, in
+`tests/golden/<case>.txt`.
 
 Regenerate the golden files (only when an output change is intended and
 recorded) with
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import f1geom.spectrum as spectrum
 from f1geom import cli
 from f1geom.limits import LIMITS
 
@@ -67,6 +69,9 @@ def _cases():
 
 
 CASES = _cases()
+# Text mode prints each value with str(), so unlike JSON it tells a tuple
+# from a list; these cases pin it.
+TEXT_CASES = [f"{verb}-{name}" for verb in ("spec", "count") for name in MONOIDS] + ["verify-sl2"]
 
 
 def run_cli(argv):
@@ -76,10 +81,11 @@ def run_cli(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def _argv(case, tmp_dir):
+def _argv(case, tmp_dir, as_json=True):
     samples = Path(tmp_dir) / "p2.counts.json"
     samples.write_text(json.dumps(P2_SAMPLES))
-    return [a.replace("{p2_samples}", str(samples)) for a in CASES[case]] + ["--json"]
+    argv = [a.replace("{p2_samples}", str(samples)) for a in CASES[case]]
+    return argv + ["--json"] if as_json else argv
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -90,6 +96,28 @@ def test_golden_output(case, tmp_path):
     assert rc == (0 if json.loads(out)["status"] == "pass" else 1)
     if any(str(DATA) in a for a in CASES[case]):
         assert rc == 0, "every shipped data file passes its verb"
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_golden_text_output(case, tmp_path):
+    rc, out, err = run_cli(_argv(case, tmp_path, as_json=False))
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.txt").read_text()
+
+
+def test_count_on_a_monoid_builds_its_scheme_once(monkeypatch):
+    builds = []
+    build = spectrum._build_scheme_data
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(spectrum, "_build_scheme_data", counted)
+    rc, out, err = run_cli(["count", "--monoid", str(DATA / "n2.mon.json"),
+                            "--q", "2,3,4,5,7", "--json"])
+    assert (rc, err) == (0, "") and json.loads(out)["status"] == "pass"
+    assert len(builds) == 1
 
 
 # Outputs too large for a golden file, pinned by the sha256 of the JSON the
@@ -343,3 +371,5 @@ if __name__ == "__main__":
                 print(f"{case}: exit {rc}: {err.strip()}", file=sys.stderr)
                 continue
             (GOLDEN / f"{case}.json").write_text(out)
+            if case in TEXT_CASES:
+                (GOLDEN / f"{case}.txt").write_text(run_cli(_argv(case, tmp, as_json=False))[1])

@@ -22,7 +22,7 @@ from f1geom.counting import (
 from f1geom.fans import kato, standard_fans
 from f1geom.limits import LIMITS
 from f1geom.monoid import AffineMonoid, group_monoid
-from f1geom.spectrum import plus_zero
+from f1geom.spectrum import MScheme, plus_zero
 from f1geom.zeta import (
     CountingPolynomial,
     fit_counting_polynomial,
@@ -99,7 +99,7 @@ def test_field_size_cap_names_its_key():
 def test_torus_counts():
     for r in (1, 2, 3):
         for q in (2, 3, 5):
-            assert count_points(group_monoid(r), q).count == (q - 1) ** r
+            assert count_points(MScheme.affine(group_monoid(r)), q).count == (q - 1) ** r
 
 
 def test_p1_counts_match_line_enumeration():
@@ -169,7 +169,7 @@ def test_pointed_scheme_counts_are_unchanged():
 
 
 def test_torsion_chart_is_flagged():
-    mu3 = AffineMonoid.make(0, [[1]], torsion=[3])
+    mu3 = MScheme.affine(AffineMonoid.make(0, [[1]], torsion=[3]))
     cf = counting_polynomial(mu3)
     assert not cf.is_polynomial
     assert cf.modulus == 3
@@ -186,10 +186,11 @@ def test_torsion_chart_is_flagged():
 
 
 def test_count_record_shape():
-    rec = count_points(group_monoid(1), 4)
+    torus = MScheme.affine(group_monoid(1))
+    rec = count_points(torus, 4)
     assert rec.as_dict() == {"q": 4, "count": 3, "method": "stalk-formula"}
     with pytest.raises(CountError):
-        count_points(group_monoid(1), 6)
+        count_points(torus, 6)
 
 
 # --- fitting and parsing counting polynomials ----------------------------------

@@ -100,3 +100,53 @@ def test_every_public_name_is_used_in_the_package_or_allowed():
         f"only tests reach {sorted(unreferenced - UNREFERENCED_ON_PURPOSE)}"
     assert unreferenced == UNREFERENCED_ON_PURPOSE, \
         f"allowed but now used or gone: {sorted(UNREFERENCED_ON_PURPOSE - unreferenced)}"
+
+
+# isinstance checks against a class of the package: each one is a type
+# dispatch that a monoid method or a single record type has not replaced,
+# kept for a stated reason.  Keyed by (module, enclosing function); each
+# entry stands for one line.
+ISINSTANCE_ON_PURPOSE = {
+    ("cli", "cmd_spec"):
+        "text mode prints affine generators as lists and table elements as sorted "
+        "strings; the text goldens pin both, and a monoid method would print tuples",
+    ("spectrum", "MScheme.sections"):
+        "sections over a multi-branch open are cut out of an affine chart's cone",
+    ("spectrum", "_validate_gluing"):
+        "gluing records carry lattice isomorphisms, which only affine charts have",
+    ("spectrum", "global_sections"):
+        "the equalizer over several charts is solved in the affine charts' lattices",
+}
+
+
+def _scoped(node, scope=""):
+    """(qualified name of the enclosing function or class, node) for every
+    node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def test_isinstance_against_package_classes_is_on_the_allowlist():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    lines = {}
+    for mod, tree in trees.items():
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" and len(node.args) == 2:
+                named = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.args[1])
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if named & classes:
+                    lines.setdefault((mod, scope), set()).add(node.lineno)
+    sites = sorted(f"{mod}.py:{line} in {scope}"
+                   for (mod, scope), found in lines.items() for line in found)
+    assert set(lines) <= set(ISINSTANCE_ON_PURPOSE), f"type dispatch at {sites}"
+    assert set(lines) == set(ISINSTANCE_ON_PURPOSE), \
+        f"allowed but gone: {sorted(set(ISINSTANCE_ON_PURPOSE) - set(lines))}"
+    assert all(len(found) == 1 for found in lines.values()), f"more than one line: {sites}"

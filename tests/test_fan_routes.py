@@ -202,7 +202,7 @@ def _non_fan_schemes():
     z2 = TableMonoid.make(("e", "a"), {("e", "e"): "e", ("e", "a"): "a", ("a", "a"): "e"},
                           identity="e")
     return {
-        "P^1 by hand": glue([N, N], [(0, generic, 1, generic, ((-1,),))]),
+        "P^1 by hand": glue([N, N], [GluingData(0, generic, 1, generic, ((-1,),))]),
         "table {1,a,b,ab}": MScheme.affine(_idempotents("ab")),
         # "#" sorts before the zero "0", so the prime keys change order
         "table {1,#}": MScheme.affine(_idempotents("#")),

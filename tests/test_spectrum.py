@@ -11,6 +11,7 @@ from f1geom.monoid import (
     group_monoid,
 )
 from f1geom.spectrum import (
+    GluingData,
     GluingError,
     MScheme,
     SchemeError,
@@ -48,7 +49,7 @@ def _generic(X):
 def p1_scheme():
     N = free_monoid(1)
     generic = N.primes()[0]
-    return glue([N, N], [(0, generic, 1, generic, ((-1,),))])
+    return glue([N, N], [GluingData(0, generic, 1, generic, ((-1,),))])
 
 
 def test_spec_of_n_is_sierpinski():
@@ -213,23 +214,24 @@ def test_gluing_error_on_bad_iso():
     N = free_monoid(1)
     pmin = N.primes()[0]
     with pytest.raises(GluingError, match="not a lattice isomorphism"):
-        glue([N, N], [(0, pmin, 1, pmin, ((2,),))])
+        glue([N, N], [GluingData(0, pmin, 1, pmin, ((2,),))])
     N2 = free_monoid(2)
     with pytest.raises(GluingError, match="not a lattice isomorphism"):
-        glue([N2, N2], [(0, N2.primes()[0], 1, N2.primes()[0], ((1, 0), (0, 0)))])  # singular
+        glue([N2, N2], [GluingData(0, N2.primes()[0], 1, N2.primes()[0],
+                                   ((1, 0), (0, 0)))])  # singular
     closed = [p for p in N.primes() if p.face == ()][0]
     with pytest.raises(GluingError):
         # identity does not map the overlap (all of N inverted) into N
-        glue([N, N], [(0, pmin, 1, closed, ((1,),))])
+        glue([N, N], [GluingData(0, pmin, 1, closed, ((1,),))])
 
 
 def test_gluing_error_on_charts_of_different_rank():
     N, N2 = free_monoid(1), free_monoid(2)
     p, q = N2.primes()[0], N.primes()[0]
     with pytest.raises(GluingError, match="wrong shape"):
-        glue([N2, N], [(0, p, 1, q, ((1, 0),))])
+        glue([N2, N], [GluingData(0, p, 1, q, ((1, 0),))])
     with pytest.raises(GluingError, match="wrong shape"):
-        glue([N, N2], [(0, q, 1, p, ((1,), (0,)))])
+        glue([N, N2], [GluingData(0, q, 1, p, ((1,), (0,)))])
 
 
 def test_classify_flags():

@@ -75,7 +75,8 @@ def test_pivot_charts_leave_the_ranks_alone(k, n):
     charted, charted_N = schubert_torification(k, n, with_pivot_charts=True)
     assert charted.ranks == T.ranks and charted_N == N
     assert T.labels == () and len(charted.labels) == len(T.ranks)
-    assert sorted(t for tori in charted.charts.values() for t in tori) == sorted(charted.labels)
+    assert sorted(t for tori, _ in charted.charts.values() for t in tori) == \
+        sorted(charted.labels)
 
 
 def test_cell_ranks_match_subset_enumeration():
@@ -93,19 +94,18 @@ def test_unlabeled_make_stores_no_labels():
 
 
 def test_charts_without_labels_use_torus_indices():
-    T = Torification.make([1, 0], charts={"c": [0, 1]}, chart_counts={"c": q_poly(1, 0)})
+    T = Torification.make([1, 0], charts={"c": ([0, 1], q_poly(1, 0))})
     assert T.labels == (1, 0) and is_affinely_torified(T) == (True, [])
 
 
-@pytest.mark.parametrize("charts, chart_counts, message", [
-    ({0: ["c"]}, {0: q_poly(1)}, "charts[0] names torus 'c'"),
-    ({0: ["a"], "x": ["b"]}, {0: q_poly(1)}, "charts[x]"),
-    ({0: ["a"]}, None, "charts[0]"),
-])
-def test_make_refuses_charts_it_cannot_check(charts, chart_counts, message):
-    with pytest.raises(TorifyError) as err:
-        Torification.make([0, 1], labels=["a", "b"], charts=charts, chart_counts=chart_counts)
-    assert message in str(err.value)
+def test_labels_of_equal_rank_keep_the_callers_order():
+    assert Torification.make([0, 0], labels=[2, 10]).labels == (2, 10)
+    assert Torification.make([1, 0, 1], labels=["b", "c", "a"]).labels == ("c", "b", "a")
+
+
+def test_make_refuses_a_chart_naming_an_unlabeled_torus():
+    with pytest.raises(TorifyError, match=r"charts\[0\] names torus 'c'"):
+        Torification.make([0, 1], labels=["a", "b"], charts={0: (["c"], q_poly(1))})
 
 
 def _shifted_coefficients(N):
