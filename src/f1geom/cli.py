@@ -44,6 +44,7 @@ from .zeta import fit_counting_polynomial, parse_counting_polynomial, zeta
 
 SCHEMA = 1
 DEFAULT_SEED = 1729
+MONOID_KINDS = ("monoid", "table_monoid")  # the file kinds a monoid verb reads
 
 
 class CliError(ValueError):
@@ -77,18 +78,8 @@ def _parse_q_list(text: str) -> list[int]:
         raise CliError(f"--q expects a comma-separated integer list, got {text!r}")
 
 
-def _load(path, expected_kinds):
-    obj = parse_input(path)
-    label = type(obj).__name__
-    if isinstance(obj, tuple):  # torification files parse to (T, counting)
-        label = "torification"
-    if label not in expected_kinds:
-        raise CliError(f"{path} holds a {label}, expected one of {expected_kinds}")
-    return obj
-
-
 def cmd_spec(args) -> int:
-    A = _load(args.monoid, ("AffineMonoid", "TableMonoid"))
+    A = parse_input(args.monoid, MONOID_KINDS)
     X = MScheme.affine(A)
     point_list = []
     for pt in X.points:
@@ -111,7 +102,7 @@ def cmd_spec(args) -> int:
 
 
 def cmd_fan(args) -> int:
-    fan = _load(args.fan, ("Fan",))
+    fan = parse_input(args.fan, ("fan",))
     X = kato(fan)
     fz = fan_in_zn(fan)
     flags = classify(X)
@@ -131,10 +122,10 @@ def cmd_count(args) -> int:
     qs = _parse_q_list(args.q)
     fan = None
     if args.fan is not None:
-        fan = _load(args.fan, ("Fan",))
+        fan = parse_input(args.fan, ("fan",))
         X = kato(fan)
     else:
-        X = MScheme.affine(_load(args.monoid, ("AffineMonoid", "TableMonoid")))
+        X = MScheme.affine(parse_input(args.monoid, MONOID_KINDS))
     records = [count_points(X, q).as_dict() for q in qs]
     cf = counting_polynomial(X)
     report: dict = {"counts": records}
@@ -208,13 +199,13 @@ def _count_samples(path) -> dict:
 def cmd_torify(args) -> int:
     charts_report = None
     if args.fan is not None:
-        fan = _load(args.fan, ("Fan",))
+        fan = parse_input(args.fan, ("fan",))
         X = kato(fan)
         T = orbit_torification(X)
         N = counting_polynomial(X).as_polynomial()
         name = "orbit"
     elif args.cells is not None:
-        cc = _load(args.cells, ("CellComplex",))
+        cc = parse_input(args.cells, ("cells",))
         T = cc.torification()
         N = cc.count_polynomial()
         name = "cells"
@@ -244,7 +235,7 @@ def cmd_torify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    T, N = _load(args.torification, ("torification",))
+    T, N = parse_input(args.torification, ("torification",))
     if N is None:
         raise CliError("torification file lacks a 'counting' entry to verify against")
     ok = verify_torification(T, N)
@@ -264,7 +255,7 @@ def cmd_verify(args) -> int:
 def cmd_lambda_check(args) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be a positive integer, got {args.trials}")
-    A = _load(args.monoid, ("AffineMonoid", "TableMonoid"))
+    A = parse_input(args.monoid, MONOID_KINDS)
     ps = _parse_q_list(args.p)
     elements = random_ring_elements(A, args.trials, seed=args.seed)
     frob_ok = all(frobenius_check(x, p) for x in elements for p in ps)

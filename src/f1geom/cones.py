@@ -11,9 +11,12 @@ points are then reduced in order of a positive grading.  Everything runs
 at desk scale: the public dual/Hilbert operations enforce the lattice-rank
 cap LIMITS["lattice_rank"] = 4.
 
-Fans ask for the same few duals over and over, so `double_description`
-keeps the results of its last `DD_MEMO_SIZE` distinct inputs in a
-bounded LRU memo.  Results are tuples of tuples, so sharing them is safe.
+The monoids of a smooth fan cone are read off one Smith form of its rays
+(`cone_monoid_generators`), with no dual.  Only `make_fan`'s intersection
+checks and singular cones still ask for the same duals over and over, so
+`double_description` keeps the results of its last `DD_MEMO_SIZE` distinct
+inputs in a bounded LRU memo.  Results are tuples of tuples, so sharing
+them is safe.
 """
 from __future__ import annotations
 
@@ -459,3 +462,43 @@ def lattice_monoid_generators(sigma: RationalCone) -> tuple[tuple[int, ...], ...
         gens.add(tuple(v))
         gens.add(tuple(-x for x in v))
     return tuple(sorted(gens))
+
+
+def cone_monoid_generators(sigma: RationalCone):
+    """(generators of sigma cap Z^n, generators of sigma^dual cap Z^n), the
+    tuples `lattice_monoid_generators` gives for sigma and `_dual_uncapped(sigma)`.
+
+    Smooth route (Fulton 1993, Sec. 2.1): for k independent rays R whose
+    Smith form U R V = (I_k | 0) has only unit invariant factors, the rays
+    are part of a lattice basis, so sigma cap Z^n is generated by R.  The
+    last n - k columns of V are kernel_basis(R), a basis of the lineality
+    sigma^perp cap Z^n, and the columns of V[:, :k] U are the dual vectors
+    e_i* of the rays (R V[:, :k] U = I).  sigma^dual cap Z^n is generated by
+    the e_i* and +/- the lineality basis.  Each e_i* is written as
+    `lattice_monoid_generators` lifts its quotient Hilbert basis, lift_cols .
+    proj(e_i*), so the tuples match; no dual and no Hilbert basis is built.
+    Cones with lineality, dependent rays or an invariant factor above 1
+    take double description and Hilbert bases.
+    """
+    n, rays = sigma.rank, sigma.rays
+    k = len(rays)
+    smooth = not sigma.lineality and k <= n
+    if smooth and rays:
+        U, D, V = smith_normal_form([list(r) for r in rays])
+        smooth = all(D[i][i] == 1 for i in range(k))
+    if not smooth:
+        return lattice_monoid_generators(sigma), lattice_monoid_generators(_dual_uncapped(sigma))
+    if rays:
+        lin = [[row[j] for row in V] for j in range(k, n)]
+        duals = [[dot(row[:k], col) for row in V] for col in zip(*U)]
+    else:  # the zero cone, whose dual is all of Z^n
+        lin, duals = identity_matrix(n), []
+    if lin and duals:
+        proj, lift_cols = _lineality_complement(lin, n)
+        hs = ([dot(p, x) for p in proj] for x in duals)
+        duals = [[sum(c[i] * y for c, y in zip(lift_cols, h)) for i in range(n)] for h in hs]
+    gens = {tuple(x) for x in duals}
+    for v in lin:
+        gens.add(tuple(v))
+        gens.add(tuple(-x for x in v))
+    return rays, tuple(sorted(gens))

@@ -12,6 +12,11 @@ specialization is cone inclusion and the stalk at tau is tau^dual cap Z^n.
 ``kato`` hands that data to the scheme it builds, so nothing is glued;
 ``spectrum.glue`` stays the route for hand-built gluing diagrams, and for
 fans the tests use it as the oracle.
+
+Both monoids of a fan cone come from ``cones.cone_monoid_generators``.  A
+smooth cone's rays are part of a lattice basis (Fulton 1993, Sec. 2.1), so
+one Smith form of the rays gives sigma cap Z^n and sigma^dual cap Z^n with
+no dual cone and no Hilbert basis; singular cones take double description.
 """
 from __future__ import annotations
 
@@ -19,13 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cones import (
-    RationalCone,
-    _dual_uncapped,
-    intersection,
-    lattice_monoid_generators,
-    signed_rows,
-)
+from .cones import RationalCone, cone_monoid_generators, intersection, signed_rows
 from .intlinalg import dot, primitive_vector, quotient_invariants, rat_rank
 from .monoid import (
     AbelianGroup,
@@ -189,17 +188,17 @@ class FanInZn:
 def _fan_monoids(fan: Fan):
     """Both monoid sides of every cone and the condition (1) violations.
 
-    ``is_saturated`` decides a smooth cone and its dual by a rank test on
-    the generators; singular cones go through their saturation generators."""
+    A smooth cone's monoids are read off one Smith form of its rays
+    (``cone_monoid_generators``), and its saturation and units are decided
+    by a rank test on the generators; singular cones go through double
+    description, Hilbert bases and their saturation generators."""
     members = {}
     charts = {}
     violations = []
     for c in fan.sorted_cones():
-        cobj = fan.cone_obj(c)
-        A = AffineMonoid.make(fan.rank, lattice_monoid_generators(cobj))
-        members[c] = A
-        dual = _dual_uncapped(cobj)
-        charts[c] = AffineMonoid.make(fan.rank, lattice_monoid_generators(dual))
+        member, chart = cone_monoid_generators(fan.cone_obj(c))
+        A = members[c] = AffineMonoid.make(fan.rank, member)
+        charts[c] = AffineMonoid.make(fan.rank, chart)
         if not is_saturated(A):
             violations.append((1, tuple(sorted(c)), "member not saturated"))
         if not A.units().is_trivial:
@@ -265,14 +264,13 @@ def kato(fan: Fan) -> MScheme:
     stalk units are Z^(n - dim(tau)), its stalk is that chart localized there
     (tau^dual cap Z^n), and the points below it are those of its faces.
     ``glue`` on the same charts and records derives the same data; the
-    tests compare the two routes.
+    tests compare the two routes.  A smooth maximal cone's chart is read off
+    one Smith form of its rays (``cone_monoid_generators``), with no dual.
     """
     n = fan.rank
     maxcones = fan.maximal_cones
-    charts = [
-        AffineMonoid.make(n, lattice_monoid_generators(_dual_uncapped(fan.cone_obj(c))))
-        for c in maxcones
-    ]
+    charts = [AffineMonoid.make(n, cone_monoid_generators(fan.cone_obj(c))[1])
+              for c in maxcones]
 
     def face_of(ci: int, tau: frozenset) -> tuple[int, ...]:
         """Generator indices of chart ci vanishing on the rays of tau."""

@@ -35,23 +35,27 @@ class ValidationError(ValueError):
     pass
 
 
-def parse_input(path):
-    """Read one description file into its typed object."""
+def parse_input(path, kinds=None):
+    """Read one description file into its typed object.  ``kinds``, if
+    given, names the file kinds the caller takes; a file of another kind
+    is rejected by its kind before anything is built."""
     with open(path) as fh:
         text = fh.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno, e.colno) from e
-    return object_from_dict(data)
+    return object_from_dict(data, kinds, path)
 
 
-def object_from_dict(data):
+def object_from_dict(data, kinds=None, where="input"):
     if not isinstance(data, dict) or "kind" not in data:
         raise ValidationError("input must be an object with a 'kind' field")
     kind = data["kind"]
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {sorted(KINDS)}")
+    if kinds is not None and kind not in kinds:
+        raise ValidationError(f"{where} holds a {kind}, expected one of {list(kinds)}")
     return KINDS[kind][1](data)
 
 

@@ -179,19 +179,37 @@ class AffineMonoid:
         rays = [self.free_part(g) for g in self.generators if any(self.free_part(g))]
         return RationalCone.make(rays, rank=self.ambient_rank)
 
-    @cached_property
+    @property
     def unit_generator_indices(self) -> tuple[int, ...]:
         """Indices of generators whose free part lies in the lineality of the
-        recession cone; these generate the unit group."""
-        lin_cone = self.recession_cone
-        out = []
-        for i, g in enumerate(self.generators):
-            f = self.free_part(g)
-            if not any(f):
-                out.append(i)
-            elif lin_cone.contains(f) and lin_cone.contains(tuple(-x for x in f)):
-                out.append(i)
-        return tuple(out)
+        recession cone; these generate the unit group.
+
+        Rank route: let U be the generators whose free part is zero or has
+        its negative among the free parts, so U lies in the lineality.  If
+        the other free parts G are linearly independent modulo span(U), the
+        cone is span(U) + cone(G) and its lineality is span(U):
+        x = u + sum a_i g_i and -x = u' + sum b_i g_i with a, b >= 0 give
+        sum (a_i + b_i) g_i in span(U), so a = b = 0.  No g in G lies in
+        span(U), so the units are exactly U.  Every monoid of a smooth fan
+        takes this route; otherwise the recession cone's double description
+        decides each generator."""
+        return self._unit_split[0]
+
+    @cached_property
+    def _unit_split(self) -> tuple[tuple[int, ...], bool]:
+        """(unit generator indices, whether the other generators' free parts
+        are linearly independent modulo the span of the units' free parts);
+        `is_saturated` reads the second."""
+        frees = [self.free_part(g) for g in self.generators]
+        present = set(frees)
+        units = tuple(i for i, f in enumerate(frees)
+                      if not any(f) or tuple(-x for x in f) in present)
+        if _independent_modulo(frees, units):
+            return units, True
+        cone = self.recession_cone  # holds every f, so f is a unit iff -f is in it
+        units = tuple(i for i, f in enumerate(frees)
+                      if not any(f) or cone.contains(tuple(-x for x in f)))
+        return units, _independent_modulo(frees, units)
 
     def units(self) -> AbelianGroup:
         vecs = [list(self.generators[i]) for i in self.unit_generator_indices]
@@ -794,12 +812,16 @@ def is_saturated(A: AffineMonoid) -> bool:
     Otherwise (torsion, or dependent generators) A is saturated iff it
     contains each generator of its saturation.
     """
-    if not A.torsion:
-        unit_idx = A.unit_generator_indices
-        unit_rank = rat_rank([A.generators[i] for i in unit_idx])
-        if rat_rank(A.generators) == unit_rank + len(A.generators) - len(unit_idx):
-            return True
+    if not A.torsion and A._unit_split[1]:
+        return True
     return all(A.contains(g) for g in saturation_generators(A))
+
+
+def _independent_modulo(vectors, subset) -> bool:
+    """Whether the vectors outside ``subset`` (indices) are linearly
+    independent modulo the span of those in it."""
+    span = [vectors[i] for i in subset]
+    return rat_rank(vectors) == rat_rank(span) + len(vectors) - len(span)
 
 
 # --- convenience constructors ---------------------------------------------------

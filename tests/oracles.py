@@ -153,6 +153,15 @@ def in_rational_cone(rays, x) -> bool:
     return False
 
 
+def unit_generator_indices(monoid):
+    """The recession-cone route to an affine monoid's unit generators: the
+    indices of the generators whose free part f has -f in the rational cone
+    of all free parts, i.e. f in that cone's lineality."""
+    frees = [g[:monoid.ambient_rank] for g in monoid.generators]
+    rays = [f for f in frees if any(f)]
+    return tuple(i for i, f in enumerate(frees) if in_rational_cone(rays, [-x for x in f]))
+
+
 def _corner_box(vectors):
     """Per coordinate, the integer range spanned by the 0/1 combinations
     of the vectors."""

@@ -212,6 +212,26 @@ def test_grassmannian_argument_names_the_option(value):
 
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--torification", "p1.fan.json"], "holds a fan, expected one of ['torification']"),
+    (["count", "--monoid", "p1.fan.json"],
+     "holds a fan, expected one of ['monoid', 'table_monoid']"),
+    (["fan", "--fan", "n2.mon.json"], "holds a monoid, expected one of ['fan']"),
+    (["torify", "--cells", "sl2.torification.json"],
+     "holds a torification, expected one of ['cells']"),
+])
+def test_a_file_of_the_wrong_kind_is_named_by_its_kind(argv, expected):
+    path = str(DATA / argv[-1])
+    assert _error(argv[:-1] + [path]) == f"{path} {expected}"
+
+
+@pytest.mark.parametrize("kind", [[], {}, 3])
+def test_a_kind_that_is_no_string_is_an_unknown_kind(tmp_path, kind):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": kind}))
+    assert _error(["spec", "--monoid", str(path)]).startswith(f"unknown kind {kind!r}")
+
+
 @pytest.mark.parametrize("verb", ["fan", "count", "torify"])
 def test_empty_fan_is_an_error(tmp_path, verb):
     path = tmp_path / "empty.fan.json"

@@ -18,11 +18,20 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fan_reference import incomplete_fan_in_zn
+import f1geom.cones as cones
 import f1geom.monoid as monoid
 import f1geom.spectrum as spectrum
-from f1geom.cones import dual_cone, lattice_monoid_generators
+from f1geom.cones import (
+    RationalCone,
+    _dual_uncapped,
+    cone_monoid_generators,
+    dual_cone,
+    lattice_monoid_generators,
+)
 from f1geom.counting import count_points, counting_polynomial
 from f1geom.fans import (
     Fan,
@@ -268,6 +277,48 @@ def no_saturation_generators(monkeypatch):
 @pytest.mark.parametrize("name", ["P^4", "(P^1)^3", "A^4", "H_3"])
 def test_fan_in_zn_decides_smooth_saturation_by_rank(name, no_saturation_generators):
     assert fan_in_zn(LADDER[name]).violations == ()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_fan_monoids_equal_the_double_description_route(name):
+    fan = CORPUS[name]
+    fz = fan_in_zn(fan)
+    for c in fan.cones:
+        sigma = fan.cone_obj(c)
+        assert fz.members[c] == AffineMonoid.make(fan.rank, lattice_monoid_generators(sigma))
+        assert fz.chart_monoids[c] == AffineMonoid.make(
+            fan.rank, lattice_monoid_generators(dual_cone(sigma)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.randoms(use_true_random=False))))
+def test_smooth_cone_monoids_equal_the_general_route(case):
+    # the GL_n(Z) image of the coordinate cone on e_1..e_k: the first k columns of U
+    n, k, rng = case
+    U = _unimodular(n, rng)
+    sigma = RationalCone.make([[row[j] for row in U] for j in range(k)], rank=n)
+    assert cone_monoid_generators(sigma) == (lattice_monoid_generators(sigma),
+                                             lattice_monoid_generators(_dual_uncapped(sigma)))
+
+
+@pytest.fixture
+def no_double_description(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a smooth cone went through double description or a Hilbert basis")
+
+    monkeypatch.setattr(cones, "double_description", forbidden)
+    monkeypatch.setattr(cones, "_hilbert_vectors", forbidden)
+
+
+SMOOTH = ["P^4", "(P^1)^3", "A^4", "H_3"]
+
+
+@pytest.mark.parametrize("name", SMOOTH + [f"GL({name})" for name in SMOOTH])
+def test_smooth_fans_skip_double_description(name, no_double_description):
+    fan = CORPUS[name]
+    assert fan_in_zn(fan).violations == ()
+    assert len(kato(fan).points) == len(fan.cones)
 
 
 def test_fan_in_zn_reads_conditions_2_and_3_off_the_ray_sets():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     count_group_homs,
     generated_lattice_points,
@@ -263,6 +264,48 @@ def test_units_found_through_combinations():
     A = AffineMonoid.make(2, [[1, 1], [-1, 1], [0, -1]])
     # cone(A) is the whole plane: everything is a unit
     assert A.units().free_rank == 2
+
+
+@st.composite
+def unit_monoids(draw):
+    """Generator sets in Z^r (+) torsion, r = 1..3, with torsion coordinates
+    on some, negated free parts (+- pairs), pure-torsion generators, and as
+    many as five free generators, so dependent sets are common."""
+    rank = draw(st.integers(1, 3))
+    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    free = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    tors = st.tuples(*[st.integers(0, d - 1) for d in torsion])
+    gens = [f + list(t) for f, t in draw(st.lists(st.tuples(free, tors), max_size=5))]
+    for i in draw(st.lists(st.integers(0, 4), max_size=2)):
+        if i < len(gens):
+            gens.append([-x for x in gens[i][:rank]] + list(draw(tors)))
+    if torsion and draw(st.booleans()):
+        gens.append([0] * rank + list(draw(tors)))
+    return AffineMonoid.make(rank, gens, torsion=torsion)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_monoids())
+def test_unit_generators_equal_the_recession_cone_route(A):
+    assert A.unit_generator_indices == oracles.unit_generator_indices(A)
+
+
+@pytest.mark.parametrize("gens, torsion, units, by_cone", [
+    ([[1, 0], [0, 1]], (), [], False),
+    ([[1, 0], [-1, 0], [1, 2]], (), [[1, 0], [-1, 0]], False),
+    ([[1, 0], [0, 1], [0, 3]], (4,), [[0, 1], [0, 3]], False),     # pure torsion
+    ([[1, 0, 1], [-1, 0, 0], [0, 1, 1]], (2,), [[1, 0, 1], [-1, 0, 0]], False),
+    ([[1, 0], [0, 1], [-1, -1]], (), [[1, 0], [0, 1], [-1, -1]], True),  # no +- pair
+    ([[1, 0], [-2, 0]], (), [[1, 0], [-2, 0]], True),          # a line, no +- pair
+    ([[1, 0], [2, 0]], (), [], True),                           # one ray, twice
+    ([[1], [-1], [2]], (), [[1], [-1], [2]], True),
+])
+def test_unit_generators_fall_back_to_the_cone_only_when_dependent(gens, torsion, units,
+                                                                   by_cone):
+    A = AffineMonoid.make(len(gens[0]) - len(torsion), gens, torsion=torsion)
+    assert A.unit_generator_indices == oracles.unit_generator_indices(A)
+    assert {A.generators[i] for i in A.unit_generator_indices} == set(map(tuple, units))
+    assert ("recession_cone" in A.__dict__) == by_cone
 
 
 def test_adjoin_zero():
