@@ -28,6 +28,7 @@ from .intlinalg import (
     diagonal_of,
     dot,
     identity_matrix,
+    independent_indices,
     kernel_basis,
     primitive_vector,
     rat_rank,
@@ -176,12 +177,7 @@ def _double_description(ineq_rows: tuple, n: int):
             ineqs.append(b)
 
     # initial simplicial cone from d independent inequalities
-    chosen = []
-    for b in ineqs:
-        if rat_rank([list(x) for x in chosen + [b]]) > len(chosen):
-            chosen.append(b)
-        if len(chosen) == d:
-            break
+    chosen = [ineqs[i] for i in independent_indices(ineqs)]
     assert len(chosen) == d, "pointed part must have a full-rank inequality system"
     rest = [b for b in ineqs if b not in chosen]
 

@@ -1,16 +1,15 @@
 """Exact integer and rational linear algebra.
 
-Matrices are plain lists of lists of Python ints, so everything is
-arbitrary precision and there is no floating point anywhere.  This is the
-arithmetic bedrock for lattice computations: Smith normal form, integer
-kernels and solves, and invariant factors of subgroups and quotients of
-finitely generated abelian groups.
-
-Rational rank, rational solves and unimodular inverses share one
-elimination kernel, `_eliminate`: fraction-free Gauss-Jordan over Python
-ints that keeps every row primitive by dividing out its gcd.  Fraction
-inputs are scaled row by row to ints first; the only Fractions built are
-the entries of a `rat_solve` solution, one per pivot.
+Matrices are plain lists of lists of Python ints: arbitrary precision and
+no floating point anywhere.  Two eliminations carry every result.
+`smith_normal_form`, one pivot loop giving U A V = D with d1 | d2 | ...,
+serves the lattice work: integer kernels and solves, column lattices and
+invariant factors (`subgroup_invariants` is a kernel and a quotient, two
+Smith forms).  `_eliminate`, fraction-free Gauss-Jordan over Python ints
+that keeps every row primitive by dividing out its gcd, serves rational
+rank, greedy independent subsets, rational solves and unimodular inverses
+in one pass each.  Fraction rows are scaled to ints first; the only
+Fractions built are the entries of a `rat_solve` solution.
 """
 from __future__ import annotations
 
@@ -33,103 +32,58 @@ def transpose(A):
 
 
 def smith_normal_form(A: list[list[int]]):
-    """Compute U, D, V with U @ A @ V = D diagonal and d1 | d2 | ... .
+    """Compute U, D, V with U @ A @ V = D diagonal, U and V unimodular,
+    d1 | d2 | ... and every d_i >= 0.
 
-    U and V are unimodular; the diagonal entries are normalized to be
-    nonnegative.  Row/column pivoting picks the smallest nonzero entry,
-    which keeps intermediate entries small at the scales we work at.
+    One pivot loop: the smallest nonzero entry of the trailing block moves
+    to (k, k) and clears its column and row by floor division.  A nonzero
+    remainder is smaller than the pivot, so it is the next pivot; once row
+    and column k are clear, a trailing row with an entry the pivot does not
+    divide is added to row k, whose reduction then leaves a remainder.
+    Each round shrinks |d_k|, so the loop ends, and d_k divides every entry
+    left when k moves on.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [row[:] for row in A]
     U = identity_matrix(m)
     V = identity_matrix(n)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        D[dst] = [a + c * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, c):
-        for row in D:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-
     k = 0
     while k < min(m, n):
-        # locate smallest nonzero pivot in the trailing block
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if D[i][j] != 0 and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        entries = [(abs(D[i][j]), i, j) for i in range(k, m) for j in range(k, n) if D[i][j]]
+        if not entries:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        while True:
-            # clear column k below the pivot
-            done = True
-            for i in range(k + 1, m):
-                if D[i][k] != 0:
-                    q = D[i][k] // D[k][k]
-                    add_row(i, k, -q)
-                    if D[i][k] != 0:
-                        swap_rows(i, k)
-                        done = False
-            for j in range(k + 1, n):
-                if D[k][j] != 0:
-                    q = D[k][j] // D[k][k]
-                    add_col(j, k, -q)
-                    if D[k][j] != 0:
-                        swap_cols(j, k)
-                        done = False
-            if done:
-                break
-        if D[k][k] < 0:
-            negate_row(k)
+        _, i, j = min(entries)
+        D[k], D[i], U[k], U[i] = D[i], D[k], U[i], U[k]
+        if j != k:
+            for M in (D, V):
+                for row in M:
+                    row[k], row[j] = row[j], row[k]
+        p = D[k][k]
+        for i in range(k + 1, m):
+            q = D[i][k] // p
+            if q:
+                D[i] = [a - q * b for a, b in zip(D[i], D[k])]
+                U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+        for j in range(k + 1, n):
+            q = D[k][j] // p
+            if q:
+                for M in (D, V):
+                    for row in M:
+                        row[j] -= q * row[k]
+        if any(D[i][k] for i in range(k + 1, m)) or any(D[k][k + 1:]):
+            continue  # a remainder is left: it is the next, smaller pivot
+        # a row the pivot does not divide is added to row k, to pivot again
+        i = abs(p) > 1 and next(
+            (i for i in range(k + 1, m) if any(x % p for x in D[i][k + 1:])), 0)
+        if i:
+            D[k] = [a + b for a, b in zip(D[k], D[i])]
+            U[k] = [a + b for a, b in zip(U[k], U[i])]
+            continue
+        if p < 0:
+            D[k] = [-a for a in D[k]]
+            U[k] = [-a for a in U[k]]
         k += 1
-
-    # enforce the divisibility chain d_k | d_{k+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(m, n) - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # fold row i+1 into the 2x2 block and rediagonalize
-                add_col(i, i + 1, 1)
-                while True:
-                    if D[i][i] != 0:
-                        q = D[i + 1][i] // D[i][i]
-                        add_row(i + 1, i, -q)
-                    if D[i + 1][i] == 0:
-                        break
-                    swap_rows(i, i + 1)
-                # row ops may have reintroduced an off-diagonal entry
-                if D[i][i + 1] != 0:
-                    q = D[i][i + 1] // D[i][i]
-                    add_col(i + 1, i, -q)
-                if D[i][i] < 0:
-                    negate_row(i)
-                if D[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
     return U, D, V
 
 
@@ -196,22 +150,20 @@ def column_lattice_basis(A: list[list[int]]) -> list[list[int]]:
 
 
 def subgroup_invariants(vectors: list[list[int]], free_rank: int, torsion: list[int]):
-    """Isomorphism type of the subgroup of Z^r (+) Z/d_1 (+) ... generated
-    by the given vectors (length r + len(torsion) each).
+    """Isomorphism type of the subgroup H of Z^r (+) Z/d_1 (+) ... generated
+    by the given vectors v_1, ..., v_m (length r + len(torsion) each).
 
     Returns (rank, factors) with factors in divisibility order, 1s dropped.
-    The subgroup is (L + K)/K for L the lattice of lifts and K the torsion
-    relation lattice, computed by expressing K in a basis of L + K.
+    With L the lattice the lifts span and K the torsion relations d_j e_{r+j},
+    H = (L + K)/K is Z^m modulo {c : sum c_i v_i in K}: the first m
+    coordinates of the kernel of the columns [v_1 ... v_m | K].
     """
-    r, t = free_rank, len(torsion)
-    if not vectors and t == 0:
+    m, r, t = len(vectors), free_rank, len(torsion)
+    if m == 0 or r + t == 0:
         return 0, []
-    krels = [[d if i == r + j else 0 for i in range(r + t)] for j, d in enumerate(torsion)]
-    basis = column_lattice_basis(transpose([list(v) for v in vectors] + krels))  # of L + K
-    if not basis:
-        return 0, []
-    solve = integer_solver(transpose(basis))  # K lies in L + K: every relation solves
-    return quotient_invariants(len(basis), [solve(rel) for rel in krels])
+    cols = [list(v) for v in vectors] + [[d if i == r + j else 0 for i in range(r + t)]
+                                        for j, d in enumerate(torsion)]
+    return quotient_invariants(m, [c[:m] for c in kernel_basis(transpose(cols))])
 
 
 def quotient_invariants(ambient_rank: int, sub_basis: list[list[int]]):
@@ -269,6 +221,13 @@ def _eliminate(M: list[list[int]], ncols: int) -> list[int]:
 def rat_rank(rows: list[list]) -> int:
     M = [_integral(row) for row in rows]
     return len(_eliminate(M, len(M[0]) if M else 0))
+
+
+def independent_indices(rows: list[list]) -> list[int]:
+    """Indices of the rows a greedy pass keeps, each rationally independent
+    of the kept rows before it: the pivot columns of one elimination of
+    the transpose."""
+    return _eliminate([_integral(col) for col in transpose(rows)], len(rows))
 
 
 def rat_solve(cols: list[list], b: list):

@@ -46,6 +46,7 @@ from .intlinalg import (
     column_lattice_basis,
     dot,
     identity_matrix,
+    independent_indices,
     integer_solver,
     rat_rank,
     rat_solve,
@@ -295,10 +296,7 @@ class AffineMonoid:
             return None
         basis = [min((g for g in self.generators if cones.primitive_vector(g) == r),
                      key=lambda g: sum(map(abs, g))) for r in extremal]
-        coords = []
-        for i in range(self.ambient_rank):
-            if rat_rank([[b[j] for b in basis] for j in coords + [i]]) > len(coords):
-                coords.append(i)
+        coords = independent_indices(transpose(basis))
         inverse = [rat_solve([[b[j] for j in coords] for b in basis], e)
                    for e in identity_matrix(len(basis))]  # columns of B_I^-1
         D = lcm(*(x.denominator for col in inverse for x in col))
@@ -633,22 +631,17 @@ def _finite_group_invariants(M: TableMonoid, group_elements) -> tuple[int, ...]:
             n += 1
         return n
 
-    exponent = 1
-    top = None
-    for a in els:
-        o = order(a)
-        if exponent % o != 0:
-            exponent = exponent * o // gcd(exponent, o)
-        if top is None or o > order(top):
-            top = a
+    orders = [order(a) for a in els]
+    top_order = max(orders)
+    top = els[orders.index(top_order)]
     # split off a cyclic factor of maximal order and recurse on the quotient
-    gen_powers = {M.power(top, k) for k in range(order(top))}
+    gen_powers = {M.power(top, k) for k in range(top_order)}
     cosets = {}
     for a in els:
         coset = frozenset(M.op(a, g) for g in gen_powers)
         cosets.setdefault(coset, []).append(a)
     if len(cosets) == 1:
-        return (order(top),) if order(top) > 1 else ()
+        return (top_order,) if top_order > 1 else ()
     reps = {c: min(str(a) for a in members) for c, members in cosets.items()}
     q_elements = tuple(sorted(reps.values()))
     rep_of = {}
@@ -662,7 +655,7 @@ def _finite_group_invariants(M: TableMonoid, group_elements) -> tuple[int, ...]:
             q_table[(reps[c1], reps[c2])] = rep_of[prod]
     Q = TableMonoid.make(q_elements, q_table, identity=rep_of[M.identity])
     sub = _finite_group_invariants(Q, Q.elements)
-    return tuple(sorted(list(sub) + [order(top)]))
+    return tuple(sorted(list(sub) + [top_order]))
 
 
 # --- primes ------------------------------------------------------------------

@@ -165,11 +165,14 @@ def psi_commute(x: SemigroupRingElement, ps) -> bool:
     return True
 
 
-def random_ring_elements(A, count: int, seed: int, max_exponent: int = 4,
-                         coeff_bound: int = 9, max_terms: int = 6):
+MAX_EXPONENT, COEFF_BOUND, MAX_TERMS = 4, 9, 6  # random_ring_elements' draws
+
+
+def random_ring_elements(A, count: int, seed: int):
     """Seeded pseudo-random sparse elements with small support, for the
-    reproducible property runs.  Each monomial is a product of powers
-    g^e, 0 <= e <= max_exponent, of the nonzero generators."""
+    reproducible property runs: 1 to MAX_TERMS terms, coefficients in
+    [-COEFF_BOUND, COEFF_BOUND] (0 drawn becomes 1), and each monomial a
+    product of powers g^e, 0 <= e <= MAX_EXPONENT, of the nonzero generators."""
     import random
 
     rng = random.Random(seed)
@@ -179,13 +182,13 @@ def random_ring_elements(A, count: int, seed: int, max_exponent: int = 4,
         key = A.identity
         for g in A.generators:
             if g != A.zero:
-                key = A.op(key, A.power(g, rng.randint(0, max_exponent)))
+                key = A.op(key, A.power(g, rng.randint(0, MAX_EXPONENT)))
         return key
 
     for _ in range(count):
         terms = {}
-        for _ in range(rng.randint(1, max_terms)):
-            c = rng.randint(-coeff_bound, coeff_bound)
+        for _ in range(rng.randint(1, MAX_TERMS)):
+            c = rng.randint(-COEFF_BOUND, COEFF_BOUND)
             if c == 0:
                 c = 1
             terms[random_key()] = c

@@ -314,15 +314,15 @@ class CCRecord:
     point_models: dict = field(default=None, compare=False)
 
 
-def to_cc(t: GenTorifiedTriple, qs=SAMPLE_PRIME_POWERS) -> CCRecord:
-    """Evaluate the triple field-by-field and check the bijection
-    condition; polynomial identity is recorded when both sides are
-    polynomial (degree-bounded, so finitely many samples suffice)."""
+def to_cc(t: GenTorifiedTriple) -> CCRecord:
+    """Evaluate the triple at each q in SAMPLE_PRIME_POWERS and check the
+    bijection condition; polynomial identity is recorded when both sides
+    are polynomial (degree-bounded, so finitely many samples suffice)."""
     from .counting import count_points
 
     counts = []
     mismatches = []
-    for q in qs:
+    for q in SAMPLE_PRIME_POWERS:
         left = count_points(t.mscheme, q).count
         right = t.counting.evaluate(q)
         counts.append((q, left, right))

@@ -5,6 +5,7 @@ lattice points) and stays deliberately unaware of the library's
 stalk/SNF formulas, so the two routes cross-check each other.
 """
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -88,6 +89,25 @@ def count_group_homs(factors, m: int) -> int:
         if all((d * x) % m == 0 for d, x in zip(factors, images)):
             count += 1
     return count
+
+
+def subgroup_order_counts(vectors, torsion) -> dict:
+    """{order: number of elements} of the subgroup of Z/d_1 x ... x Z/d_t
+    that the vectors generate, found by closing {0} under adding them."""
+    group = {tuple(0 for _ in torsion)}
+    frontier = set(group)
+    while frontier:
+        frontier = {tuple((a + b) % d for a, b, d in zip(x, v, torsion))
+                    for x in frontier for v in vectors} - group
+        group |= frontier
+    counts = {}
+    for x in group:
+        order = 1
+        for a, d in zip(x, torsion):
+            k = d // math.gcd(a, d)
+            order = order * k // math.gcd(order, k)
+        counts[order] = counts.get(order, 0) + 1
+    return counts
 
 
 def truncated_primes_of_free_monoid(n: int, degree: int = 2):

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mat_mul
+from oracles import mat_mul, subgroup_order_counts
 from f1geom.intlinalg import (
     column_lattice_basis,
     diagonal_of,
     identity_matrix,
+    independent_indices,
     integer_solver,
     kernel_basis,
     mat_vec,
@@ -32,11 +33,25 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
+# 0 rows or 0 columns, tall shapes up to 8 x 4, and some entries up to +-10^6
+snf_matrices = st.integers(0, 8).flatmap(
+    lambda m: st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9) | st.integers(-10**6, 10**6), min_size=n, max_size=n),
+            min_size=m, max_size=m,
+        )
+    )
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_matrices)
+@given(snf_matrices)
 def test_snf_reconstruction_and_divisibility(A):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
     U, D, V = smith_normal_form(A)
-    assert mat_mul(mat_mul(U, A), V) == D
+    assert sympy.Matrix(U) * sympy.Matrix(A) * sympy.Matrix(V) == sympy.Matrix(D)
     diag = diagonal_of(D)
     for i in range(len(D)):
         for j in range(len(D[0])):
@@ -46,10 +61,11 @@ def test_snf_reconstruction_and_divisibility(A):
     assert all(d > 0 for d in nz)
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
-    # U and V unimodular: their SNFs are identity-like
+    # the diagonal against sympy's invariant factors, zeros last
+    expected = [abs(int(f)) for f in invariant_factors(sympy.Matrix(A)) if f]
+    assert diag == expected + [0] * (len(diag) - len(expected))
     for M in (U, V):
-        _, DM, _ = smith_normal_form(M)
-        assert all(d == 1 for d in diagonal_of(DM))
+        assert abs(sympy.Matrix(M).det()) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,14 +218,49 @@ def test_subgroup_invariants_examples():
     assert subgroup_invariants([], 1, []) == (0, [])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3).flatmap(
+    lambda torsion: st.tuples(st.just(torsion), st.lists(
+        st.lists(st.integers(0, 5), min_size=len(torsion), max_size=len(torsion)),
+        max_size=3))))
+def test_subgroup_invariants_match_enumeration(case):
+    torsion, vectors = case
+    rank, factors = subgroup_invariants(vectors, 0, torsion)
+    assert rank == 0
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    generators = [[int(i == j) for j in range(len(factors))] for i in range(len(factors))]
+    assert subgroup_order_counts(generators, factors) == subgroup_order_counts(vectors, torsion)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(1, 6), max_size=2), st.data())
+def test_subgroup_invariants_rank_is_the_free_parts_rank(free_rank, torsion, data):
+    width = free_rank + len(torsion)
+    vectors = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+                                 max_size=4))
+    rank, _ = subgroup_invariants(vectors, free_rank, torsion)
+    assert rank == rat_rank([v[:free_rank] for v in vectors])
+
+
 def test_quotient_invariants_examples():
     assert quotient_invariants(2, [[2, 0], [0, 1]]) == (0, [2])
     assert quotient_invariants(2, [[1, 0]]) == (1, [])
     assert quotient_invariants(3, []) == (3, [])
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_matrices)
+def test_independent_indices_match_greedy_ranks(A):
+    kept = []
+    for i, row in enumerate(A):
+        if rat_rank([A[j] for j in kept] + [row]) > len(kept):
+            kept.append(i)
+    assert independent_indices(A) == kept
+
+
 def test_rational_helpers():
     assert rat_rank([[1, 2], [2, 4]]) == 1
+    assert independent_indices([[0, 0], [1, 2], [2, 4], [1, 1]]) == [1, 3]
     assert rat_solve([[2, 0], [0, 2]], [1, 1]) is not None
     assert rat_solve([[1, 0]], [0, 1]) is None
     assert primitive_vector([4, -6]) == (2, -3)
