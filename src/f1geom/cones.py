@@ -11,9 +11,9 @@ points are then reduced in order of a positive grading.  Everything runs
 at desk scale: the public dual/Hilbert operations enforce the lattice-rank
 cap LIMITS["lattice_rank"] = 4.
 
-The monoids of a smooth fan cone are read off one Smith form of its rays
-(`cone_monoid_generators`), with no dual.  Only `make_fan`'s intersection
-checks and singular cones still ask for the same duals over and over, so
+No dual is taken for a smooth fan cone's monoids (`cone_monoid_generators`)
+or for `make_fan`'s common faces.  Singular cones and `spectrum`'s
+intersections of sections still ask for the same duals over and over, so
 `double_description` keeps the results of its last `DD_MEMO_SIZE` distinct
 inputs in a bounded LRU memo.  Results are tuples of tuples, so sharing
 them is safe.
@@ -40,7 +40,7 @@ from .intlinalg import (
 from .limits import LIMITS
 
 RANK_CAP = LIMITS["lattice_rank"]
-DD_MEMO_SIZE = 256  # distinct inputs whose duals double_description keeps (LRU)
+DD_MEMO_SIZE = 256  # distinct inputs kept (LRU): singular cones, sections over opens
 
 
 class ConeError(ValueError):

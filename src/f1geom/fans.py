@@ -17,6 +17,7 @@ Both monoids of a fan cone come from ``cones.cone_monoid_generators``.  A
 smooth cone's rays are part of a lattice basis (Fulton 1993, Sec. 2.1), so
 one Smith form of the rays gives sigma cap Z^n and sigma^dual cap Z^n with
 no dual cone and no Hilbert basis; singular cones take double description.
+``make_fan`` reads common faces off the signs of relations among rays.
 """
 from __future__ import annotations
 
@@ -24,8 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cones import RationalCone, cone_monoid_generators, intersection, signed_rows
-from .intlinalg import dot, primitive_vector, quotient_invariants, rat_rank
+from .cones import RationalCone, cone_monoid_generators, double_description
+from .intlinalg import (dot, kernel_basis, primitive_vector, quotient_invariants, rat_rank,
+                        transpose)
 from .monoid import (
     AbelianGroup,
     AffineMonoid,
@@ -65,9 +67,9 @@ class Fan:
 
 def make_fan(rank: int, rays, cone_ray_indices) -> Fan:
     """Validate and build a fan: rays are made primitive and must be
-    distinct, each listed cone must have independent rays, and two cones
-    must meet in a common face.  The faces of the listed cones are always
-    added, so listing the maximal cones is enough."""
+    distinct, each listed cone must name distinct, independent rays, and
+    two cones must meet in a common face.  The faces of the listed cones are
+    always added, so listing the maximal cones is enough."""
     prim = []
     seen = set()
     for r in rays:
@@ -82,8 +84,10 @@ def make_fan(rank: int, rays, cone_ray_indices) -> Fan:
         prim.append(p)
     rays = tuple(prim)
     cones = set()
-    for c in cone_ray_indices:
-        c = frozenset(c)
+    for listed in cone_ray_indices:
+        c = frozenset(listed)
+        if len(c) != len(listed):
+            raise FanError(f"cone {list(listed)} repeats a ray")
         if any(i < 0 or i >= len(rays) for i in c):
             raise FanError(f"cone {sorted(c)} references a missing ray")
         if rat_rank([list(rays[i]) for i in c]) != len(c):
@@ -102,26 +106,25 @@ def _faces(c: frozenset):
             yield frozenset(sub)
 
 
-def _meet(fan: Fan, a: frozenset, b: frozenset) -> RationalCone:
-    """The geometric intersection of the cones on ray sets a and b."""
-    return intersection((fan.cone_obj(a), fan.cone_obj(b)), fan.rank)
-
-
 def _check_intersections(fan: Fan):
-    """Every two maximal cones must meet in their common face.
-
-    That covers every pair of cones: they are simplicial, so for faces
-    a <= A and b <= B, a cap b = cone(a cap B) cap cone(b cap A), where
-    both are faces of the simplicial cone cone(A cap B); their
-    intersection is then cone(a cap b).
+    """Every two maximal cones A, B (independent ray sets, C = A & B) must
+    meet in cone(C), that is, no relation among the rays of A | B may be
+    >= 0 on A - B, <= 0 on B - A and nonzero there, whatever its signs on C
+    (Fulton 1993, Sec. 1.2).  A point of both cones, written on A and on B,
+    gives such a relation unless it is in cone(C); a relation x, y, z gives
+    the point x.(A - B) + z+.C = -y.(B - A) + z-.C of both cones.  As C is
+    independent, G = (K on A - B, -K on B - A) is injective for a kernel
+    basis K, so a pair fails iff G t >= 0 has a ray or a line.  Faces a, b
+    of A, B then meet well: a cap b = cone(a cap B) cap cone(b cap A), two
+    faces of the simplicial cone(A cap B).
     """
     for a, b in itertools.combinations(fan.maximal_cones, 2):
-        common = fan.cone_obj(a & b)
-        inter = _meet(fan, a, b)
-        for v in signed_rows(inter.rays, inter.lineality):
-            if not common.contains(v):
-                raise FanError(
-                    f"cones {sorted(a)} and {sorted(b)} do not meet in a common face")
+        only_a, only_b = sorted(a - b), sorted(b - a)
+        K = kernel_basis(transpose([fan.rays[i] for i in only_a + only_b + sorted(a & b)]))
+        signs = [1] * len(only_a) + [-1] * len(only_b)
+        G = [[s * v[j] for v in K] for j, s in enumerate(signs)]
+        if K and any(double_description(G, len(K))):
+            raise FanError(f"cones {sorted(a)} and {sorted(b)} do not meet in a common face")
 
 
 # --- standard fans -------------------------------------------------------------

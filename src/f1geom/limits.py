@@ -8,4 +8,5 @@ LIMITS = {
     "membership_table": 4096,  # vectors kept by a monoid's membership table
     "field_size": 3_317_044_064_679_887_385_961_980,  # q whose primality is decided
     "ring_mul_terms": 10_000,  # monomial products |x| * |y| in one ring_mul
+    "polynomial_degree": 1000,  # degree of a typed counting polynomial
 }

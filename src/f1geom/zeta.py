@@ -8,11 +8,13 @@ is exact.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
 from .intlinalg import rat_solve
+from .limits import LIMITS
 
 
 class ZetaError(ValueError):
@@ -110,17 +112,8 @@ def parse_counting_polynomial(text: str) -> CountingPolynomial:
     s = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not s:
         raise ZetaError("empty polynomial")
-    tokens = []
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur:
-            tokens.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    tokens.append(cur)
     coeffs: dict[int, int] = {}
-    for tok in tokens:
+    for tok in re.split(r"(?!^)(?=[+-])", s):  # a sign opens a term
         sign = 1
         if tok.startswith("-"):
             sign, tok = -1, tok[1:]
@@ -135,6 +128,8 @@ def parse_counting_polynomial(text: str) -> CountingPolynomial:
             raise ZetaError(f"cannot parse term {tok!r} in {text!r}")
         c = int(head) if head else 1
         k = (int(tail[1:]) if tail else 1) if q else 0
+        if k > LIMITS["polynomial_degree"]:
+            raise ZetaError(f"term {tok!r} has degree {k}, past LIMITS['polynomial_degree']")
         coeffs[k] = coeffs.get(k, 0) + sign * c
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():

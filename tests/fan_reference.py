@@ -1,11 +1,25 @@
 """The search route for the fan-of-monoids conditions, the reference that
-`fans.fan_in_zn` is checked against."""
+`fans.fan_in_zn` is checked against, and the double-description route for
+two cones meeting in a common face, the reference for `make_fan`'s check."""
 import itertools
 
-from f1geom.cones import lattice_monoid_generators
-from f1geom.fans import Fan, FanInZn, _fan_monoids, _meet, _violation_2, _violation_3
+from f1geom.cones import RationalCone, intersection, lattice_monoid_generators, signed_rows
+from f1geom.fans import Fan, FanInZn, _fan_monoids, _violation_2, _violation_3
 from f1geom.intlinalg import primitive_vector
 from f1geom.monoid import AffineMonoid
+
+
+def _meet(fan: Fan, a: frozenset, b: frozenset) -> RationalCone:
+    """The geometric intersection of the cones on ray sets a and b."""
+    return intersection((fan.cone_obj(a), fan.cone_obj(b)), fan.rank)
+
+
+def meets_in_common_face(fan: Fan, a: frozenset, b: frozenset) -> bool:
+    """Whether cone(a) cap cone(b), taken by double description, lies in
+    cone(a & b): each of its generators must."""
+    common = fan.cone_obj(a & b)
+    inter = _meet(fan, a, b)
+    return all(common.contains(v) for v in signed_rows(inter.rays, inter.lineality))
 
 
 def incomplete_fan_in_zn(fan_rank, rays, cone_ray_indices) -> FanInZn:

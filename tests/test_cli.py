@@ -245,6 +245,24 @@ def test_fan_rays_must_be_a_list(tmp_path):
     assert "'rays'" in _error(["fan", "--fan", str(path)])
 
 
+def test_a_fan_cone_that_repeats_a_ray_is_an_error(tmp_path):
+    path = tmp_path / "repeat.fan.json"
+    path.write_text(json.dumps({"kind": "fan", "rank": 2, "rays": [[1, 0], [0, 1]],
+                                "cones": [[0, 0]]}))
+    assert _error(["fan", "--fan", str(path)]) == "cone [0, 0] repeats a ray"
+
+
+def test_fan_cones_that_overlap_outside_a_common_face_are_an_error(tmp_path):
+    # cone(e1, e2, e3) and cone((1,1,1), -e1, -e2) share (1,1,1) off their common face
+    path = tmp_path / "overlap.fan.json"
+    path.write_text(json.dumps({"kind": "fan", "rank": 3,
+                                "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
+                                         [-1, 0, 0], [0, -1, 0]],
+                                "cones": [[0, 1, 2], [3, 4, 5]]}))
+    assert _error(["fan", "--fan", str(path)]) == (
+        "cones [0, 1, 2] and [3, 4, 5] do not meet in a common face")
+
+
 def test_negative_fzoo_size_names_the_option():
     assert "--max-size" in _error(["fzoo", "--max-size", "-1"])
 
@@ -340,6 +358,13 @@ def test_field_size_past_the_cap_names_the_limit(tmp_path, verb):
         path.write_text(json.dumps([[2, 3], [q, 1]]))
         argv = ["zeta", "--input", str(path)]
     assert "LIMITS['field_size']" in _error(argv)
+
+
+def test_counting_polynomial_past_the_degree_cap_names_the_limit():
+    cap = LIMITS["polynomial_degree"]
+    rc, out, _ = run_cli(["zeta", "--counting", f"q^{cap}", "--json"])
+    assert rc == 0 and json.loads(out)["zeta"] == f"(s-{cap})"
+    assert "LIMITS['polynomial_degree']" in _error(["zeta", "--counting", f"q^{cap + 1}"])
 
 
 def test_grassmannian_past_the_schubert_cap_names_the_limit():

@@ -321,6 +321,21 @@ def test_smooth_fans_skip_double_description(name, no_double_description):
     assert len(kato(fan).points) == len(fan.cones)
 
 
+@pytest.fixture
+def no_cone_intersection(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("make_fan intersected cones or took a cone's dual")
+
+    monkeypatch.setattr(cones, "intersection", forbidden)
+    monkeypatch.setattr(RationalCone, "inequalities", property(forbidden))
+
+
+@pytest.mark.parametrize("name", ["P^4", "(P^1)^3", "P^2xP^1", "H_1", "H_15"])
+def test_make_fan_checks_common_faces_without_intersecting_cones(name, no_cone_intersection):
+    fan = LADDER[name]
+    assert make_fan(fan.rank, fan.rays, fan.maximal_cones) == fan
+
+
 def test_fan_in_zn_reads_conditions_2_and_3_off_the_ray_sets():
     # two quadrants of a collection that lacks their common ray and the origin
     fan = Fan(2, ((1, 0), (0, 1), (-1, 0)), (frozenset({0, 1}), frozenset({1, 2})))

@@ -1,8 +1,14 @@
-import pytest
+import itertools
+import re
 
-from fan_reference import incomplete_fan_in_zn
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fan_reference import incomplete_fan_in_zn, meets_in_common_face
 from f1geom.counting import orbit_count_polynomial
 from f1geom.fans import (
+    Fan,
     FanError,
     fan_in_zn,
     kato,
@@ -10,6 +16,7 @@ from f1geom.fans import (
     product_fan,
     standard_fans,
 )
+from f1geom.intlinalg import kernel_basis, primitive_vector, rat_rank, transpose
 from f1geom.monoid import AffineMonoid, group_monoid
 from f1geom.spectrum import classify
 
@@ -48,11 +55,81 @@ def test_make_fan_validation():
         make_fan(2, [[1, 0], [-1, 0]], [[0, 1]])        # dependent rays in a cone
     with pytest.raises(FanError):
         make_fan(2, [[1, 0], [0, 0]], [[0]])            # zero ray
+    for listed in ([0, 0], [1, 0, 1]):                  # a repeated ray is no smaller cone
+        with pytest.raises(FanError, match=re.escape(f"cone {listed} repeats a ray")):
+            make_fan(2, [[1, 0], [0, 1]], [listed])
     with pytest.raises(FanError):
         # cone((1,0),(0,1)) and cone((1,1)) overlap without a common face
         make_fan(2, [[1, 0], [0, 1], [1, 1]], [[0, 1], [2]])
     # listing the maximal cones is enough: their faces are added
     assert len(make_fan(2, [[1, 0], [0, 1]], [[0, 1]]).cones) == 4
+
+
+# --- cones meeting in a common face: the relation check against double description
+
+def _closure(rank, rays, cones):
+    """The collection with every face of every listed cone, unchecked."""
+    faces = {frozenset(f) for c in cones
+             for k in range(len(c) + 1) for f in itertools.combinations(c, k)}
+    return Fan(rank, tuple(primitive_vector(r) for r in rays), tuple(faces))
+
+
+def _first_bad_pair(rank, rays, cones):
+    """The first pair of maximal cones whose double-description intersection
+    leaves their common face, or None."""
+    fan = _closure(rank, rays, cones)
+    return next(((a, b) for a, b in itertools.combinations(fan.maximal_cones, 2)
+                 if not meets_in_common_face(fan, a, b)), None)
+
+
+def _assert_make_fan_agrees(rank, rays, cones):
+    bad = _first_bad_pair(rank, rays, cones)
+    if bad is None:
+        assert make_fan(rank, rays, cones).cones == _closure(rank, rays, cones).sorted_cones()
+    else:
+        a, b = bad
+        message = f"cones {sorted(a)} and {sorted(b)} do not meet in a common face"
+        with pytest.raises(FanError, match=re.escape(message)):
+            make_fan(rank, rays, cones)
+    return bad is None
+
+
+E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+PINNED = {
+    # (rank, rays, cones, relations among the rays of the first two cones, accepted)
+    "independent union": (3, E3, [[0], [1, 2]], 0, True),
+    "P^2": (2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]], 1, True),
+    "opposite orthants": (3, E3 + [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                          [[0, 1, 2], [3, 4, 5]], 3, True),
+    "diagonal inside the orthant": (3, E3 + [[1, 1, 1], [-1, 0, 0], [0, -1, 0]],
+                                    [[0, 1, 2], [3, 4, 5]], 3, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_cone_pairs_meet_as_double_description_says(name):
+    rank, rays, cones, relations, accepted = PINNED[name]
+    union = sorted(set(cones[0]) | set(cones[1]))
+    assert len(kernel_basis(transpose([rays[i] for i in union]))) == relations
+    assert _assert_make_fan_agrees(rank, rays, cones) == accepted
+
+
+@st.composite
+def simplicial_collections(draw):
+    """Two to four simplicial cones in rank 2-4 on distinct primitive rays
+    with entries in [-2, 2]; the cones may overlap anywhere."""
+    n = draw(st.integers(2, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    rays = draw(st.lists(vector, min_size=2, max_size=n + 3, unique_by=primitive_vector))
+    cone = st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=n, unique=True)
+    independent = cone.filter(lambda c: rat_rank([list(rays[i]) for i in c]) == len(c))
+    return n, rays, draw(st.lists(independent, min_size=2, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplicial_collections())
+def test_make_fan_rejects_exactly_the_collections_double_description_rejects(case):
+    _assert_make_fan_agrees(*case)
 
 
 def test_kato_point_counts():

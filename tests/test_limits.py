@@ -14,6 +14,7 @@ from f1geom.monoid import (
 )
 from f1geom.semiring import RingError, SemigroupRingElement, ring_mul
 from f1geom.torified import TorifyError, gaussian_binomial, schubert_torification
+from f1geom.zeta import ZetaError, parse_counting_polynomial
 
 
 def _orthant(rank):
@@ -24,7 +25,7 @@ def test_the_table_holds_every_cap():
     assert LIMITS == {"lattice_rank": 4, "table_primes": 20, "schubert_n": 8, "gaussian_n": 12,
                       "membership_table": 4096,
                       "field_size": 3_317_044_064_679_887_385_961_980,
-                      "ring_mul_terms": 10_000}
+                      "ring_mul_terms": 10_000, "polynomial_degree": 1000}
     assert RANK_CAP == LIMITS["lattice_rank"] and TABLE_PRIME_CAP == LIMITS["table_primes"]
     assert MEMBERSHIP_TABLE_CAP == LIMITS["membership_table"]
 
@@ -86,3 +87,13 @@ def test_ring_mul_terms_cap():
     assert len(ring_mul(terms(100), terms(100, step=1000)).coeffs) == 100 * 100
     with pytest.raises(RingError, match=r"LIMITS\['ring_mul_terms'\]"):
         ring_mul(terms(73), terms(137, step=1000))
+
+
+def test_polynomial_degree_cap():
+    # the cap sits far above Gr(6, 12)'s degree 36, and is checked per term
+    # before the dense coefficient list is built
+    cap = LIMITS["polynomial_degree"]
+    assert parse_counting_polynomial(f"q^{cap} - 1").degree == cap
+    for text in (f"q^{cap + 1}", f"q^{cap + 1} - q^{cap + 1}", "q^3000000"):
+        with pytest.raises(ZetaError, match=r"LIMITS\['polynomial_degree'\]"):
+            parse_counting_polynomial(text)
