@@ -20,7 +20,7 @@ from .counting import (
     prime_power_base,
 )
 from .fans import fan_in_zn, kato
-from .io import ParseError, ValidationError, parse_input
+from .io import ParseError, ValidationError, parse_input, read_json
 from .monoid import AffineMonoid, TableMonoid
 from .semiring import (
     frobenius_check,
@@ -166,11 +166,7 @@ def cmd_zeta(args) -> int:
 def _count_samples(path) -> dict:
     """{q: N(q)} from a JSON list of {"q", "count"} objects or [q, count]
     pairs, bare or under a "counts" key."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno, e.colno) from e
+    data = read_json(path)
     entries = data.get("counts") if isinstance(data, dict) else data
     if not isinstance(entries, list):
         raise CliError(f"{path} must hold a list of count samples, bare or under 'counts'")
@@ -197,7 +193,6 @@ def _count_samples(path) -> dict:
 
 
 def cmd_torify(args) -> int:
-    charts_report = None
     if args.fan is not None:
         fan = parse_input(args.fan, ("fan",))
         X = kato(fan)
@@ -227,11 +222,14 @@ def cmd_torify(args) -> int:
         "counting_polynomial": str(N),
         "verified": ok,
     }
-    if args.charts:
-        affine, messages = is_affinely_torified(T)
-        report["affinely_torified"] = affine
-        report["chart_report"] = messages
-    return _emit(report, args.json, ok)
+    return _emit(_with_charts(report, T, args.charts), args.json, ok)
+
+
+def _with_charts(report, T, charts):
+    """The report, with the affine torification check of T when asked."""
+    if charts:
+        report["affinely_torified"], report["chart_report"] = is_affinely_torified(T)
+    return report
 
 
 def cmd_verify(args) -> int:
@@ -245,11 +243,7 @@ def cmd_verify(args) -> int:
         "verified": ok,
         "residual": str(T.count_polynomial() - N),
     }
-    if args.charts:
-        affine, messages = is_affinely_torified(T)
-        report["affinely_torified"] = affine
-        report["chart_report"] = messages
-    return _emit(report, args.json, ok)
+    return _emit(_with_charts(report, T, args.charts), args.json, ok)
 
 
 def cmd_lambda_check(args) -> int:
@@ -261,14 +255,8 @@ def cmd_lambda_check(args) -> int:
     frob_ok = all(frobenius_check(x, p) for x in elements for p in ps)
     comm_ok = all(psi_commute(x, ps) for x in elements)
     # negative control: the corrupted family a -> a^(p+1) must fail somewhere
-    control_failed = False
-    for x in elements:
-        for p in ps:
-            if not is_frobenius_image(monomial_power_map(x, p + 1), x, p):
-                control_failed = True
-                break
-        if control_failed:
-            break
+    control_failed = not all(is_frobenius_image(monomial_power_map(x, p + 1), x, p)
+                             for x in elements for p in ps)
     ok = frob_ok and comm_ok and control_failed
     report = {
         "primes": ps,

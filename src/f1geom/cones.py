@@ -6,17 +6,19 @@ over exact integers (the fraction-free kernel of `intlinalg`).  A Hilbert
 basis in Z^2 is the Hirzebruch-Jung chain of the two extremal rays (Oda
 1988, Sec. 1.6).  In ranks 3-4 a simplicial cone has one fundamental
 parallelepiped, walked coset by coset from a Smith form; any other cone
-first takes a placing triangulation (Normaliz, Bruns-Ichim 2010).  Those
-points are then reduced in order of a positive grading.  Everything runs
-at desk scale: the public dual/Hilbert operations enforce the lattice-rank
-cap LIMITS["lattice_rank"] = 4.
+is cut into such cones by pulling through its own face lattice, with no
+dual but its own.  The points are reduced in order of a positive grading
+(the Normaliz route, Bruns-Ichim 2010).  Everything runs at desk scale:
+the public dual/Hilbert operations enforce LIMITS["lattice_rank"] = 4.
 
-No dual is taken for a smooth fan cone's monoids (`cone_monoid_generators`)
-or for `make_fan`'s common faces.  Singular cones and `spectrum`'s
-intersections of sections still ask for the same duals over and over, so
-`double_description` keeps the results of its last `DD_MEMO_SIZE` distinct
-inputs in a bounded LRU memo.  Results are tuples of tuples, so sharing
-them is safe.
+No dual is taken for a smooth fan cone's monoids (`cone_monoid_generators`).
+Inputs still repeat: in one cold seed-1 benchmark pass, 77 of toric's 87
+`double_description` calls repeat an earlier input (`make_fan`'s relation
+duals), 103 of cli_corpus's 113 (those, and recession cones of monoids
+built again) and 65 of hilbert's 144 (`saturate` asking again for a
+recession cone's dual).  So `double_description` keeps the results of its
+last `DD_MEMO_SIZE` distinct inputs in a bounded LRU memo; they are tuples
+of tuples, so sharing them is safe.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .intlinalg import (
     kernel_basis,
     primitive_vector,
     rat_rank,
-    rat_solve,
+    scaled_inverse,
     smith_normal_form,
     transpose,
     unimodular_inverse,
@@ -40,7 +42,7 @@ from .intlinalg import (
 from .limits import LIMITS
 
 RANK_CAP = LIMITS["lattice_rank"]
-DD_MEMO_SIZE = 256  # distinct inputs kept (LRU): singular cones, sections over opens
+DD_MEMO_SIZE = 256  # distinct inputs kept (LRU): relation duals, recession cones
 
 
 class ConeError(ValueError):
@@ -182,8 +184,7 @@ def _double_description(ineq_rows: tuple, n: int):
     rest = [b for b in ineqs if b not in chosen]
 
     # rays of {y : B0 y >= 0} are the columns of B0^{-1}
-    b0_cols = transpose([list(c) for c in chosen])
-    rays = [primitive_vector(rat_solve(b0_cols, e)) for e in identity_matrix(d)]
+    rays = [primitive_vector(col) for col in transpose(scaled_inverse(chosen)[1])]
     processed = list(chosen)
 
     for b in rest:
@@ -258,17 +259,9 @@ def _dual_uncapped(sigma: RationalCone) -> RationalCone:
 
 def faces(sigma: RationalCone) -> list[RationalCone]:
     """All faces of sigma, including the minimal face and sigma itself."""
-    if sigma.simplicial:
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(len(sigma.rays)), k)
-            for k in range(len(sigma.rays) + 1)
-        )
-        return [RationalCone(sigma.rank, tuple(sigma.rays[i] for i in s)) for s in subsets]
-    out = []
-    for s in sorted(face_index_sets(sigma), key=lambda s: (len(s), sorted(s))):
-        out.append(RationalCone(sigma.rank, tuple(sigma.rays[i] for i in sorted(s)),
-                                sigma.effective_lineality))
-    return out
+    return [RationalCone(sigma.rank, tuple(sigma.rays[i] for i in sorted(s)),
+                         sigma.effective_lineality)
+            for s in sorted(face_index_sets(sigma), key=lambda s: (len(s), sorted(s)))]
 
 
 def face_index_sets(sigma: RationalCone) -> set[frozenset[int]]:
@@ -295,40 +288,31 @@ class HilbertBasis:
     vectors: tuple[tuple[int, ...], ...]
 
 
-def _placing_triangulation(sigma: RationalCone) -> list[tuple[int, ...]]:
-    """Cover a pointed cone by simplicial subcones (ray index tuples),
-    inserting rays in lexicographic order (they are stored sorted)."""
-    simplices: list[tuple[int, ...]] = []
-    placed: list[int] = []
-    for idx in range(len(sigma.rays)):
-        v = sigma.rays[idx]
-        if not placed:
-            placed.append(idx)
-            simplices = [(idx,)]
-            continue
-        current = RationalCone(sigma.rank, tuple(sigma.rays[i] for i in sorted(placed)))
-        if current.contains(v):
-            placed.append(idx)
-            continue
-        span_rank = rat_rank([list(sigma.rays[i]) for i in placed] + [list(v)])
-        if span_rank > current.dim:
-            # v leaves the linear span: cone every simplex over it
-            simplices = [s + (idx,) for s in simplices]
+def _simplices(sigma: RationalCone) -> list[tuple[int, ...]]:
+    """Cover a pointed cone by simplicial cones of its dimension (ray index
+    tuples): the pulling subdivision read off sigma's own face lattice
+    (De Loera-Rambau-Santos 2010, Triangulations, Sec. 4.3).
+
+    A face F with independent rays is one simplex.  Any other F is covered
+    by cone(v, S), v = min(F), S over the simplices of each facet G of F
+    with v not in G.  For x in F, x - t v leaves the pointed F at some
+    t >= 0, through a facet G whose normal a (in F's span) has a.v > 0; so
+    x - t v is in G, covered by some S, and v is not in span(G).  Nothing
+    needs v to be extremal.
+    """
+    if sigma.simplicial:
+        return [tuple(range(len(sigma.rays)))]
+    face_sets = face_index_sets(sigma)
+    dim = {F: rat_rank([list(sigma.rays[i]) for i in F]) for F in face_sets}
+    cover = {}
+    for F in sorted(face_sets, key=dim.get):  # a face's facets come before it
+        if dim[F] == len(F):
+            cover[F] = [tuple(sorted(F))]
         else:
-            d = current.dim
-            new = []
-            for u in current.facet_normals:
-                if dot(u, v) >= 0:
-                    continue
-                for s in simplices:
-                    on_facet = tuple(i for i in s if dot(u, sigma.rays[i]) == 0)
-                    if len(on_facet) == d - 1:
-                        cand = on_facet + (idx,)
-                        if cand not in new:
-                            new.append(cand)
-            simplices.extend(x for x in new if x not in simplices)
-        placed.append(idx)
-    return simplices
+            v = min(F)
+            cover[F] = [(v,) + S for G in face_sets if G < F and v not in G
+                        and dim[G] == dim[F] - 1 for S in cover[G]]
+    return cover[frozenset(range(len(sigma.rays)))]
 
 
 def _parallelepiped_points(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -381,9 +365,9 @@ def hilbert_basis(sigma: RationalCone) -> HilbertBasis:
 
 def _hilbert_vectors(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
     """Hilbert basis of a pointed cone.  In Z^2 it is the Hirzebruch-Jung
-    chain.  Otherwise the rays and the points of one parallelepiped (a
-    simplicial cone) or of a placing triangulation's parallelepipeds are
-    reduced in order of the grading sum(facet_normals), positive on sigma - 0.
+    chain.  Otherwise the rays and the parallelepiped points of each cone
+    `_simplices` covers sigma by (sigma itself, if simplicial) are reduced
+    in order of the grading sum(facet_normals), positive on sigma - 0.
 
     Every candidate lies in the span of sigma, so h - c is in sigma iff
     u.h >= u.c for every facet normal u.  If h = a + b with a, b nonzero
@@ -398,9 +382,7 @@ def _hilbert_vectors(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
         return _hirzebruch_jung(*(next(r for r in sigma.rays if dot(u, r) == 0)
                                   for u in normals))
     candidates: set[tuple[int, ...]] = set(sigma.rays)
-    simplices = ([tuple(range(len(sigma.rays)))] if sigma.simplicial
-                 else _placing_triangulation(sigma))
-    for simplex in simplices:
+    for simplex in _simplices(sigma):
         candidates.update(_parallelepiped_points([sigma.rays[i] for i in simplex]))
     candidates.discard((0,) * sigma.rank)
     grading = [sum(column) for column in zip(*normals)]

@@ -7,9 +7,9 @@ serves the lattice work: integer kernels and solves, column lattices and
 invariant factors (`subgroup_invariants` is a kernel and a quotient, two
 Smith forms).  `_eliminate`, fraction-free Gauss-Jordan over Python ints
 that keeps every row primitive by dividing out its gcd, serves rational
-rank, greedy independent subsets, rational solves and unimodular inverses
-in one pass each.  Fraction rows are scaled to ints first; the only
-Fractions built are the entries of a `rat_solve` solution.
+rank, greedy independent subsets and scaled inverses (D, D M^-1), hence
+unimodular inverses, in one pass each.  Fraction rows are scaled to ints
+first, so every result is in ints.
 """
 from __future__ import annotations
 
@@ -104,15 +104,28 @@ def kernel_basis(A: list[list[int]]) -> list[list[int]]:
     return [[row[j] for row in V] for j in range(n) if j >= len(diag) or diag[j] == 0]
 
 
+def scaled_inverse(M: list[list]) -> tuple[int, list[list[int]]]:
+    """(D, P) with P = D M^-1 integral and D >= 1 least, for a nonsingular
+    square int or Fraction matrix M.
+
+    One fraction-free elimination of [M | I] leaves rows (p_i e_i | F_i)
+    with F = diag(p) M^-1, so row i of M^-1 is F_i / p_i; its entries need
+    the denominator |p_i| / gcd(p_i, F_i), and D is the lcm of those.
+    """
+    n = len(M)
+    A = [_integral(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(M)]
+    if len(_eliminate(A, n)) < n:
+        raise ValueError("matrix is singular")
+    D = lcm(*(abs(row[i]) // gcd(row[i], *row[n:]) for i, row in enumerate(A)))
+    return D, [[D * x // row[i] for x in row[n:]] for i, row in enumerate(A)]
+
+
 def unimodular_inverse(U: list[list[int]]) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix."""
-    n = len(U)
-    M = [_integral(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(U)]
-    if len(_eliminate(M, n)) < n:
-        raise ValueError("matrix is singular")
-    if any(x % row[i] for i, row in enumerate(M) for x in row[n:]):
+    D, P = scaled_inverse(U)
+    if D != 1:
         raise ValueError("matrix is not unimodular")
-    return [[x // row[i] for x in row[n:]] for i, row in enumerate(M)]
+    return P
 
 
 def integer_solver(A: list[list[int]]):
@@ -140,13 +153,14 @@ def integer_solver(A: list[list[int]]):
 
 
 def column_lattice_basis(A: list[list[int]]) -> list[list[int]]:
-    """Basis (as column vectors) of the lattice spanned by the columns of A."""
+    """Basis (as column vectors) of the lattice spanned by the columns of A:
+    with U A V = D, A V = U^-1 D, whose nonzero columns d_i (U^-1)_i are one."""
     m = len(A)
     if m == 0 or not A[0]:
         return []
-    U, D, _ = smith_normal_form(A)
-    Uinv = unimodular_inverse(U)
-    return [[row[i] * d for row in Uinv] for i, d in enumerate(diagonal_of(D)) if d != 0]
+    _, D, V = smith_normal_form(A)
+    return [[dot(row, col) for row in A]
+            for col, d in zip(transpose(V), diagonal_of(D)) if d != 0]
 
 
 def subgroup_invariants(vectors: list[list[int]], free_rank: int, torsion: list[int]):
@@ -228,23 +242,6 @@ def independent_indices(rows: list[list]) -> list[int]:
     of the kept rows before it: the pivot columns of one elimination of
     the transpose."""
     return _eliminate([_integral(col) for col in transpose(rows)], len(rows))
-
-
-def rat_solve(cols: list[list], b: list):
-    """Solve sum_j x_j cols[j] = b exactly; None if inconsistent.
-
-    The columns need not be independent; one solution is returned, as
-    Fractions.
-    """
-    n = len(cols)
-    M = [_integral([c[i] for c in cols] + [b[i]]) for i in range(len(b))]
-    pivots = _eliminate(M, n)
-    if any(M[r][n] != 0 for r in range(len(pivots), len(b))):
-        return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = Fraction(M[r][n], M[r][col])
-    return x
 
 
 def primitive_vector(v) -> tuple[int, ...]:

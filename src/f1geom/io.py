@@ -35,17 +35,23 @@ class ValidationError(ValueError):
     pass
 
 
+def read_json(path):
+    """The JSON value held in the file at path; a ParseError names the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno, e.colno) from e
+    except ValueError as e:  # an integer past sys.get_int_max_str_digits()
+        raise ParseError(f"cannot read {path}: a number in it has too many digits") from e
+
+
 def parse_input(path, kinds=None):
     """Read one description file into its typed object.  ``kinds``, if
     given, names the file kinds the caller takes; a file of another kind
     is rejected by its kind before anything is built."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno, e.colno) from e
-    return object_from_dict(data, kinds, path)
+    return object_from_dict(read_json(path), kinds, path)
 
 
 def object_from_dict(data, kinds=None, where="input"):

@@ -37,7 +37,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
 from . import cones
@@ -45,11 +45,10 @@ from .cones import RationalCone
 from .intlinalg import (
     column_lattice_basis,
     dot,
-    identity_matrix,
     independent_indices,
     integer_solver,
     rat_rank,
-    rat_solve,
+    scaled_inverse,
     subgroup_invariants,
     transpose,
 )
@@ -297,10 +296,7 @@ class AffineMonoid:
         basis = [min((g for g in self.generators if cones.primitive_vector(g) == r),
                      key=lambda g: sum(map(abs, g))) for r in extremal]
         coords = independent_indices(transpose(basis))
-        inverse = [rat_solve([[b[j] for j in coords] for b in basis], e)
-                   for e in identity_matrix(len(basis))]  # columns of B_I^-1
-        D = lcm(*(x.denominator for col in inverse for x in col))
-        P = [[int(D * col[j]) for col in inverse] for j in range(len(basis))]
+        D, P = scaled_inverse([[b[i] for b in basis] for i in coords])
         steps = [[dot(p, [c[i] for i in coords]) for p in P]
                  for c in self.generators if c not in basis]
         kept, size, heap = {}, 0, [(0, (0,) * len(basis))]

@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
-from .intlinalg import rat_solve
+from .intlinalg import dot, scaled_inverse
 from .limits import LIMITS
 
 
@@ -113,6 +114,7 @@ def parse_counting_polynomial(text: str) -> CountingPolynomial:
     if not s:
         raise ZetaError("empty polynomial")
     coeffs: dict[int, int] = {}
+    cap = LIMITS["polynomial_degree"]
     for tok in re.split(r"(?!^)(?=[+-])", s):  # a sign opens a term
         sign = 1
         if tok.startswith("-"):
@@ -126,11 +128,15 @@ def parse_counting_polynomial(text: str) -> CountingPolynomial:
         bad_tail = tail and not (tail[0] == "^" and tail[1:].isdecimal())
         if bad_head or bad_tail:
             raise ZetaError(f"cannot parse term {tok!r} in {text!r}")
-        c = int(head) if head else 1
-        k = (int(tail[1:]) if tail else 1) if q else 0
-        if k > LIMITS["polynomial_degree"]:
+        k = ((tail[1:] if tail else "1") if q else "0").lstrip("0") or "0"
+        if len(k) > len(str(cap)) or int(k) > cap:  # no int() of a long digit string
             raise ZetaError(f"term {tok!r} has degree {k}, past LIMITS['polynomial_degree']")
-        coeffs[k] = coeffs.get(k, 0) + sign * c
+        try:
+            c = int(head) if head else 1
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ZetaError(f"term {tok!r} has a coefficient of {len(head)} digits, "
+                            "too many to read") from None
+        coeffs[int(k)] = coeffs.get(int(k), 0) + sign * c
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
@@ -146,8 +152,8 @@ def fit_counting_polynomial(samples, degree_bound: int) -> CountingPolynomial:
         raise ZetaError(
             f"need at least {degree_bound + 1} samples for degree {degree_bound}")
     base = pts[: degree_bound + 1]
-    coeffs = rat_solve([[q ** k for q, _ in base] for k in range(degree_bound + 1)],
-                       [n for _, n in base])
+    D, P = scaled_inverse([[q ** k for k in range(degree_bound + 1)] for q, _ in base])
+    coeffs = [Fraction(dot(row, [n for _, n in base]), D) for row in P]
     if any(c.denominator != 1 for c in coeffs):
         raise NonIntegralFit(f"interpolant has non-integer coefficients: {coeffs}")
     poly = CountingPolynomial.make([int(c) for c in coeffs])

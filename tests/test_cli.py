@@ -367,6 +367,28 @@ def test_counting_polynomial_past_the_degree_cap_names_the_limit():
     assert "LIMITS['polynomial_degree']" in _error(["zeta", "--counting", f"q^{cap + 1}"])
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("q^" + "9" * 5000, "LIMITS['polynomial_degree']"),
+    ("9" * 5000 + "q", "coefficient of 5000 digits"),
+])
+def test_counting_polynomial_of_thousands_of_digits_names_the_term(text, expected):
+    message = _error(["zeta", "--counting", text])
+    assert expected in message and "Exceeds the limit" not in message
+
+
+@pytest.mark.parametrize("verb, option, text", [
+    ("spec", "--monoid",
+     '{"kind": "monoid", "ambient_rank": 1, "generators": [[%s]]}' % ("9" * 5000)),
+    ("zeta", "--input", '[[2, %s], [3, 13]]' % ("9" * 5000)),
+])
+def test_a_file_number_of_thousands_of_digits_names_the_file(tmp_path, verb, option, text):
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    message = _error([verb, option, str(path)])
+    assert str(path) in message and "too many digits" in message
+    assert "Exceeds the limit" not in message
+
+
 def test_grassmannian_past_the_schubert_cap_names_the_limit():
     assert "LIMITS['schubert_n']" in _error(["torify", "--grassmannian", "3,9"])
 

@@ -14,6 +14,7 @@ from oracles import (
     minimal_lattice_points,
     parallelepiped_points,
 )
+from f1geom import cones
 from f1geom.cones import (
     DD_MEMO_SIZE,
     ConeError,
@@ -21,6 +22,7 @@ from f1geom.cones import (
     ResourceCapError,
     _double_description,
     _parallelepiped_points,
+    _simplices,
     cone,
     double_description,
     dual_cone,
@@ -149,6 +151,57 @@ def test_hilbert_basis_is_the_set_of_minimal_lattice_points(data):
         assume(all(any(r) for r in rays) and _box_size(rays) <= 400)
     sigma = RationalCone.make(rays, rank=n)
     assert set(hilbert_basis(sigma).vectors) == minimal_lattice_points(rays)
+
+
+# --- the pulling subdivision ---------------------------------------------------
+
+@st.composite
+def pointed_cones(draw):
+    """A pointed cone of rank 3 or 4 listing 4 to 8 rays: first coordinates
+    are positive, so e_1* is positive on the cone.  Some listed rays are
+    sums of others, not extremal; some cones lie in a hyperplane."""
+    n = draw(st.integers(3, 4))
+    k = draw(st.integers(4, 8))
+    rays = draw(st.lists(st.tuples(st.integers(1, 3), *[st.integers(-2, 2)] * (n - 1)),
+                         min_size=2, max_size=k))
+    pairs = st.tuples(st.integers(0, len(rays) - 1), st.integers(0, len(rays) - 1))
+    for i, j in draw(st.lists(pairs, min_size=k - len(rays), max_size=k - len(rays))):
+        rays.append(tuple(a + b for a, b in zip(rays[i], rays[j])))
+    if draw(st.booleans()):  # into the hyperplane x_n = x_1 - x_2
+        rays = [r[:-1] + (r[0] - r[1],) for r in rays]
+    return RationalCone.make(rays, rank=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointed_cones())
+def test_simplices_cover_the_cone_by_independent_cones_of_its_dimension(sigma):
+    simplices = _simplices(sigma)
+    for S in simplices:
+        assert len(S) == sigma.dim == sympy.Matrix([sigma.rays[i] for i in S]).rank()
+    box = itertools.product(*[range(-1, 3)] + [range(-2, 3)] * (sigma.rank - 1))
+    sums = (tuple(map(sum, zip(*pair))) for pair in itertools.combinations(sigma.rays, 2))
+    for x in itertools.chain(box, sums, [tuple(map(sum, zip(*sigma.rays)))]):
+        if sigma.contains(x):
+            assert any(in_rational_cone([sigma.rays[i] for i in S], x) for S in simplices), x
+
+
+@pytest.mark.parametrize("rays, inner", [
+    # over a pentagon in rank 3, and over the 0/1 points of weight 1 or 2 in rank 4
+    ([(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], {(0, 0, 1)}),
+    ([(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1)],
+     set()),
+])
+def test_hilbert_basis_of_a_non_simplicial_cone_takes_only_its_own_dual(
+        rays, inner, monkeypatch):
+    calls = []
+    take = cones.double_description
+    monkeypatch.setattr(cones, "double_description",
+                        lambda rows, n: calls.append(rows) or take(rows, n))
+    _double_description.cache_clear()
+    sigma = RationalCone.make(rays)
+    assert set(hilbert_basis(sigma).vectors) == set(rays) | inner
+    assert len(calls) == 1 and _double_description.cache_info().misses == 1
+    assert not sigma.simplicial and len(_simplices(sigma)) > 1
 
 
 @st.composite

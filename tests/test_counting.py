@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,9 @@ from f1geom.monoid import AffineMonoid, group_monoid
 from f1geom.spectrum import MScheme, plus_zero
 from f1geom.zeta import (
     CountingPolynomial,
+    InconsistentSamples,
+    NonIntegralFit,
+    ZetaError,
     fit_counting_polynomial,
     parse_counting_polynomial,
     q_poly,
@@ -212,3 +216,22 @@ def test_fit_recovers_the_sampled_polynomial(coeffs, slack, extra):
 def test_printed_polynomial_parses_back(coeffs):
     poly = CountingPolynomial.make(coeffs)
     assert parse_counting_polynomial(str(poly)) == poly
+
+
+def test_fit_names_a_non_integral_interpolant_and_a_disagreeing_sample():
+    with pytest.raises(NonIntegralFit, match=re.escape(
+            "interpolant has non-integer coefficients: "
+            "[Fraction(0, 1), Fraction(-1, 2), Fraction(1, 2)]")):
+        fit_counting_polynomial([(q, q * (q - 1) // 2) for q in (2, 3, 4)], 2)
+    with pytest.raises(InconsistentSamples, match=re.escape(
+            "sample N(5)=7 disagrees with the fit q + 1 = 6")):
+        fit_counting_polynomial([(2, 3), (3, 4), (5, 7)], 1)
+
+
+def test_digit_strings_past_the_int_limit_name_the_term():
+    # each digit string is measured before int() reads it
+    assert parse_counting_polynomial("q^" + "0" * 5000 + "7") == q_poly(1, 0, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ZetaError, match=r"has degree 9{5000}, past LIMITS\['polynomial_degree'\]"):
+        parse_counting_polynomial("q^" + "9" * 5000)
+    with pytest.raises(ZetaError, match="has a coefficient of 5000 digits"):
+        parse_counting_polynomial("9" * 5000 + "q + 1")

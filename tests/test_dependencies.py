@@ -26,7 +26,7 @@ def test_imports_are_relative_or_standard_library(path):
 
 # Public names that nothing in the package calls, each kept for a stated reason.
 UNREFERENCED_ON_PURPOSE = {
-    # claimed by ROADMAP items 2, 3 and 8
+    # claimed by ROADMAP items 3, 4 and 9
     ("torified", "weyl_group_order"),
     ("torified", "triple_from_torification"),
     ("torified", "is_torified_cc"),

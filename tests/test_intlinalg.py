@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from f1geom.intlinalg import (
     primitive_vector,
     quotient_invariants,
     rat_rank,
-    rat_solve,
+    scaled_inverse,
     smith_normal_form,
     subgroup_invariants,
     transpose,
@@ -112,19 +113,6 @@ def test_rat_rank_matches_sympy(A):
     assert rat_rank(A) == sympy.Matrix(A).rank()
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_matrices, st.lists(st.integers(-9, 9), min_size=4, max_size=4))
-def test_rat_solve_solves_or_reports_inconsistency(A, b):
-    sympy = pytest.importorskip("sympy")
-    b = b[: len(A)]
-    x = rat_solve(transpose(A), b)  # the columns of A
-    augmented = sympy.Matrix(A).row_join(sympy.Matrix(b))
-    if augmented.rank() > sympy.Matrix(A).rank():
-        assert x is None
-    else:
-        assert mat_vec(A, x) == b
-
-
 # --- the elimination kernel against sympy, on int and Fraction inputs ----------
 
 def _as_fractions(A, data):
@@ -145,29 +133,6 @@ def _sympy(A):
 @given(small_matrices, st.data())
 def test_rat_rank_matches_sympy_on_fractions(A, data):
     assert rat_rank(_as_fractions(A, data)) == _sympy(A).rank()
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_matrices, st.booleans(), st.booleans(), st.data())
-def test_rat_solve_matches_sympy(A, consistent, fractions, data):
-    ints = st.integers(-9, 9)
-    if consistent:
-        x0 = data.draw(st.lists(ints, min_size=len(A[0]), max_size=len(A[0])))
-        b = mat_vec(A, x0)
-    else:
-        b = data.draw(st.lists(ints, min_size=len(A), max_size=len(A)))
-    system = [row + [c] for row, c in zip(A, b)]
-    if fractions:
-        system = _as_fractions(system, data)
-    x = rat_solve(transpose([row[:-1] for row in system]), [row[-1] for row in system])
-    try:
-        sol, params = _sympy(A).gauss_jordan_solve(_sympy([[c] for c in b]))
-    except ValueError:  # sympy: the system is inconsistent
-        assert x is None and not consistent
-        return
-    expected = sol.subs({p: 0 for p in params})  # free variables set to 0
-    assert _sympy([x]) == expected.T
-    assert all(isinstance(v, Fraction) for v in x)
 
 
 def _apply_row_ops(U, ops):
@@ -196,6 +161,20 @@ def test_unimodular_inverse_matches_sympy(U, fractions):
     inverse = unimodular_inverse(M)
     assert _sympy(inverse) == _sympy(U).inv()
     assert all(type(x) is int for row in inverse for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(square_matrices, unimodular_matrices), st.booleans(), st.data())
+def test_scaled_inverse_matches_sympy(U, fractions, data):
+    M = _as_fractions(U, data) if fractions else U
+    if _sympy(U).det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            scaled_inverse(M)
+        return
+    D, P = scaled_inverse(M)
+    assert all(type(x) is int for row in P for x in row)
+    assert _sympy(P) == D * _sympy(M).inv()  # P = D M^-1
+    assert D >= 1 and gcd(D, *(x for row in P for x in row)) == 1  # D is least
 
 
 def test_column_lattice_basis_spans():
@@ -261,8 +240,6 @@ def test_independent_indices_match_greedy_ranks(A):
 def test_rational_helpers():
     assert rat_rank([[1, 2], [2, 4]]) == 1
     assert independent_indices([[0, 0], [1, 2], [2, 4], [1, 1]]) == [1, 3]
-    assert rat_solve([[2, 0], [0, 2]], [1, 1]) is not None
-    assert rat_solve([[1, 0]], [0, 1]) is None
     assert primitive_vector([4, -6]) == (2, -3)
     with pytest.raises(ValueError):
         primitive_vector([0, 0])
