@@ -2,7 +2,6 @@
 
 LIMITS = {
     "lattice_rank": 4,   # dual cones and Hilbert bases (cones.RANK_CAP)
-    "table_primes": 20,  # elements of a table monoid searched for primes
     "schubert_n": 8,     # n of a Gr(k, n) Schubert torification
     "gaussian_n": 12,    # n of a Gaussian binomial [n choose k]_q
     "membership_table": 4096,  # vectors kept by a monoid's membership table

@@ -14,7 +14,7 @@ Both carry one method set, so other modules never ask which they hold:
 ``power`` (on normalised members; ``AffineMonoid`` reduces only the
 torsion coordinates of the result, and only when it has torsion),
 ``member(x)`` (x normalised, or None if not in the monoid),
-``is_unit``, ``is_integral`` (True on ``AffineMonoid``), ``is_group``
+``is_integral`` (True on ``AffineMonoid``), ``is_group``
 (every nonzero element is a unit), ``units()``, ``primes()`` (the
 generic prime first, the closed point's prime last), ``localize(p)`` ->
 (A_p, canonical hom A -> A_p), ``restriction(hom_q, hom_p)`` -> the sheaf
@@ -24,19 +24,19 @@ map A_q -> A_p for p <= q read off the two localization homs, and
 they are stored without an element map.
 
 Primes, localizations, saturations and unit groups are all computed
-exactly; prime ideals of an affine monoid correspond to the faces of its
-recession cone.  ``AffineMonoid.contains`` reads
-membership off a residue table (Apery set) over one generator per
+exactly.  Prime ideals of an affine monoid correspond to the faces of its
+recession cone; those of a table monoid M correspond to its idempotents
+e, and the localization at e's prime is eM.  ``AffineMonoid.contains``
+reads membership off a residue table (Apery set) over one generator per
 extremal ray where the monoid has no torsion, no units and a simplicial
 cone, and searches the generators' multiples everywhere else.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
 from operator import add
 
@@ -54,15 +54,10 @@ from .intlinalg import (
 )
 from .limits import LIMITS
 
-TABLE_PRIME_CAP = LIMITS["table_primes"]
 MEMBERSHIP_TABLE_CAP = LIMITS["membership_table"]
 
 
 class MonoidError(ValueError):
-    pass
-
-
-class ResourceError(MonoidError):
     pass
 
 
@@ -219,9 +214,6 @@ class AffineMonoid:
     @property
     def is_group(self) -> bool:
         return len(self.unit_generator_indices) == len(self.generators)
-
-    def is_unit(self, x) -> bool:
-        return self.contains(x) and self.contains(tuple(-v for v in self._reduce(x)))
 
     # -- membership
 
@@ -474,15 +466,6 @@ class TableMonoid:
     def units(self) -> AbelianGroup:
         return AbelianGroup(0, _finite_group_invariants(self, self.unit_elements))
 
-    def is_unit(self, x) -> bool:
-        return x in self.unit_elements
-
-    def _inverse(self, u):
-        for v in self.unit_elements:
-            if self.op(u, v) == self.identity:
-                return v
-        raise MonoidError(f"{u!r} is not a unit")
-
     def member(self, x):
         return x if x in self.elements else None
 
@@ -493,87 +476,62 @@ class TableMonoid:
 
     @property
     def is_integral(self) -> bool:
-        """Cancellative (among nonzero elements when a zero is present)."""
+        """Cancellative (among nonzero elements when a zero is present):
+        each nonzero a maps the nonzero elements injectively to nonzero
+        elements."""
         nz = [a for a in self.elements if a != self.zero]
-        for a in nz:
-            for x in nz:
-                if self.pointed and self.op(a, x) == self.zero:
-                    return False
-                for y in nz:
-                    if self.op(a, x) == self.op(a, y) and x != y:
-                        return False
-        return True
+        return all(len({self.op(a, x) for x in nz} - {self.zero}) == len(nz) for a in nz)
 
     def primes(self) -> list["PrimeIdeal"]:
-        if len(self.elements) > TABLE_PRIME_CAP:
-            raise ResourceError(
-                f"table monoid prime search capped at {TABLE_PRIME_CAP} elements "
-                "(LIMITS['table_primes'])"
-            )
-        units = set(self.unit_elements)
-        nonunits = [a for a in self.elements if a not in units]
-        found = []
-        for k in range(len(nonunits) + 1):
-            for combo in itertools.combinations(nonunits, k):
-                p = set(combo)
-                if self.pointed and self.zero not in p:
-                    continue
-                comp = [a for a in self.elements if a not in p]
-                if not all(self.op(a, b) not in p for a in comp for b in comp):
-                    continue
-                if not all(self.op(a, m) in p for a in p for m in self.elements):
-                    continue
-                found.append(PrimeIdeal(self, elements=frozenset(p)))
-        return sorted(found, key=PrimeIdeal.sort_key)
+        """One prime per idempotent e other than the zero: the elements
+        that do not divide e.
+
+        The complement F of a prime is a filter (ab in F iff a, b in F).
+        F is the divisor set of e = (prod F)^omega: each a in F divides
+        prod F, hence e, and a | e in F puts a in F.  Conversely the divisor
+        set of an idempotent is a filter, and divisor sets of distinct
+        idempotents differ, as e | f | e gives e = ef = f.  The zero divides
+        only itself, so it lies in every other prime, and the zero's own
+        divisor set, everything, is excluded on a pointed monoid."""
+        idempotents = [e for e in self.elements if e != self.zero and self.op(e, e) == e]
+        return sorted((PrimeIdeal(self, elements=frozenset(
+            a for a in self.elements if all(self.op(a, b) != e for b in self.elements)))
+            for e in idempotents), key=PrimeIdeal.sort_key)
 
     def localize(self, p: "PrimeIdeal"):
-        """Fractions a/s, s outside p, with a/s ~ b/t iff u t a = u s b for
-        some u outside p; each class is labelled by its least member."""
+        """Fractions a/s, s outside p, as the monoid eM, e the idempotent
+        power of the product of S = M minus p.
+
+        S is the divisor set of e (see `primes`), so each es is a unit of
+        eM, and a/s -> the b in eM with b s = e a is an isomorphism from the
+        fractions onto eM sending a/1 to ea.  Each b is labelled by its
+        least fraction under (str(a), str(s)), written a/s, or a if s is
+        the identity."""
         S = [a for a in self.elements if a not in p.elements]
-        pairs = [(a, s) for a in self.elements for s in S]
-
-        def equivalent(p1, p2):
-            (a, s), (b, t) = p1, p2
-            return any(self.op(self.op(u, t), a) == self.op(self.op(u, s), b) for u in S)
-
-        classes: list[list] = []
-        for pair in pairs:
-            for cls in classes:
-                if equivalent(pair, cls[0]):
-                    cls.append(pair)
-                    break
-            else:
-                classes.append([pair])
-        labels = {}
-        for cls in classes:
-            rep = min(cls, key=lambda pair: (str(pair[0]), str(pair[1])))
-            name = f"{rep[0]}/{rep[1]}" if rep[1] != self.identity else f"{rep[0]}"
-            for pair in cls:
-                labels[pair] = name
-        elements = tuple(sorted(set(labels.values())))
-        table = {}
-        for (a, s) in pairs:
-            for (b, t) in pairs:
-                prod = (self.op(a, b), self.op(s, t))
-                table[(labels[(a, s)], labels[(b, t)])] = labels[prod]
-        one = self.identity
-        zero = labels[(self.zero, one)] if self.pointed else None
-        loc = TableMonoid.make(elements, table, identity=labels[(one, one)], zero=zero)
-        return loc, MonoidHom.table(self, loc, {a: labels[(a, one)] for a in self.elements})
+        x = e = reduce(self.op, S)
+        while self.op(e, e) != e:
+            e = self.op(e, x)
+        eM = dict.fromkeys(self.op(e, a) for a in self.elements)
+        least = {}
+        for s in S:
+            quotient = {self.op(b, s): b for b in eM}  # b s = (es) b, a bijection of eM
+            for a in self.elements:
+                b, key = quotient[self.op(e, a)], (str(a), str(s))
+                if b not in least or key < least[b][0]:
+                    least[b] = key, f"{a}/{s}" if s != self.identity else f"{a}"
+        label = {b: name for b, (_, name) in least.items()}
+        table = {(label[b], label[c]): label[self.op(b, c)] for b in eM for c in eM}
+        zero = label[self.zero] if self.pointed else None
+        loc = TableMonoid.make(sorted(set(label.values())), table, identity=label[e], zero=zero)
+        return loc, MonoidHom.table(self, loc, {a: label[self.op(e, a)] for a in self.elements})
 
     def restriction(self, hom_q: "MonoidHom", hom_p: "MonoidHom") -> "MonoidHom":
-        """A_q -> A_p sending each label of A_q, found as a fraction a/s with
-        s a unit in A_q, to hom_p(a) hom_p(s)^-1."""
-        Aq, Ap = hom_q.target, hom_p.target
-        emap = {}
-        for s in self.elements:
-            u = hom_q.apply(s)
-            if Aq.is_unit(u):
-                inv_q, inv_p = Aq._inverse(u), Ap._inverse(hom_p.apply(s))
-                for a in self.elements:
-                    emap.setdefault(Aq.op(hom_q.apply(a), inv_q),
-                                    Ap.op(hom_p.apply(a), inv_p))
-        return MonoidHom.table(Aq, Ap, emap)
+        """A_q -> A_p for p <= q, sending hom_q(a) to hom_p(a).  With e_p,
+        e_q the idempotents of `localize`, p <= q puts e_q in the divisor
+        set of e_p, so e_p e_q = e_p: e_q a = e_q a' gives e_p a = e_p a'.
+        hom_q is onto, so this defines the map a/s -> hom_p(a) hom_p(s)^-1."""
+        return MonoidHom.table(hom_q.target, hom_p.target,
+                               {hom_q.apply(a): hom_p.apply(a) for a in self.elements})
 
     def adjoin_zero(self) -> "TableMonoid":
         if self.pointed:
@@ -615,43 +573,31 @@ def _already_pointed(M):
 
 
 def _finite_group_invariants(M: TableMonoid, group_elements) -> tuple[int, ...]:
-    """Invariant factors of a finite abelian group inside a table monoid."""
-    els = list(group_elements)
-    if len(els) <= 1:
-        return ()
-
-    def order(a):
+    """Invariant factors of a finite abelian group inside a table monoid,
+    read off its element orders: for each prime p, the number of cyclic
+    factors of order divisible by p^k is log_p(#G[p^k] / #G[p^(k-1)]),
+    where G[m] is the set of elements of order dividing m."""
+    orders = []
+    for a in group_elements:
         n, x = 1, a
         while x != M.identity:
-            x = M.op(x, a)
-            n += 1
-        return n
-
-    orders = [order(a) for a in els]
-    top_order = max(orders)
-    top = els[orders.index(top_order)]
-    # split off a cyclic factor of maximal order and recurse on the quotient
-    gen_powers = {M.power(top, k) for k in range(top_order)}
-    cosets = {}
-    for a in els:
-        coset = frozenset(M.op(a, g) for g in gen_powers)
-        cosets.setdefault(coset, []).append(a)
-    if len(cosets) == 1:
-        return (top_order,) if top_order > 1 else ()
-    reps = {c: min(str(a) for a in members) for c, members in cosets.items()}
-    q_elements = tuple(sorted(reps.values()))
-    rep_of = {}
-    for coset, members in cosets.items():
-        for a in members:
-            rep_of[a] = reps[coset]
-    q_table = {}
-    for c1, m1 in cosets.items():
-        for c2, m2 in cosets.items():
-            prod = M.op(m1[0], m2[0])
-            q_table[(reps[c1], reps[c2])] = rep_of[prod]
-    Q = TableMonoid.make(q_elements, q_table, identity=rep_of[M.identity])
-    sub = _finite_group_invariants(Q, Q.elements)
-    return tuple(sorted(list(sub) + [top_order]))
+            x, n = M.op(x, a), n + 1
+        orders.append(n)
+    factors = [1] * len(orders)  # ascending, so the largest factors come last
+    size, p = len(orders), 2
+    while size > 1:
+        if size % p == 0:
+            below, pk = 1, p
+            while (count := sum(pk % n == 0 for n in orders)) > below:
+                i = len(factors)
+                while below < count:  # one factor of p per cyclic factor p^k divides
+                    i, below = i - 1, below * p
+                    factors[i] *= p
+                pk *= p
+            while size % p == 0:
+                size //= p
+        p += 1
+    return tuple(d for d in factors if d > 1)
 
 
 # --- primes ------------------------------------------------------------------

@@ -9,6 +9,7 @@ is exact.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,8 +138,12 @@ def parse_counting_polynomial(text: str) -> CountingPolynomial:
             raise ZetaError(f"term {tok!r} has a coefficient of {len(head)} digits, "
                             "too many to read") from None
         coeffs[int(k)] = coeffs.get(int(k), 0) + sign * c
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
+        if digits and abs(c) >= 10 ** digits:  # str(c) would raise
+            raise ZetaError(f"the terms of degree {k} sum to a coefficient of more than "
+                            f"{digits} digits, too many to print")
         out[k] = c
     return CountingPolynomial.make(out)
 

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here enumerates honestly (vectors, matrices, subspaces,
-lattice points) and stays deliberately unaware of the library's
-stalk/SNF formulas, so the two routes cross-check each other.
+lattice points, subsets, fractions) and stays deliberately unaware of
+the library's stalk/SNF formulas, so the two routes cross-check each
+other.  The table-monoid oracles build their results with the library's
+table constructors, and the unit-group presentation is reduced by its
+`quotient_invariants`, a route the table monoids themselves do not take.
 """
 import itertools
 import math
@@ -137,6 +140,111 @@ def truncated_primes_of_free_monoid(n: int, degree: int = 2):
         if ok:
             found.append(frozenset(P))
     return found
+
+
+def table_primes_by_subsets(M):
+    """Prime ideals of a table monoid as element sets, by trying every
+    subset p of the non-units (holding the zero, if M has one): p is prime
+    when it is an ideal whose complement is closed under the product.
+    Sorted by size, then by the sorted element names."""
+    units = set(M.unit_elements)
+    nonunits = [a for a in M.elements if a not in units]
+    found = []
+    for k in range(len(nonunits) + 1):
+        for combo in itertools.combinations(nonunits, k):
+            p = set(combo)
+            if M.pointed and M.zero not in p:
+                continue
+            comp = [a for a in M.elements if a not in p]
+            if not all(M.op(a, b) not in p for a in comp for b in comp):
+                continue
+            if not all(M.op(a, m) in p for a in p for m in M.elements):
+                continue
+            found.append(frozenset(p))
+    return sorted(found, key=lambda p: (len(p), tuple(sorted(map(str, p)))))
+
+
+def table_localization_by_fractions(M, prime):
+    """(M_p, hom M -> M_p) for a table monoid M and an element set prime:
+    the fractions a/s, s outside p, closed into classes by a/s ~ b/t iff
+    u t a = u s b for some u outside p; each class is labelled by its least
+    member under (str(a), str(s)), written a/s, or a if s is the identity."""
+    from f1geom.monoid import MonoidHom, TableMonoid
+
+    S = [a for a in M.elements if a not in prime]
+    pairs = [(a, s) for a in M.elements for s in S]
+
+    def equivalent(p1, p2):
+        (a, s), (b, t) = p1, p2
+        return any(M.op(M.op(u, t), a) == M.op(M.op(u, s), b) for u in S)
+
+    classes = []
+    for pair in pairs:
+        for cls in classes:
+            if equivalent(pair, cls[0]):
+                cls.append(pair)
+                break
+        else:
+            classes.append([pair])
+    labels = {}
+    for cls in classes:
+        rep = min(cls, key=lambda pair: (str(pair[0]), str(pair[1])))
+        name = f"{rep[0]}/{rep[1]}" if rep[1] != M.identity else f"{rep[0]}"
+        for pair in cls:
+            labels[pair] = name
+    table = {(labels[a, s], labels[b, t]): labels[M.op(a, b), M.op(s, t)]
+             for a, s in pairs for b, t in pairs}
+    one = M.identity
+    zero = labels[M.zero, one] if M.pointed else None
+    loc = TableMonoid.make(sorted(set(labels.values())), table, identity=labels[one, one],
+                           zero=zero)
+    return loc, MonoidHom.table(M, loc, {a: labels[a, one] for a in M.elements})
+
+
+def table_restriction_by_fractions(M, hom_q, hom_p) -> dict:
+    """The map A_q -> A_p of two localization homs of a table monoid M,
+    sending each fraction hom_q(a) hom_q(s)^-1, s a unit in A_q, to
+    hom_p(a) hom_p(s)^-1; inverses are found by search."""
+    Aq, Ap = hom_q.target, hom_p.target
+
+    def inverse(A, u):
+        return next((v for v in A.elements if A.op(u, v) == A.identity), None)
+
+    out = {}
+    for s in M.elements:
+        inv_q = inverse(Aq, hom_q.apply(s))
+        if inv_q is not None:
+            inv_p = inverse(Ap, hom_p.apply(s))
+            for a in M.elements:
+                out.setdefault(Aq.op(hom_q.apply(a), inv_q), Ap.op(hom_p.apply(a), inv_p))
+    return out
+
+
+def table_unit_invariants(M):
+    """(free rank, invariant factors) of a table monoid's unit group U,
+    presented on generators e_u, u in U, by the relations
+    e_a + e_b - e_ab for all a, b in U."""
+    from f1geom.intlinalg import quotient_invariants
+
+    units = list(M.unit_elements)
+    index = {u: i for i, u in enumerate(units)}
+    relations = []
+    for i, a in enumerate(units):
+        for b in units[i:]:
+            rel = [0] * len(units)
+            rel[index[a]] += 1
+            rel[index[b]] += 1
+            rel[index[M.op(a, b)]] -= 1
+            relations.append(rel)
+    return quotient_invariants(len(units), relations)
+
+
+def table_is_cancellative(M) -> bool:
+    """No nonzero a has a x = 0 or a x = a y with x != y for nonzero x, y."""
+    nz = [a for a in M.elements if a != M.zero]
+    return not any((M.pointed and M.op(a, x) == M.zero)
+                   or any(x != y and M.op(a, x) == M.op(a, y) for y in nz)
+                   for a in nz for x in nz)
 
 
 def generated_lattice_points(gens, bound: int):

@@ -367,6 +367,7 @@ def test_counting_polynomial_past_the_degree_cap_names_the_limit():
     assert "LIMITS['polynomial_degree']" in _error(["zeta", "--counting", f"q^{cap + 1}"])
 
 
+@pytest.mark.usefixtures("default_int_digit_limit")
 @pytest.mark.parametrize("text, expected", [
     ("q^" + "9" * 5000, "LIMITS['polynomial_degree']"),
     ("9" * 5000 + "q", "coefficient of 5000 digits"),
@@ -376,6 +377,7 @@ def test_counting_polynomial_of_thousands_of_digits_names_the_term(text, expecte
     assert expected in message and "Exceeds the limit" not in message
 
 
+@pytest.mark.usefixtures("default_int_digit_limit")
 @pytest.mark.parametrize("verb, option, text", [
     ("spec", "--monoid",
      '{"kind": "monoid", "ambient_rank": 1, "generators": [[%s]]}' % ("9" * 5000)),
@@ -387,6 +389,16 @@ def test_a_file_number_of_thousands_of_digits_names_the_file(tmp_path, verb, opt
     message = _error([verb, option, str(path)])
     assert str(path) in message and "too many digits" in message
     assert "Exceeds the limit" not in message
+
+
+@pytest.mark.usefixtures("default_int_digit_limit")
+def test_coefficients_summed_past_the_digit_limit_name_the_degree():
+    nines = "9" * 4300
+    message = _error(["zeta", "--counting", f"{nines}q+{nines}q"])
+    assert "degree 1" in message and "more than 4300 digits" in message
+    assert "Exceeds the limit" not in message
+    rc, out, _ = run_cli(["zeta", "--counting", f"{nines}q-{nines}q+1", "--json"])
+    assert rc == 0 and json.loads(out)["counting_polynomial"] == "1"
 
 
 def test_grassmannian_past_the_schubert_cap_names_the_limit():

@@ -228,6 +228,7 @@ def test_fit_names_a_non_integral_interpolant_and_a_disagreeing_sample():
         fit_counting_polynomial([(2, 3), (3, 4), (5, 7)], 1)
 
 
+@pytest.mark.usefixtures("default_int_digit_limit")
 def test_digit_strings_past_the_int_limit_name_the_term():
     # each digit string is measured before int() reads it
     assert parse_counting_polynomial("q^" + "0" * 5000 + "7") == q_poly(1, 0, 0, 0, 0, 0, 0, 0)
@@ -235,3 +236,14 @@ def test_digit_strings_past_the_int_limit_name_the_term():
         parse_counting_polynomial("q^" + "9" * 5000)
     with pytest.raises(ZetaError, match="has a coefficient of 5000 digits"):
         parse_counting_polynomial("9" * 5000 + "q + 1")
+
+
+@pytest.mark.usefixtures("default_int_digit_limit")
+def test_coefficients_summed_past_the_int_limit_name_the_degree():
+    nines = "9" * 4300
+    with pytest.raises(ZetaError, match="terms of degree 2 sum to a coefficient of more than "
+                                        "4300 digits"):
+        parse_counting_polynomial(f"q + {nines}q^2 + {nines}q^2")
+    assert parse_counting_polynomial(f"{nines}q^2 - {nines}q^2 + q") == q_poly(1, 0)
+    big = parse_counting_polynomial(f"{nines[1:]}q + {nines[1:]}q")  # 4,300 digits in all
+    assert len(str(big.coefficients[1])) == 4300

@@ -6,10 +6,7 @@ from f1geom.cones import RANK_CAP, ResourceCapError, RationalCone, dual_cone, hi
 from f1geom.limits import LIMITS
 from f1geom.monoid import (
     MEMBERSHIP_TABLE_CAP,
-    TABLE_PRIME_CAP,
     AffineMonoid,
-    ResourceError,
-    TableMonoid,
     free_monoid,
 )
 from f1geom.semiring import RingError, SemigroupRingElement, ring_mul
@@ -22,11 +19,11 @@ def _orthant(rank):
 
 
 def test_the_table_holds_every_cap():
-    assert LIMITS == {"lattice_rank": 4, "table_primes": 20, "schubert_n": 8, "gaussian_n": 12,
+    assert LIMITS == {"lattice_rank": 4, "schubert_n": 8, "gaussian_n": 12,
                       "membership_table": 4096,
                       "field_size": 3_317_044_064_679_887_385_961_980,
                       "ring_mul_terms": 10_000, "polynomial_degree": 1000}
-    assert RANK_CAP == LIMITS["lattice_rank"] and TABLE_PRIME_CAP == LIMITS["table_primes"]
+    assert RANK_CAP == LIMITS["lattice_rank"]
     assert MEMBERSHIP_TABLE_CAP == LIMITS["membership_table"]
 
 
@@ -37,13 +34,6 @@ def test_lattice_rank_cap():
     for op in (dual_cone, hilbert_basis):
         with pytest.raises(ResourceCapError, match=r"LIMITS\['lattice_rank'\]"):
             op(_orthant(rank + 1))
-
-
-def test_table_primes_cap():
-    cap = LIMITS["table_primes"]
-    assert len(TableMonoid.cyclic_group_with_zero(cap - 1).primes()) == 1  # cap elements
-    with pytest.raises(ResourceError, match=r"LIMITS\['table_primes'\]"):
-        TableMonoid.cyclic_group_with_zero(cap).primes()
 
 
 def test_membership_table_cap():

@@ -2,6 +2,7 @@ import itertools
 import warnings
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from f1geom.monoid import (
     AffineMonoid,
     MonoidError,
     PrimeIdeal,
-    ResourceError,
     TableMonoid,
     free_monoid,
     group_monoid,
@@ -77,9 +77,8 @@ def test_table_monoid_primes_and_cap():
     M = TableMonoid.cyclic_group_with_zero(3)
     ps = M.primes()
     assert len(ps) == 1 and ps[0].elements == frozenset({"0"})
-    big = TableMonoid.cyclic_group_with_zero(20)  # 21 elements
-    with pytest.raises(ResourceError):
-        big.primes()
+    big = TableMonoid.cyclic_group_with_zero(40)  # 41 elements, past any subset search
+    assert [p.elements for p in big.primes()] == [frozenset({"0"})]
 
 
 def test_pointed_table_primes_contain_zero():
@@ -136,6 +135,114 @@ def test_localize_table_collapse():
     pmax = next(p for p in M.primes() if p.elements == frozenset({"x", "0"}))
     loc2, _ = M.localize(pmax)
     assert len(loc2.elements) == 3
+
+
+# --- table monoids against the subset, fraction and presentation oracles -----------
+
+def _table(names, mul, identity="1", zero=None):
+    return TableMonoid.make(names, {(a, b): mul(a, b) for a in names for b in names},
+                            identity=identity, zero=zero)
+
+
+def cyclic_monoid(index, period):
+    """<x | x^(index + period) = x^index>, on 1, x, x^2, ..."""
+    names = ["1", "x"] + [f"x^{k}" for k in range(2, index + period)]
+    names = names[:index + period]
+
+    def exponent(k):
+        return k if k < index else index + (k - index) % period
+
+    return _table(names, lambda a, b: names[exponent(names.index(a) + names.index(b))])
+
+
+def union_semilattice(k):
+    """Subsets of k letters under union, the empty set written 1."""
+    subsets = ["".join(c) for r in range(k + 1) for c in itertools.combinations("abcde"[:k], r)]
+    return _table(["1"] + subsets[1:], lambda a, b: "".join(sorted(set(a + b) - {"1"})) or "1")
+
+
+def truncated_plane(degree):
+    """Monomials x^i y^j of N^2 with i + j <= degree, the rest sent to 0."""
+    monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    name = {m: "".join(v if e == 1 else f"{v}^{e}" for v, e in zip("xy", m) if e) or "1"
+            for m in monomials}
+    exponents = {x: m for m, x in name.items()}
+
+    def mul(a, b):
+        if "0" in (a, b):
+            return "0"
+        return name.get(tuple(map(add, exponents[a], exponents[b])), "0")
+
+    return _table(list(name.values()) + ["0"], mul, zero="0")
+
+
+def product(M, N):
+    """M x N, pointed by (zero, zero) when both factors are pointed."""
+    names = {f"({a},{b})": (a, b) for a in M.elements for b in N.elements}
+
+    def mul(x, y):
+        (a, b), (c, d) = names[x], names[y]
+        return f"({M.op(a, c)},{N.op(b, d)})"
+
+    zero = f"({M.zero},{N.zero})" if M.pointed and N.pointed else None
+    return _table(list(names), mul, identity=f"({M.identity},{N.identity})", zero=zero)
+
+
+TABLE_CORPUS = {
+    **{f"cyclic({i},{n})": cyclic_monoid(i, n) for i in range(3) for n in range(1, 5)},
+    **{f"mu{n}+0": TableMonoid.cyclic_group_with_zero(n) for n in range(1, 7)},
+    **{f"union{k}": union_semilattice(k) for k in range(1, 4)},
+    **{f"union{k}+0": union_semilattice(k).adjoin_zero() for k in range(1, 4)},
+    **{f"plane{d}": truncated_plane(d) for d in (1, 2)},
+    "Z/2xZ/2": product(cyclic_monoid(0, 2), cyclic_monoid(0, 2)),
+    "Z/2xZ/3": product(cyclic_monoid(0, 2), cyclic_monoid(0, 3)),
+    "cyclic(1,2)xZ/2": product(cyclic_monoid(1, 2), cyclic_monoid(0, 2)),
+    "cyclic(2,1)xcyclic(1,1)": product(cyclic_monoid(2, 1), cyclic_monoid(1, 1)),
+    "cyclic(2,2)xcyclic(1,2)": product(cyclic_monoid(2, 2), cyclic_monoid(1, 2)),
+    "mu2+0xmu1+0": product(TableMonoid.cyclic_group_with_zero(2), TableMonoid.f1_monoid()),
+    "mu3+0xunion1": product(TableMonoid.cyclic_group_with_zero(3), union_semilattice(1)),
+    "union2xZ/3": product(union_semilattice(2), cyclic_monoid(0, 3)),
+    "plane1xmu2+0": product(truncated_plane(1), TableMonoid.cyclic_group_with_zero(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CORPUS))
+def test_table_monoid_routes_equal_the_oracles(name):
+    M = TABLE_CORPUS[name]
+    ps = M.primes()
+    assert [p.elements for p in ps] == oracles.table_primes_by_subsets(M)
+    homs = {}
+    for p in ps:
+        loc, hom = M.localize(p)
+        expected_loc, expected_hom = oracles.table_localization_by_fractions(M, p.elements)
+        assert loc == expected_loc
+        assert hom.element_map == expected_hom.element_map
+        homs[p.key] = hom
+    for p in ps:
+        for q in ps:
+            if p.is_subset_of(q):
+                res = M.restriction(homs[q.key], homs[p.key])
+                assert res.element_map == \
+                    oracles.table_restriction_by_fractions(M, homs[q.key], homs[p.key])
+    rank, factors = oracles.table_unit_invariants(M)
+    assert M.units() == AbelianGroup(rank, tuple(factors))
+    assert M.is_integral == oracles.table_is_cancellative(M)
+
+
+def test_table_monoid_corpus_covers_each_family():
+    monoids = TABLE_CORPUS.values()
+    assert len(monoids) == 35 and sum(M.pointed for M in monoids) == 13
+    assert {M.is_integral for M in monoids} == {M.is_group for M in monoids} == {True, False}
+    assert {len(M.primes()) for M in monoids} == {1, 2, 3, 4, 8}
+
+
+def test_table_monoids_past_the_subset_search():
+    assert len(union_semilattice(5).primes()) == 32  # every element is idempotent
+    assert len(union_semilattice(5).adjoin_zero().primes()) == 32
+    Z6xZ4 = product(cyclic_monoid(0, 6), cyclic_monoid(0, 4))
+    assert Z6xZ4.units() == AbelianGroup(0, (2, 12))
+    assert oracles.table_unit_invariants(Z6xZ4) == (0, [2, 12])
+    assert Z6xZ4.is_group and Z6xZ4.is_integral
 
 
 def test_localize_rejects_foreign_prime():
@@ -487,7 +594,7 @@ def test_membership_table_is_built_once_per_monoid(monkeypatch):
     monkeypatch.setattr(AffineMonoid, "_membership_table", table)
     A = AffineMonoid.make(2, [[2, 0], [3, 0], [0, 2], [1, 1], [-1, 4]])
     for x in itertools.product(range(-3, 7), repeat=2):
-        A.contains(x), A.member(x), A.is_unit(x)
+        A.contains(x), A.member(x)
     B = AffineMonoid.make(2, A.generators)
     assert B.contains((1, 1)) and not B.contains((1, 0))
     assert len(builds) == 2 and builds[0] is A and builds[1] is B
