@@ -32,6 +32,7 @@ from .semiring import (
 from .spectrum import MScheme, classify, global_sections, plus_zero
 from .torified import (
     bruhat_torification,
+    check_listable,
     f_functor,
     from_cc,
     is_affinely_torified,
@@ -59,16 +60,32 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+class _RawJSON(str):
+    """The JSON text of a report value, printed as it is in both modes."""
+
+
 def _emit(report: dict, as_json: bool, ok: bool) -> int:
     report = dict(report)
     report["schema"] = SCHEMA
     report["status"] = "pass" if ok else "fail"
     if as_json:
-        print(json.dumps(report, sort_keys=True, default=str))
+        # the bytes of json.dumps(report, sort_keys=True, default=str), laid
+        # out key by key so that a _RawJSON value goes in as it is
+        fields = (json.dumps(key) + ": " + (value if type(value) is _RawJSON else
+                                            json.dumps(value, sort_keys=True, default=str))
+                  for key, value in sorted(report.items()))
+        print("{" + ", ".join(fields) + "}")
     else:
         for key in sorted(report):
             print(f"{key}: {report[key]}")
     return 0 if ok else 1
+
+
+def _rank_list(T) -> _RawJSON:
+    """T's ranks, one per torus in ascending order, as the text that both
+    json.dumps and str give list(T.ranks), written from the multiplicities."""
+    check_listable(T.rank_counts)
+    return _RawJSON("[" + ", ".join(", ".join([str(r)] * m) for r, m in T.rank_counts) + "]")
 
 
 def _parse_q_list(text: str) -> list[int]:
@@ -218,7 +235,7 @@ def cmd_torify(args) -> int:
     ok = verify_torification(T, N)
     report = {
         "construction": name,
-        "ranks": list(T.ranks),
+        "ranks": _rank_list(T),
         "counting_polynomial": str(N),
         "verified": ok,
     }
@@ -238,7 +255,7 @@ def cmd_verify(args) -> int:
         raise CliError("torification file lacks a 'counting' entry to verify against")
     ok = verify_torification(T, N)
     report = {
-        "ranks": list(T.ranks),
+        "ranks": _rank_list(T),
         "counting_polynomial": str(N),
         "verified": ok,
         "residual": str(T.count_polynomial() - N),

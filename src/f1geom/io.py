@@ -8,10 +8,16 @@ typed object (a torification file gives the pair (torification, counting
 polynomial or None)); syntax errors carry the line/column, semantic
 errors the offending entry.  Emission is compact, sorted-key JSON on one
 line plus a newline, written by the json module's C encoder; it is
-canonical, so emit then re-parse is the identity.  Torus labels are
-optional in a torification file: they are written only when the
-torification carries some, and a file without them parses to an
-unlabeled torification.
+canonical, so emit then re-parse is the identity.
+
+A torification file holds its tori in one of two fields.  An unlabeled,
+chartless torification is written as ``rank_counts``: ascending
+[rank, multiplicity] pairs, each multiplicity at least 1, so that Gr(4, 8)
+takes 17 pairs instead of 200,787 ranks.  A torification with torus
+labels or a chart assignment is written as ``ranks``, one rank per torus,
+which its ``labels`` and ``charts`` entries refer to by position.  The
+parser reads either field, so per-torus files stay valid; ``rank_counts``
+next to ``ranks``, ``labels`` or ``charts`` is refused.
 """
 from __future__ import annotations
 
@@ -135,7 +141,14 @@ def _fan_from_dict(data) -> Fan:
 
 
 def _torification_from_dict(data) -> tuple:
-    ranks = _int_list(data.get("ranks", []), "'ranks'")
+    if "rank_counts" in data:
+        extra = [key for key in ("ranks", "labels", "charts") if key in data]
+        if extra:
+            raise ValidationError(f"'rank_counts' cannot be combined with {extra}: labels and "
+                                  "charts refer to a per-torus 'ranks' list")
+        ranks = _rank_counts(data["rank_counts"])
+    else:
+        ranks = _int_list(data.get("ranks", []), "'ranks'")
     counting = None
     if "counting" in data:
         counting = CountingPolynomial.make(_int_list(data["counting"], "'counting'"))
@@ -157,6 +170,27 @@ def _torification_from_dict(data) -> tuple:
     if "labels" in data:
         labels = _label_list(data["labels"], "'labels'")
     return Torification.make(ranks, labels, charts), counting
+
+
+def _rank_counts(value) -> dict:
+    """{rank: multiplicity} of a 'rank_counts' list of [rank, multiplicity]
+    pairs, ranks strictly ascending from 0 up, multiplicities from 1 up."""
+    if not isinstance(value, list):
+        raise ValidationError("'rank_counts' must be a list of [rank, multiplicity] pairs")
+    counts = {}
+    for i, pair in enumerate(value):
+        where = f"rank_counts[{i}]"
+        if len(_int_list(pair, where)) != 2:
+            raise ValidationError(f"{where} must be a [rank, multiplicity] pair")
+        rank, mult = pair
+        if rank < 0 or mult < 1:
+            raise ValidationError(f"{where} is {pair}: ranks must be nonnegative and "
+                                  "multiplicities positive")
+        if i and rank <= value[i - 1][0]:
+            raise ValidationError(f"{where} has rank {rank}, not above the rank before it: "
+                                  "ranks must be strictly ascending")
+        counts[rank] = mult
+    return counts
 
 
 def _label_list(value, where):
@@ -210,6 +244,8 @@ def _fan_to_dict(fan: Fan) -> dict:
 
 
 def _torification_to_dict(T: Torification) -> dict:
+    if not T.labels and T.charts is None:
+        return {"rank_counts": [list(pair) for pair in T.rank_counts]}
     out = {"ranks": list(T.ranks)}
     if T.labels:
         out["labels"] = [list(l) if isinstance(l, tuple) else l for l in T.labels]

@@ -8,4 +8,6 @@ LIMITS = {
     "field_size": 3_317_044_064_679_887_385_961_980,  # q whose primality is decided
     "ring_mul_terms": 10_000,  # monomial products |x| * |y| in one ring_mul
     "polynomial_degree": 1000,  # degree of a typed counting polynomial
+    "listed_tori": 1_000_000,  # tori listed one by one (a rank per torus);
+                               # rank multiplicities have no such cap
 }

@@ -421,17 +421,23 @@ class TableMonoid:
                 if c not in els:
                     raise MonoidError(f"product {a}*{b}={c!r} not among elements")
                 t[(a, b)] = c
+        # row[x][k] is the index of x * elements[k], so (ab)c = a(bc) for
+        # every c says row[ab] is row[a] read at the entries of row[b]
+        index = {a: i for i, a in enumerate(elements)}
+        row = {a: tuple(index[t[(a, b)]] for b in elements) for a in elements}
         for a in elements:
             if t[(identity, a)] != a:
                 raise MonoidError("identity law fails")
             if zero is not None and t[(zero, a)] != zero:
                 raise MonoidError("zero is not absorbing")
+            row_a = row[a].__getitem__
             for b in elements:
                 if t[(a, b)] != t[(b, a)]:
                     raise MonoidError("table is not commutative")
-                for c in elements:
-                    if t[(t[(a, b)], c)] != t[(a, t[(b, c)])]:
-                        raise MonoidError(f"associativity fails at ({a},{b},{c})")
+                ab_c, a_bc = row[t[(a, b)]], tuple(map(row_a, row[b]))
+                if ab_c != a_bc:
+                    c = next(c for c, x, y in zip(elements, ab_c, a_bc) if x != y)
+                    raise MonoidError(f"associativity fails at ({a},{b},{c})")
         frozen = tuple(sorted((((str(a), str(b)), str(c)) for (a, b), c in t.items())))
         return TableMonoid(elements, t, identity, zero, frozen)
 

@@ -113,17 +113,24 @@ def ring_mul(x: SemigroupRingElement, y: SemigroupRingElement,
 
 
 def ring_pow(x: SemigroupRingElement, n: int, modulus: int = 0) -> SemigroupRingElement:
-    """x^n by repeated squaring, in (Z/modulus)[A] when a modulus is given."""
+    """x^n by repeated squaring, in (Z/modulus)[A] when a modulus is given.
+    The product starts from the square x^(2^j) of the lowest set bit j of
+    n, not from the identity."""
     if n < 0:
         raise RingError("negative powers are not defined")
-    out = SemigroupRingElement.one(x.owner)
+    if n == 0:
+        return SemigroupRingElement.one(x.owner)
     base = x
-    while n:
+    while not n & 1:
+        base = ring_mul(base, base, modulus)
+        n >>= 1
+    out = base
+    if out is x and modulus:  # x^1, reduced as every product is
+        out = SemigroupRingElement._unchecked(x.owner, {k: c % modulus for k, c in x.coeffs})
+    while n := n >> 1:
+        base = ring_mul(base, base, modulus)
         if n & 1:
             out = ring_mul(out, base, modulus)
-        n >>= 1
-        if n:
-            base = ring_mul(base, base, modulus)
     return out
 
 

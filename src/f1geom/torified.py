@@ -36,13 +36,16 @@ class Torification:
     """Multiset of torus ranks with optional labels and chart assignment.
 
     ``rank_counts`` holds the multiset as ascending (rank, multiplicity)
-    pairs, multiplicity > 0, which is all that counting needs: a Schubert
+    pairs, multiplicity > 0, which is all that counting, the CLI's rank
+    lists and an unlabeled torification file need: a Schubert
     torification of Gr(4, 8) has 200,787 tori but only 17 ranks.
     ``ranks``, one entry per torus in ascending order, is derived from it
-    on first use.  Labels are kept only when the caller supplies them or
-    a chart assignment refers to tori; they are then paired with
-    ``ranks`` entry by entry, tori of equal rank in the caller's order.  A
-    chart assignment without labels uses the torus indices.  Otherwise
+    on first use, for labels, charts and torus-by-torus schemes; it
+    refuses more than LIMITS['listed_tori'] tori before building anything.
+    Labels are kept only when the caller supplies them or a chart
+    assignment refers to tori; they are then paired with ``ranks`` entry
+    by entry, tori of equal rank in the caller's order.  A chart
+    assignment without labels uses the torus indices.  Otherwise
     ``labels == ()``.  ``charts`` maps a chart id to the pair (labels of
     the tori lying in the chart, the chart's own counting polynomial),
     which is what the affineness check needs.
@@ -74,10 +77,20 @@ class Torification:
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
+        check_listable(self.rank_counts)
         return tuple(chain.from_iterable(repeat(r, m) for r, m in self.rank_counts))
 
     def count_polynomial(self) -> CountingPolynomial:
         return CountingPolynomial.of_tori(dict(self.rank_counts))
+
+
+def check_listable(rank_counts) -> None:
+    """Refuse to list more than LIMITS['listed_tori'] tori one by one: a
+    30-byte cells file or rank_counts file can describe 2^30 of them."""
+    count = sum(m for _, m in rank_counts)
+    if count > LIMITS["listed_tori"]:
+        raise TorifyError(f"{count} tori are more than the {LIMITS['listed_tori']} that can be "
+                          "listed one by one (LIMITS['listed_tori'])")
 
 
 def _tally(tori: Counter) -> tuple[tuple[int, int], ...]:

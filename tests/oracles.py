@@ -411,3 +411,22 @@ def table_convolution(x: dict, y: dict, table: dict, zero=None) -> dict:
             if k != zero:
                 out[k] = out.get(k, 0) + c * e
     return {k: c for k, c in out.items() if c}
+
+
+def table_law_failure(elements, t: dict, identity, zero=None):
+    """The message of the first law a full multiplication table t (on
+    ordered pairs) breaks, or None: the identity and zero laws for each a,
+    then for each b commutativity and associativity at every c, in that
+    order, each product read off t one at a time."""
+    for a in elements:
+        if t[(identity, a)] != a:
+            return "identity law fails"
+        if zero is not None and t[(zero, a)] != zero:
+            return "zero is not absorbing"
+        for b in elements:
+            if t[(a, b)] != t[(b, a)]:
+                return "table is not commutative"
+            for c in elements:
+                if t[(t[(a, b)], c)] != t[(a, t[(b, c)])]:
+                    return f"associativity fails at ({a},{b},{c})"
+    return None

@@ -20,10 +20,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import f1geom.spectrum as spectrum
 from f1geom import cli
+from f1geom.io import emit
 from f1geom.limits import LIMITS
+from f1geom.torified import Torification, schubert_torification
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -120,26 +124,74 @@ def test_count_on_a_monoid_builds_its_scheme_once(monkeypatch):
     assert len(builds) == 1
 
 
-# Outputs too large for a golden file, pinned by the sha256 of the JSON the
-# CLI printed before torifications were stored as rank multiplicities.
+# Outputs too large for a golden file, pinned by the sha256 of what the CLI
+# printed when it still listed every torus's rank from a per-torus tuple:
+# the JSON since before torifications were stored as rank multiplicities,
+# the text from the last version to do so.
 LARGE_OUTPUTS = {
-    "torify-gr38": (["torify", "--grassmannian", "3,8"],
+    "torify-gr38": (["torify", "--grassmannian", "3,8", "--json"],
                     "0ad92673806bb50abae5b5bd465ff62c0521aad260bff94d0cb13b0e6d1b0de5"),
-    "torify-gr48": (["torify", "--grassmannian", "4,8"],
+    "torify-gr48": (["torify", "--grassmannian", "4,8", "--json"],
                     "0a33bb4b26efddd9e60336d7f0fd297028e3a6a8eba0dbaa1ec4d0ffe3318b49"),
-    "torify-gr58": (["torify", "--grassmannian", "5,8"],
+    "torify-gr58": (["torify", "--grassmannian", "5,8", "--json"],
                     "0c22fd47aeb64630514ed44bceaf41083042219c39b9f7dcefa8d8e97b88df38"),
-    "torify-gr48-charts": (["torify", "--grassmannian", "4,8", "--charts"],
+    "torify-gr48-charts": (["torify", "--grassmannian", "4,8", "--charts", "--json"],
                            "4d02fdabaa6309ede157810880fc88052fba1dcaf4ae17beed5e95862df11f4d"),
+    "torify-gr38-text": (["torify", "--grassmannian", "3,8"],
+                         "67656d7b6d543997405b5898951116ba0172958bd81cc3d20dbbbdb4fec47dec"),
+    "torify-gr48-text": (["torify", "--grassmannian", "4,8"],
+                         "b9854650a82540af6f8d816bcba15f1a36b384d7c93d8d12e3641e35f01c1a56"),
+    "torify-gr58-text": (["torify", "--grassmannian", "5,8"],
+                         "0c8b593797babb19457d27ba4a273f0bac19ccb27032dce5b031a33169f14910"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LARGE_OUTPUTS))
 def test_large_output_is_pinned_by_its_hash(case):
     argv, digest = LARGE_OUTPUTS[case]
-    rc, out, err = run_cli(argv + ["--json"])
+    rc, out, err = run_cli(argv)
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(
+    case for case, (argv, _) in LARGE_OUTPUTS.items() if "--json" in argv))
+def test_emitted_json_is_json_dumps_of_the_report(case, tmp_path, monkeypatch):
+    # _emit lays the report out key by key, writing a rank list's text as it
+    # is; the bytes must be those of json.dumps on the listed report
+    reports = []
+    emit = cli._emit
+
+    def recorded(report, as_json, ok):
+        reports.append(dict(report, schema=cli.SCHEMA, status="pass" if ok else "fail"))
+        return emit(report, as_json, ok)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    argv = _argv(case, tmp_path) if case in CASES else LARGE_OUTPUTS[case][0]
+    _, out, _ = run_cli(argv)
+    [report] = reports
+    listed = {key: json.loads(value) if type(value) is cli._RawJSON else value
+              for key, value in report.items()}
+    assert out == json.dumps(listed, sort_keys=True, default=str) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 10 ** 6), st.integers(1, 40), max_size=8))
+def test_rank_list_text_is_the_printed_per_torus_list(counts):
+    T = Torification.make(counts)
+    assert cli._rank_list(T) == json.dumps(list(T.ranks)) == str(list(T.ranks))
+
+
+def test_verify_reads_a_rank_counts_file(tmp_path):
+    T, N = schubert_torification(4, 8)
+    path = tmp_path / "gr48.torification.json"
+    emit(T, path, counting=N)
+    assert "rank_counts" in json.loads(path.read_text())
+    rc, out, err = run_cli(["verify", "--torification", str(path), "--json"])
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["verified"] and report["residual"] == "0"
+    assert report["ranks"] == json.loads(run_cli(LARGE_OUTPUTS["torify-gr48"][0])[1])["ranks"]
 
 
 def test_count_at_a_large_prime_field_size():
@@ -399,6 +451,17 @@ def test_coefficients_summed_past_the_digit_limit_name_the_degree():
     assert "Exceeds the limit" not in message
     rc, out, _ = run_cli(["zeta", "--counting", f"{nines}q-{nines}q+1", "--json"])
     assert rc == 0 and json.loads(out)["counting_polynomial"] == "1"
+
+
+@pytest.mark.parametrize("verb, option, data", [
+    ("torify", "--cells", {"kind": "cells", "cells": [[30, 0]]}),
+    ("verify", "--torification", {"kind": "torification", "rank_counts": [[0, 1], [1, 10 ** 6]],
+                                  "counting": [1 - 10 ** 6, 10 ** 6]}),
+], ids=["cells-2^30", "rank-counts"])
+def test_listing_more_tori_than_the_cap_names_the_limit(tmp_path, verb, option, data):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(data))
+    assert "LIMITS['listed_tori']" in _error([verb, option, str(path)])
 
 
 def test_grassmannian_past_the_schubert_cap_names_the_limit():

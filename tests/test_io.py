@@ -65,17 +65,72 @@ def test_schubert_torification_round_trip(tmp_path, k, n, charts):
     T, N = schubert_torification(k, n, with_pivot_charts=charts)
     back, back_N = round_trip(T, tmp_path, counting=N)
     assert (back, back_N) == (T, N) and back.labels == T.labels
-    assert ("labels" in json.loads((tmp_path / "obj.json").read_text())) == charts
+    data = json.loads((tmp_path / "obj.json").read_text())
+    # labels and charts need the per-torus list; without them, multiplicities
+    assert [key in data for key in ("labels", "ranks", "rank_counts")] == \
+        [charts, charts, not charts]
     assert back.charts == T.charts
 
 
 def test_largest_schubert_torification_round_trip(tmp_path):
-    # Gr(4, 8): 200,787 tori in 17 ranks, written as compact one-line JSON
+    # Gr(4, 8): 200,787 tori in 17 ranks, written as one line of 17
+    # [rank, multiplicity] pairs
     T, N = schubert_torification(4, 8)
     assert round_trip(T, tmp_path, counting=N) == (T, N)
     text = (tmp_path / "obj.json").read_text()
-    assert text.count("\n") == 1 and text.endswith("\n")
-    assert json.loads(text)["ranks"] == list(T.ranks) and len(T.ranks) == 200_787
+    assert text.count("\n") == 1 and text.endswith("\n") and len(text) < 400
+    data = json.loads(text)
+    assert data["rank_counts"] == [list(pair) for pair in T.rank_counts] and "ranks" not in data
+    assert len(T.rank_counts) == 17 and sum(m for _, m in T.rank_counts) == 200_787
+
+
+def test_a_per_torus_file_parses_to_the_same_torification(tmp_path):
+    # the one-rank-per-torus form that earlier versions wrote for Gr(4, 8)
+    T, N = schubert_torification(4, 8)
+    path = tmp_path / "gr48.torification.json"
+    path.write_text(json.dumps({"counting": list(N.coefficients), "kind": "torification",
+                                "ranks": list(T.ranks)}, sort_keys=True) + "\n")
+    assert parse_input(path) == (T, N)
+
+
+def _torification(**entries):
+    return object_from_dict({"kind": "torification", "counting": [1], **entries})
+
+
+@pytest.mark.parametrize("rank_counts, expected", [
+    ({"0": 1}, r"'rank_counts' must be a list"),
+    ([[0, 1], [1]], r"rank_counts\[1\] must be a \[rank, multiplicity\] pair"),
+    ([[0, 1, 2]], r"rank_counts\[0\] must be a \[rank, multiplicity\] pair"),
+    ([5], r"rank_counts\[0\] must be a list of integers"),
+    ([[True, 1]], r"rank_counts\[0\] must be a list of integers"),
+    ([[0, False]], r"rank_counts\[0\] must be a list of integers"),
+    ([[0, 1.0]], r"rank_counts\[0\] must be a list of integers"),
+    ([[0, 2], [-1, 1]], r"rank_counts\[1\] is \[-1, 1\]: ranks must be nonnegative"),
+    ([[0, 2], [1, 0]], r"rank_counts\[1\] is \[1, 0\]: .* multiplicities positive"),
+    ([[0, 2], [3, -4]], r"rank_counts\[1\] is \[3, -4\]: .* multiplicities positive"),
+    ([[1, 2], [0, 1]], r"rank_counts\[1\] has rank 0, not above .* strictly ascending"),
+    ([[0, 1], [2, 2], [2, 1]], r"rank_counts\[2\] has rank 2, not above .* strictly ascending"),
+], ids=["not-a-list", "short-pair", "long-pair", "bare-number", "bool-rank",
+        "bool-multiplicity", "float", "negative-rank", "zero-multiplicity",
+        "negative-multiplicity", "unsorted", "repeated"])
+def test_malformed_rank_counts_name_the_entry(rank_counts, expected):
+    with pytest.raises(ValidationError, match=expected):
+        _torification(rank_counts=rank_counts)
+
+
+@pytest.mark.parametrize("entries", [{"ranks": [0]}, {"labels": ["a"]},
+                                     {"charts": {"c": {"tori": ["a"], "counting": [1]}}},
+                                     {"ranks": [0], "labels": ["a"]}],
+                         ids=["ranks", "labels", "charts", "ranks-and-labels"])
+def test_rank_counts_next_to_a_per_torus_entry_is_refused(entries):
+    with pytest.raises(ValidationError, match=r"'rank_counts' cannot be combined with \["):
+        _torification(rank_counts=[[0, 1]], **entries)
+
+
+def test_rank_counts_file_parses_to_its_multiplicities():
+    T, N = _torification(rank_counts=[[0, 1], [2, 10 ** 30]])
+    assert T.rank_counts == ((0, 1), (2, 10 ** 30)) and T.labels == () and N.coefficients == (1,)
+    assert _torification(rank_counts=[])[0].rank_counts == ()
 
 
 @pytest.mark.parametrize("path", CELL_FILES, ids=lambda p: p.name)

@@ -10,7 +10,7 @@ from f1geom.monoid import (
     free_monoid,
 )
 from f1geom.semiring import RingError, SemigroupRingElement, ring_mul
-from f1geom.torified import TorifyError, gaussian_binomial, schubert_torification
+from f1geom.torified import TorifyError, Torification, gaussian_binomial, schubert_torification
 from f1geom.zeta import ZetaError, parse_counting_polynomial
 
 
@@ -22,7 +22,8 @@ def test_the_table_holds_every_cap():
     assert LIMITS == {"lattice_rank": 4, "schubert_n": 8, "gaussian_n": 12,
                       "membership_table": 4096,
                       "field_size": 3_317_044_064_679_887_385_961_980,
-                      "ring_mul_terms": 10_000, "polynomial_degree": 1000}
+                      "ring_mul_terms": 10_000, "polynomial_degree": 1000,
+                      "listed_tori": 1_000_000}
     assert RANK_CAP == LIMITS["lattice_rank"]
     assert MEMBERSHIP_TABLE_CAP == LIMITS["membership_table"]
 
@@ -49,6 +50,16 @@ def test_membership_table_cap():
             assert sum(len(kept) for kept in table[-1].values()) == m
         for x in [k * m + b for k in range(5) for b in (0, 1, k, k + 1, m - 1)]:
             assert A.contains((x,)) == (x % m <= x // m), (m, x)
+
+
+def test_listed_tori_cap():
+    cap = LIMITS["listed_tori"]
+    assert len(Torification(((0, cap - 1), (3, 1))).ranks) == cap
+    # refused before the tuple is built, however many tori are asked for
+    for mult in (cap + 1, 10 ** 30):
+        with pytest.raises(TorifyError, match=r"LIMITS\['listed_tori'\]"):
+            Torification(((0, 1), (2, mult))).ranks
+    assert schubert_torification(4, 8)[0].ranks.count(16) == 1  # 200,787 tori
 
 
 def test_schubert_cap():

@@ -699,3 +699,47 @@ def test_generator_canonicalization():
     assert A.generators == ((0, 1), (1, 0))  # deduped and sorted
     B = AffineMonoid.make(1, [[0, 5]], torsion=[3])
     assert B.generators == ((0, 2),)  # torsion coordinate reduced mod 3
+
+
+@st.composite
+def tables_on_ordered_pairs(draw):
+    """(elements, table on ordered pairs, zero or None) on e0..e(n-1) with
+    identity e0: a lawful table, Z/n or the truncation min(i + j, n - 1)
+    with zero e(n-1); or random products, made unital, absorbing at the
+    zero and symmetric where the draw says."""
+    n = draw(st.integers(1, 5))
+    pairs = list(itertools.product(range(n), repeat=2))
+    kind = draw(st.sampled_from(["group", "truncated", "random"]))
+    zero = n - 1 if kind == "truncated" else draw(st.sampled_from([None, n - 1]))
+    if kind == "group":
+        zero, product = None, {(i, j): (i + j) % n for i, j in pairs}
+    elif kind == "truncated":
+        product = {(i, j): min(i + j, n - 1) for i, j in pairs}
+    else:
+        product = {p: draw(st.integers(0, n - 1)) for p in pairs}
+        unital, absorbing = draw(st.integers(0, 9)) > 0, draw(st.integers(0, 9)) > 0
+        for i, j in pairs:
+            if unital and 0 in (i, j):
+                product[(i, j)] = i + j
+            elif absorbing and zero in (i, j):
+                product[(i, j)] = zero
+        for i, j in pairs:
+            if i > j and draw(st.booleans()):
+                product[(i, j)] = product[(j, i)]
+    e = [f"e{i}" for i in range(n)]
+    return tuple(e), {(e[i], e[j]): e[k] for (i, j), k in product.items()}, \
+        None if zero is None else e[zero]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables_on_ordered_pairs())
+def test_table_monoid_reports_the_first_broken_law_like_the_triple_loop(case):
+    elements, t, zero = case
+    expected = oracles.table_law_failure(elements, t, "e0", zero)
+    if expected is None:
+        M = TableMonoid.make(elements, t, identity="e0", zero=zero)
+        assert all(M.op(a, b) == c for (a, b), c in t.items())
+    else:
+        with pytest.raises(MonoidError) as err:
+            TableMonoid.make(elements, t, identity="e0", zero=zero)
+        assert str(err.value) == expected

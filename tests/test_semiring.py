@@ -228,6 +228,28 @@ def test_table_power_takes_huge_exponents():
     assert M.power("g", 10 ** 30 + 1) == "g2"  # 10^30 + 1 = 2 mod 3
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 8, 13, 64, 97])
+def test_ring_pow_squares_and_multiplies_without_the_identity(monkeypatch, n):
+    # n = 2^j has j squarings and no product; each further set bit of n
+    # adds one product; x^1 is x itself, its coefficients reduced mod 5
+    import f1geom.semiring as semiring
+
+    calls = []
+
+    def counted(x, y, modulus=0):
+        calls.append(modulus)
+        return ring_mul(x, y, modulus)
+
+    monkeypatch.setattr(semiring, "ring_mul", counted)
+    x = SemigroupRingElement.make(N, {(0,): 7, (1,): 5, (2,): -3})
+    power = semiring.ring_pow(x, n, modulus=5)
+    assert len(calls) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0)
+    assert set(calls) <= {5}
+    want = _by_repeated_product(lambda u, v: polynomial_product(u, v, 1), {(0,): 1},
+                                x.as_dict(), n)
+    assert power.as_dict() == _mod(want, 5)
+
+
 MIXED = [
     AffineMonoid.make(1, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], torsion=[2, 3]),
     AffineMonoid.make(2, [[1, 0, 1], [0, 1, 3], [1, 1, 0]], torsion=[4]),
