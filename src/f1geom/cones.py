@@ -8,10 +8,12 @@ basis in Z^2 is the Hirzebruch-Jung chain of the two extremal rays (Oda
 parallelepiped, walked coset by coset from a Smith form; any other cone
 is cut into such cones by pulling through its own face lattice, with no
 dual but its own.  The points are reduced in order of a positive grading
-(the Normaliz route, Bruns-Ichim 2010).  Everything runs at desk scale:
-the public dual/Hilbert operations enforce LIMITS["lattice_rank"] = 4.
+(the Normaliz route, Bruns-Ichim 2010).  No rank is capped: the cost
+follows the parallelepipeds' size, sum |det| over the simplices, which is
+read off their Smith forms and capped by LIMITS["parallelepiped_points"]
+before any point is listed.
 
-No dual is taken for a smooth fan cone's monoids (`cone_monoid_generators`).
+No dual is taken for a smooth fan cone's chart (`dual_monoid_generators`).
 Inputs still repeat: in one cold seed-1 benchmark pass, 77 of toric's 87
 `double_description` calls repeat an earlier input (`make_fan`'s relation
 duals), 103 of cli_corpus's 113 (those, and recession cones of monoids
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import prod
 
 from .intlinalg import (
     diagonal_of,
@@ -41,7 +44,7 @@ from .intlinalg import (
 )
 from .limits import LIMITS
 
-RANK_CAP = LIMITS["lattice_rank"]
+PARALLELEPIPED_CAP = LIMITS["parallelepiped_points"]
 DD_MEMO_SIZE = 256  # distinct inputs kept (LRU): relation duals, recession cones
 
 
@@ -246,13 +249,6 @@ def pullback_generators(rows, basis) -> tuple[tuple[int, ...], ...]:
 
 def dual_cone(sigma: RationalCone) -> RationalCone:
     """Dual cone {u : <u,v> >= 0 for all v in sigma}, lineality made explicit."""
-    if sigma.rank > RANK_CAP:
-        raise ResourceCapError(f"dual_cone capped at lattice rank {RANK_CAP} "
-                               "(LIMITS['lattice_rank'])")
-    return _dual_uncapped(sigma)
-
-
-def _dual_uncapped(sigma: RationalCone) -> RationalCone:
     lin, rays = sigma._dual_data
     return RationalCone(sigma.rank, rays, lin)
 
@@ -315,19 +311,19 @@ def _simplices(sigma: RationalCone) -> list[tuple[int, ...]]:
     return cover[frozenset(range(len(sigma.rays)))]
 
 
-def _parallelepiped_points(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Lattice points of {sum t_i v_i : 0 <= t_i < 1} for independent v_i.
+def _parallelepiped_points(vectors, d, W) -> list[tuple[int, ...]]:
+    """Lattice points of {sum t_i v_i : 0 <= t_i < 1} for independent v_i,
+    given d = diagonal_of(D) and W of the Smith form U V W = D of the n x k
+    matrix V of columns v_i.
 
-    With U V W = D the Smith form of the n x k matrix V of columns v_i, V t
-    is integral iff t = W D^-1 y for an integer y, and y mod (d_1, ..., d_k)
-    indexes the points one to one: one point V frac(t) per coset of V Z^k
-    in its saturation.  Scaled by d_k, which every d_i divides, t is integral.
+    V t is integral iff t = W D^-1 y for an integer y, and y mod
+    (d_1, ..., d_k) indexes the points one to one: one point V frac(t) per
+    coset of V Z^k in its saturation, prod(d) in all.  Scaled by d_k, which
+    every d_i divides, t is integral.
     The walk is a mixed-radix counter over the d_i > 1: a digit adds its step
     to scale * frac(t) and V step / scale to the point, minus v_j for each t_j
     that wraps; its d_i-th step brings t back to where the digit started.
     """
-    _, D, W = smith_normal_form(transpose([list(v) for v in vectors]))
-    d = diagonal_of(D)
     scale = d[-1]
     digits = []  # (radix, step of scale * frac(t), step of the point)
     for i, di in enumerate(d):
@@ -355,9 +351,6 @@ def _parallelepiped_points(vectors: list[tuple[int, ...]]) -> list[tuple[int, ..
 
 def hilbert_basis(sigma: RationalCone) -> HilbertBasis:
     """Minimal generating set of sigma cap Z^n for a pointed cone."""
-    if sigma.rank > RANK_CAP:
-        raise ResourceCapError(f"hilbert_basis capped at lattice rank {RANK_CAP} "
-                               "(LIMITS['lattice_rank'])")
     if not sigma.pointed:
         raise ConeError("cone is not pointed; split off the lineality (unit) part first")
     return HilbertBasis(sigma, _hilbert_vectors(sigma))
@@ -368,6 +361,9 @@ def _hilbert_vectors(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
     chain.  Otherwise the rays and the parallelepiped points of each cone
     `_simplices` covers sigma by (sigma itself, if simplicial) are reduced
     in order of the grading sum(facet_normals), positive on sigma - 0.
+    More than LIMITS['parallelepiped_points'] parallelepiped points is an
+    error: their count, sum |det| over the simplices, is read off the Smith
+    forms before any point is listed; the chain's are counted as listed.
 
     Every candidate lies in the span of sigma, so h - c is in sigma iff
     u.h >= u.c for every facet normal u.  If h = a + b with a, b nonzero
@@ -381,9 +377,19 @@ def _hilbert_vectors(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
     if sigma.rank == 2 and len(normals) == 2:
         return _hirzebruch_jung(*(next(r for r in sigma.rays if dot(u, r) == 0)
                                   for u in normals))
-    candidates: set[tuple[int, ...]] = set(sigma.rays)
+    walks = []  # (rays, invariant factors, W) of each simplex's Smith form
     for simplex in _simplices(sigma):
-        candidates.update(_parallelepiped_points([sigma.rays[i] for i in simplex]))
+        vectors = [sigma.rays[i] for i in simplex]
+        _, D, W = smith_normal_form(transpose([list(v) for v in vectors]))
+        walks.append((vectors, diagonal_of(D), W))
+    size = sum(prod(d) for _, d, _ in walks)  # each simplex has prod(d) points
+    if size > PARALLELEPIPED_CAP:
+        raise ResourceCapError(f"a Hilbert basis of {sigma} would walk {size} parallelepiped "
+                               f"points, past {PARALLELEPIPED_CAP} "
+                               "(LIMITS['parallelepiped_points'])")
+    candidates: set[tuple[int, ...]] = set(sigma.rays)
+    for walk in walks:
+        candidates.update(_parallelepiped_points(*walk))
     candidates.discard((0,) * sigma.rank)
     grading = [sum(column) for column in zip(*normals)]
     basis: list[tuple[int, ...]] = []
@@ -404,7 +410,9 @@ def _hirzebruch_jung(u, v) -> tuple[tuple[int, ...], ...]:
     """Hilbert basis of the cone over independent primitive u, v in Z^2: the
     chain u = u_0, u_1, ..., u_m = v with u_{i+1} = b_i u_i - u_{i-1}, each
     neighbour pair a lattice basis (Oda 1988, Convex Bodies and Algebraic
-    Geometry, Sec. 1.6).  It costs its length, whatever det(u, v) is."""
+    Geometry, Sec. 1.6).  It costs its length, whatever det(u, v) is.  The
+    inner u_i are points of the parallelepiped of u, v, so past
+    LIMITS['parallelepiped_points'] of them the chain is refused."""
     def det(a, b):
         return a[0] * b[1] - a[1] * b[0]
 
@@ -415,6 +423,10 @@ def _hirzebruch_jung(u, v) -> tuple[tuple[int, ...], ...]:
     m = -(-det(v, w) // det(u, v))  # u_1 = w + m u: height 1 over u, nearest to u
     chain = [u, (w[0] + m * u[0], w[1] + m * u[1])]
     while chain[-1] != v:  # the heights det(u_i, v) fall strictly to 0
+        if len(chain) - 1 > PARALLELEPIPED_CAP:
+            raise ResourceCapError(f"the Hilbert basis of cone({u}, {v}) has more than "
+                                   f"{PARALLELEPIPED_CAP} parallelepiped points "
+                                   "(LIMITS['parallelepiped_points'])")
         (p0, p1), (c0, c1) = chain[-2], chain[-1]
         b = -(-det(chain[-2], v) // det(chain[-1], v))
         chain.append((b * c0 - p0, b * c1 - p1))
@@ -425,8 +437,7 @@ def lattice_monoid_generators(sigma: RationalCone) -> tuple[tuple[int, ...], ...
     """Generators of the monoid sigma cap Z^n, lineality allowed.
 
     For a non-pointed cone: Hilbert basis of the pointed quotient, lifted
-    back, plus +/- a lattice basis of the lineality.  Internal helper, no
-    rank cap (callers such as the fan functor stay at fan rank).
+    back, plus +/- a lattice basis of the lineality.
     """
     n = sigma.rank
     lin = sigma.effective_lineality
@@ -442,21 +453,21 @@ def lattice_monoid_generators(sigma: RationalCone) -> tuple[tuple[int, ...], ...
     return tuple(sorted(gens))
 
 
-def cone_monoid_generators(sigma: RationalCone):
-    """(generators of sigma cap Z^n, generators of sigma^dual cap Z^n), the
-    tuples `lattice_monoid_generators` gives for sigma and `_dual_uncapped(sigma)`.
+def dual_monoid_generators(sigma: RationalCone) -> tuple[tuple[int, ...], ...]:
+    """Generators of sigma^dual cap Z^n, the tuple `lattice_monoid_generators`
+    gives for `dual_cone(sigma)`.
 
     Smooth route (Fulton 1993, Sec. 2.1): for k independent rays R whose
     Smith form U R V = (I_k | 0) has only unit invariant factors, the rays
-    are part of a lattice basis, so sigma cap Z^n is generated by R.  The
-    last n - k columns of V are kernel_basis(R), a basis of the lineality
-    sigma^perp cap Z^n, and the columns of V[:, :k] U are the dual vectors
-    e_i* of the rays (R V[:, :k] U = I).  sigma^dual cap Z^n is generated by
-    the e_i* and +/- the lineality basis.  Each e_i* is written as
+    are part of a lattice basis.  The last n - k columns of V are
+    kernel_basis(R), a basis of the lineality sigma^perp cap Z^n, and the
+    columns of V[:, :k] U are the dual vectors e_i* of the rays
+    (R V[:, :k] U = I).  sigma^dual cap Z^n is generated by the e_i* and
+    +/- the lineality basis.  Each e_i* is written as
     `lattice_monoid_generators` lifts its quotient Hilbert basis, lift_cols .
     proj(e_i*), so the tuples match; no dual and no Hilbert basis is built.
     Cones with lineality, dependent rays or an invariant factor above 1
-    take double description and Hilbert bases.
+    take double description and a Hilbert basis.
     """
     n, rays = sigma.rank, sigma.rays
     k = len(rays)
@@ -465,7 +476,7 @@ def cone_monoid_generators(sigma: RationalCone):
         U, D, V = smith_normal_form([list(r) for r in rays])
         smooth = all(D[i][i] == 1 for i in range(k))
     if not smooth:
-        return lattice_monoid_generators(sigma), lattice_monoid_generators(_dual_uncapped(sigma))
+        return lattice_monoid_generators(dual_cone(sigma))
     if rays:
         lin = [[row[j] for row in V] for j in range(k, n)]
         duals = [[dot(row[:k], col) for row in V] for col in zip(*U)]
@@ -479,4 +490,4 @@ def cone_monoid_generators(sigma: RationalCone):
     for v in lin:
         gens.add(tuple(v))
         gens.add(tuple(-x for x in v))
-    return rays, tuple(sorted(gens))
+    return tuple(sorted(gens))

@@ -13,11 +13,13 @@ specialization is cone inclusion and the stalk at tau is tau^dual cap Z^n.
 ``spectrum.glue`` stays the route for hand-built gluing diagrams, and for
 fans the tests use it as the oracle.
 
-Both monoids of a fan cone come from ``cones.cone_monoid_generators``.  A
-smooth cone's rays are part of a lattice basis (Fulton 1993, Sec. 2.1), so
-one Smith form of the rays gives sigma cap Z^n and sigma^dual cap Z^n with
-no dual cone and no Hilbert basis; singular cones take double description.
-``make_fan`` reads common faces off the signs of relations among rays.
+The charts come from ``cones.dual_monoid_generators``.  A smooth cone's
+rays are part of a lattice basis (Fulton 1993, Sec. 2.1), so one Smith
+form of the rays gives sigma^dual cap Z^n with no dual cone and no Hilbert
+basis; singular cones take double description and a Hilbert basis.
+``make_fan`` checks that each cone's rays are independent and reads common
+faces off the signs of relations among rays; given that, the
+fan-of-monoids conditions hold by construction (``fan_in_zn``).
 """
 from __future__ import annotations
 
@@ -25,15 +27,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cones import RationalCone, cone_monoid_generators, double_description
-from .intlinalg import (dot, kernel_basis, primitive_vector, quotient_invariants, rat_rank,
-                        transpose)
-from .monoid import (
-    AbelianGroup,
-    AffineMonoid,
-    PrimeIdeal,
-    is_saturated,
-)
+from .cones import RationalCone, double_description, dual_monoid_generators
+from .intlinalg import dot, kernel_basis, primitive_vector, rat_rank, transpose
+from .monoid import AbelianGroup, AffineMonoid, PrimeIdeal
 from .spectrum import GluingData, MScheme, Point
 
 
@@ -169,18 +165,15 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
 
 @dataclass(frozen=True)
 class FanInZn:
-    """A fan rewritten as a collection of submonoids of Z^n.
-
-    ``members`` are the lattice-point monoids of the fan cones themselves
-    (finitely generated, saturated, trivial units, torsion-free quotient,
-    closed under passing to prime complements, pairwise intersecting in
-    common faces); ``chart_monoids`` are the dual-side monoids the scheme
-    functor uses, with the face monoids included via localization.
+    """A fan read as a collection of submonoids of Z^n, the lattice-point
+    monoids sigma cap Z^n of its cones, and the fan-of-monoids conditions
+    that fail for it: (1) each member is finitely generated and saturated,
+    with trivial units and a torsion-free Z^n / Quot; (2) the prime
+    complements of a member are members; (3) two members meet in a common
+    prime complement.  ``violations`` lists (condition, cones, reason).
     """
 
     fan: Fan
-    members: dict = field(compare=False)        # cone -> AffineMonoid (primal)
-    chart_monoids: dict = field(compare=False)  # cone -> AffineMonoid (dual side)
     violations: tuple = ()
 
     @property
@@ -188,60 +181,30 @@ class FanInZn:
         return not self.violations
 
 
-def _fan_monoids(fan: Fan):
-    """Both monoid sides of every cone and the condition (1) violations.
-
-    A smooth cone's monoids are read off one Smith form of its rays
-    (``cone_monoid_generators``), and its saturation and units are decided
-    by a rank test on the generators; singular cones go through double
-    description, Hilbert bases and their saturation generators."""
-    members = {}
-    charts = {}
-    violations = []
-    for c in fan.sorted_cones():
-        member, chart = cone_monoid_generators(fan.cone_obj(c))
-        A = members[c] = AffineMonoid.make(fan.rank, member)
-        charts[c] = AffineMonoid.make(fan.rank, chart)
-        if not is_saturated(A):
-            violations.append((1, tuple(sorted(c)), "member not saturated"))
-        if not A.units().is_trivial:
-            violations.append((1, tuple(sorted(c)), "member has nontrivial units"))
-        qr, qf = quotient_invariants(fan.rank,
-                                     [list(g) for g in A.generators])
-        if qf:
-            violations.append((1, tuple(sorted(c)), "Z^n/Quot has torsion"))
-        if not is_saturated(charts[c]):
-            violations.append((1, tuple(sorted(c)), "chart monoid not saturated"))
-    return members, charts, violations
-
-
-def _violation_2(c):
-    return (2, tuple(sorted(c)), "prime complement missing from the fan")
-
-
-def _violation_3(c, d):
-    return (3, (tuple(sorted(c)), tuple(sorted(d))),
-            "intersection is not a common prime complement")
-
-
 def fan_in_zn(fan: Fan) -> FanInZn:
-    """Check the three fan-of-monoids conditions and return both sides.
+    """The fan-of-monoids conditions of a fan, read off its ray-index sets.
 
-    Condition (1) is checked on the monoids.  Conditions (2) and (3) are
-    read off the ray-index sets of a fan built by ``make_fan``: its cones
-    are simplicial and meet in common faces, so the prime complements of
-    c cap Z^n are the monoids of the faces of c, and two members meet in
-    the member of c & d.  (2) is then face closure and (3) asks that
-    c & d be a cone of the fan.
+    Condition (1) holds by construction, so no monoid is built to check it.
+    A member sigma cap Z^n, like a chart sigma^dual cap Z^n, is all the
+    lattice points of a cone: finitely generated (Gordan's lemma; the
+    library generates it by a Hilbert basis) and saturated.  A cone's rays
+    are independent, as ``make_fan`` checks, so sigma is pointed (the member
+    has no units) and full-dimensional in its span, whence Quot is
+    span cap Z^n and Z^n / Quot is torsion-free (Fulton 1993, Sec. 1.2, 2.1).
+    (2) and (3) hold for a fan ``make_fan`` builds too; they are still read
+    off the ray-index sets for a ``Fan`` built by hand.  Simplicial cones
+    that meet in common faces have the monoids of the faces of c as the
+    prime complements of c cap Z^n, and two members meet in the member of
+    c & d.  (2) is then face closure and (3) asks that c & d be a cone.
     """
-    members, charts, violations = _fan_monoids(fan)
     cones = set(fan.cones)
-    for c in members:
-        violations += [_violation_2(c) for f in _faces(c) if f not in cones]
-    for c, d in itertools.combinations(members, 2):
-        if c & d not in cones:
-            violations.append(_violation_3(c, d))
-    return FanInZn(fan, members, charts, tuple(violations))
+    order = fan.sorted_cones()
+    violations = [(2, tuple(sorted(c)), "prime complement missing from the fan")
+                  for c in order for f in _faces(c) if f not in cones]
+    violations += [(3, (tuple(sorted(c)), tuple(sorted(d))),
+                    "intersection is not a common prime complement")
+                   for c, d in itertools.combinations(order, 2) if c & d not in cones]
+    return FanInZn(fan, tuple(violations))
 
 
 # --- fan -> scheme functor -------------------------------------------------------
@@ -268,11 +231,11 @@ def kato(fan: Fan) -> MScheme:
     (tau^dual cap Z^n), and the points below it are those of its faces.
     ``glue`` on the same charts and records derives the same data; the
     tests compare the two routes.  A smooth maximal cone's chart is read off
-    one Smith form of its rays (``cone_monoid_generators``), with no dual.
+    one Smith form of its rays (``dual_monoid_generators``), with no dual.
     """
     n = fan.rank
     maxcones = fan.maximal_cones
-    charts = [AffineMonoid.make(n, cone_monoid_generators(fan.cone_obj(c))[1])
+    charts = [AffineMonoid.make(n, dual_monoid_generators(fan.cone_obj(c)))
               for c in maxcones]
 
     def face_of(ci: int, tau: frozenset) -> tuple[int, ...]:

@@ -75,10 +75,6 @@ class AbelianGroup:
         if any(d < 2 for d in self.invariant_factors):
             raise MonoidError("invariant factors must be >= 2")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
 
 def hom_count_to_cyclic(G: AbelianGroup, m: int) -> int:
     """#Hom(G, Z/m) = m^rank * prod gcd(d_i, m)."""
@@ -174,7 +170,7 @@ class AffineMonoid:
         rays = [self.free_part(g) for g in self.generators if any(self.free_part(g))]
         return RationalCone.make(rays, rank=self.ambient_rank)
 
-    @property
+    @cached_property
     def unit_generator_indices(self) -> tuple[int, ...]:
         """Indices of generators whose free part lies in the lineality of the
         recession cone; these generate the unit group.
@@ -188,23 +184,16 @@ class AffineMonoid:
         span(U), so the units are exactly U.  Every monoid of a smooth fan
         takes this route; otherwise the recession cone's double description
         decides each generator."""
-        return self._unit_split[0]
-
-    @cached_property
-    def _unit_split(self) -> tuple[tuple[int, ...], bool]:
-        """(unit generator indices, whether the other generators' free parts
-        are linearly independent modulo the span of the units' free parts);
-        `is_saturated` reads the second."""
         frees = [self.free_part(g) for g in self.generators]
         present = set(frees)
         units = tuple(i for i, f in enumerate(frees)
                       if not any(f) or tuple(-x for x in f) in present)
-        if _independent_modulo(frees, units):
-            return units, True
+        span = [frees[i] for i in units]
+        if rat_rank(frees) == rat_rank(span) + len(frees) - len(span):
+            return units
         cone = self.recession_cone  # holds every f, so f is a unit iff -f is in it
-        units = tuple(i for i, f in enumerate(frees)
-                      if not any(f) or cone.contains(tuple(-x for x in f)))
-        return units, _independent_modulo(frees, units)
+        return tuple(i for i, f in enumerate(frees)
+                     if not any(f) or cone.contains(tuple(-x for x in f)))
 
     def units(self) -> AbelianGroup:
         vecs = [list(self.generators[i]) for i in self.unit_generator_indices]
@@ -736,33 +725,6 @@ def saturate(A: AffineMonoid) -> AffineMonoid:
     return AffineMonoid.make(
         A.ambient_rank, saturation_generators(A), torsion=A.torsion, pointed=A.pointed
     )
-
-
-def is_saturated(A: AffineMonoid) -> bool:
-    """Whether A contains every x in Quot(A) whose free part lies in cone(A).
-
-    Rank route: let U be A's unit generators and G the rest.  If A has no
-    torsion and G is linearly independent modulo span(U), i.e.
-    rank(U + G) = rank(U) + len(G), then A is saturated.  U spans the
-    lineality space of cone(A), so the monoid U generates is a group.  Any
-    x in Quot(A) cap cone(A) is x = u + sum n_i g_i with u in <U> and
-    n_i in Z; independence modulo span(U) makes the n_i x's unique cone
-    coordinates along G, so every n_i >= 0 and x lies in A.  Every cone
-    of a smooth fan, and every dual of one, takes this route.
-
-    Otherwise (torsion, or dependent generators) A is saturated iff it
-    contains each generator of its saturation.
-    """
-    if not A.torsion and A._unit_split[1]:
-        return True
-    return all(A.contains(g) for g in saturation_generators(A))
-
-
-def _independent_modulo(vectors, subset) -> bool:
-    """Whether the vectors outside ``subset`` (indices) are linearly
-    independent modulo the span of those in it."""
-    span = [vectors[i] for i in subset]
-    return rat_rank(vectors) == rat_rank(span) + len(vectors) - len(span)
 
 
 # --- convenience constructors ---------------------------------------------------

@@ -47,9 +47,14 @@ class CountingPolynomial:
     @staticmethod
     def of_tori(ranks) -> "CountingPolynomial":
         """sum over the ranks r of (q-1)^r, in powers of q: the count of a
-        disjoint union of split tori."""
+        disjoint union of split tori.  A rank past LIMITS['polynomial_degree']
+        is refused before the coefficient list is built."""
         tori = Counter(ranks)
-        out = [0] * (max(tori, default=0) + 1)
+        top = max(tori, default=0)
+        if top > LIMITS["polynomial_degree"]:
+            raise ZetaError(f"a torus of rank {top} gives a degree past "
+                            "LIMITS['polynomial_degree']")
+        out = [0] * (top + 1)
         for r, c in tori.items():
             for k in range(r + 1):
                 out[k] += c * comb(r, k) * (-1) ** (r - k)

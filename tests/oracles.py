@@ -290,6 +290,14 @@ def unit_generator_indices(monoid):
     return tuple(i for i, f in enumerate(frees) if in_rational_cone(rays, [-x for x in f]))
 
 
+def is_saturated(A) -> bool:
+    """Whether A contains every x in Quot(A) whose free part lies in cone(A):
+    the general route, A contains each generator of its saturation."""
+    from f1geom.monoid import saturation_generators
+
+    return all(A.contains(g) for g in saturation_generators(A))
+
+
 def _corner_box(vectors):
     """Per coordinate, the integer range spanned by the 0/1 combinations
     of the vectors."""

@@ -15,9 +15,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on POSIX
+    resource = None
 
 import pytest
 from hypothesis import given, settings
@@ -462,6 +469,50 @@ def test_listing_more_tori_than_the_cap_names_the_limit(tmp_path, verb, option, 
     path = tmp_path / "many.json"
     path.write_text(json.dumps(data))
     assert "LIMITS['listed_tori']" in _error([verb, option, str(path)])
+
+
+def _cone_file(D):
+    return {"kind": "fan", "rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [1, 1, D]],
+            "cones": [[0, 1, 2]]}
+
+
+def _limit_child():
+    """Run in the child only: 1 GB of address space, 20 s of CPU."""
+    resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+    resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+
+@pytest.mark.skipif(resource is None, reason="resource limits need a POSIX system")
+@pytest.mark.parametrize("verb, option, data, key", [
+    ("fan", "--fan", _cone_file(30), None),
+    # the dual cone on (0,0,1), (0,317,-1), (317,0,-1) has determinant 317^2
+    ("fan", "--fan", _cone_file(317), "parallelepiped_points"),
+    ("fan", "--fan", _cone_file(10 ** 7), "parallelepiped_points"),
+    # the chart on (1,0), (1,10^7) is a chain of 10^7 + 1 points
+    ("fan", "--fan", {"kind": "fan", "rank": 2, "rays": [[0, 1], [10 ** 7, -1]],
+                      "cones": [[0, 1]]}, "parallelepiped_points"),
+    ("verify", "--torification", {"kind": "torification", "ranks": [10 ** 9], "counting": [1]},
+     "polynomial_degree"),
+], ids=["fan-D=30", "fan-D=317", "fan-D=10^7", "fan-plane-D=10^7", "verify-rank-10^9"])
+def test_a_limited_cli_process_ends_in_a_report_or_a_json_error(tmp_path, verb, option, data,
+                                                                  key):
+    # a separate process, so that a run past its memory or CPU limit shows
+    # as a crash of the child and not of the test run
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-m", "f1geom.cli", verb, option, str(path), "--json"],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=_limit_child)
+    assert "Traceback" not in proc.stdout + proc.stderr
+    if key is None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["status"] == "pass"
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        payload = json.loads(proc.stderr)
+        assert payload["status"] == "error" and f"LIMITS['{key}']" in payload["error"]
 
 
 def test_grassmannian_past_the_schubert_cap_names_the_limit():

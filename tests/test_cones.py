@@ -4,13 +4,14 @@ from hypothesis import strategies as st
 
 import itertools
 import time
-from math import gcd
+from math import gcd, prod
 
 import sympy
 
 from oracles import (
     generated_lattice_points,
     in_rational_cone,
+    is_saturated,
     minimal_lattice_points,
     parallelepiped_points,
 )
@@ -19,19 +20,21 @@ from f1geom.cones import (
     DD_MEMO_SIZE,
     ConeError,
     RationalCone,
-    ResourceCapError,
     _double_description,
     _parallelepiped_points,
     _simplices,
     cone,
     double_description,
     dual_cone,
+    dual_monoid_generators,
     faces,
     hilbert_basis,
     intersection,
     lattice_monoid_generators,
     signed_rows,
 )
+from f1geom.intlinalg import diagonal_of, quotient_invariants, smith_normal_form, transpose
+from f1geom.monoid import AbelianGroup, AffineMonoid
 
 
 def test_dual_orthant_is_self_dual():
@@ -122,7 +125,8 @@ def independent_vectors(draw):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(independent_vectors())
 def test_parallelepiped_points_match_the_box_scan(vectors):
-    points = _parallelepiped_points(vectors)
+    _, D, W = smith_normal_form(transpose([list(v) for v in vectors]))
+    points = _parallelepiped_points(vectors, diagonal_of(D), W)
     assert set(points) == parallelepiped_points(vectors)
     # one point per coset of V Z^k in its saturation: the product of the
     # Smith invariants, which is the gcd of the k x k minors of V
@@ -254,13 +258,49 @@ def test_hilbert_rejects_non_pointed():
         hilbert_basis(cone((1,), (-1,)))
 
 
-def test_rank_cap_enforced():
-    c = RationalCone.make([tuple(1 if j == i else 0 for j in range(5))
-                           for i in range(5)], rank=5)
-    with pytest.raises(ResourceCapError):
-        dual_cone(c)
-    with pytest.raises(ResourceCapError):
-        hilbert_basis(c)
+def test_cones_past_rank_4_take_the_same_routes():
+    # no rank is capped: the rank-5 orthant is self-dual, a rank-5 simplex of
+    # determinant 2 adds its one parallelepiped point, and the cone over the
+    # 5-cube, a normal polytope, has its 32 vertices as its Hilbert basis
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    orthant = RationalCone.make(units, rank=5)
+    assert dual_cone(orthant).rays == hilbert_basis(orthant).vectors == orthant.rays
+    simplex = RationalCone.make(units[:4] + [(1, 1, 1, 1, 2)], rank=5)
+    assert set(hilbert_basis(simplex).vectors) == set(simplex.rays) | {(1, 1, 1, 1, 1)}
+    cube = [v + (1,) for v in itertools.product((0, 1), repeat=5)]
+    assert hilbert_basis(RationalCone.make(cube, rank=6)).vectors == tuple(sorted(cube))
+
+
+@st.composite
+def simplicial_cones(draw):
+    """k <= n <= 4 independent rays whose parallelepiped holds P <= 10^3
+    lattice points (P = |det| when k = n).  The dual's holds up to
+    P^(n - 1), so in ranks 3 and 4 P^(n - 1) <= 10^4 keeps it quick."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    bound = {1: 5, 2: 40, 3: 3, 4: 2}[n]
+    rays = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * n),
+                         min_size=k, max_size=k))
+    assume(sympy.Matrix(rays).rank() == k)
+    sigma = RationalCone.make(rays, rank=n)
+    _, D, _ = smith_normal_form(transpose([list(r) for r in sigma.rays]))
+    size = prod(diagonal_of(D))
+    assume(size <= 1000 and size ** (n - 1) <= (10_000 if n > 2 else 1000))
+    return sigma
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(simplicial_cones())
+def test_both_lattice_monoids_of_a_simplicial_cone_are_saturated(sigma):
+    # what `fans.fan_in_zn` takes as given for condition (1): sigma cap Z^n
+    # and sigma^dual cap Z^n are saturated, and the member has trivial units
+    # and a torsion-free Z^n / Quot
+    n = sigma.rank
+    member = AffineMonoid.make(n, lattice_monoid_generators(sigma))
+    chart = AffineMonoid.make(n, dual_monoid_generators(sigma))
+    assert is_saturated(member) and is_saturated(chart)
+    assert member.units() == AbelianGroup(0)
+    assert quotient_invariants(n, [list(g) for g in member.generators])[1] == []
 
 
 def test_lattice_monoid_generators_with_lineality():

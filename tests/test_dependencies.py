@@ -37,7 +37,6 @@ UNREFERENCED_ON_PURPOSE = {
     ("cones", "hilbert_basis"),
     ("io", "emit"),
     # the public cone API the tests use
-    ("cones", "dual_cone"),
     ("cones", "faces"),
     # the submonoid equality the tests assert with
     ("monoid", "AffineMonoid.same_submonoid"),

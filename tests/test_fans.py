@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fan_reference import incomplete_fan_in_zn, meets_in_common_face
+from fan_reference import fan_monoids, incomplete_fan_in_zn, meets_in_common_face
 from f1geom.counting import orbit_count_polynomial
 from f1geom.fans import (
     Fan,
@@ -180,18 +180,20 @@ def test_complete_fans_give_monic_counting():
 
 
 def test_fan_in_zn_p1():
-    fz = fan_in_zn(FAN_CORPUS["P1"])
-    assert fz.ok
-    charts = sorted(tuple(m.generators) for m in fz.chart_monoids.values())
+    assert fan_in_zn(FAN_CORPUS["P1"]).ok
+    members, charts, violations = fan_monoids(FAN_CORPUS["P1"])
+    assert not violations
+    charts = sorted(tuple(m.generators) for m in charts.values())
     assert charts == [((-1,),), ((-1,), (1,)), ((1,),)]  # N reversed, Z, N
-    members = sorted(tuple(m.generators) for m in fz.members.values())
+    members = sorted(tuple(m.generators) for m in members.values())
     assert members == [(), ((-1,),), ((1,),)]
 
 
 def test_fan_in_zn_quadric_cone_saturated():
-    fz = fan_in_zn(FAN_CORPUS["A1quadric"])
-    assert fz.ok
-    top = fz.chart_monoids[frozenset({0, 1})]
+    assert fan_in_zn(FAN_CORPUS["A1quadric"]).ok
+    _, charts, violations = fan_monoids(FAN_CORPUS["A1quadric"])
+    assert not violations
+    top = charts[frozenset({0, 1})]
     assert top.same_submonoid(AffineMonoid.make(2, [[0, 1], [1, 0], [2, -1]]))
 
 

@@ -2,7 +2,8 @@
 value, fails one step past it, and its error names its key."""
 import pytest
 
-from f1geom.cones import RANK_CAP, ResourceCapError, RationalCone, dual_cone, hilbert_basis
+from f1geom.cones import (PARALLELEPIPED_CAP, ResourceCapError, RationalCone, hilbert_basis,
+                          lattice_monoid_generators)
 from f1geom.limits import LIMITS
 from f1geom.monoid import (
     MEMBERSHIP_TABLE_CAP,
@@ -11,30 +12,38 @@ from f1geom.monoid import (
 )
 from f1geom.semiring import RingError, SemigroupRingElement, ring_mul
 from f1geom.torified import TorifyError, Torification, gaussian_binomial, schubert_torification
-from f1geom.zeta import ZetaError, parse_counting_polynomial
-
-
-def _orthant(rank):
-    return RationalCone.make([tuple(int(i == j) for j in range(rank)) for i in range(rank)])
+from f1geom.zeta import CountingPolynomial, ZetaError, parse_counting_polynomial
 
 
 def test_the_table_holds_every_cap():
-    assert LIMITS == {"lattice_rank": 4, "schubert_n": 8, "gaussian_n": 12,
+    assert LIMITS == {"parallelepiped_points": 100_000, "schubert_n": 8, "gaussian_n": 12,
                       "membership_table": 4096,
                       "field_size": 3_317_044_064_679_887_385_961_980,
                       "ring_mul_terms": 10_000, "polynomial_degree": 1000,
                       "listed_tori": 1_000_000}
-    assert RANK_CAP == LIMITS["lattice_rank"]
+    assert PARALLELEPIPED_CAP == LIMITS["parallelepiped_points"]
     assert MEMBERSHIP_TABLE_CAP == LIMITS["membership_table"]
 
 
-def test_lattice_rank_cap():
-    rank = LIMITS["lattice_rank"]
-    assert len(dual_cone(_orthant(rank)).rays) == rank
-    assert len(hilbert_basis(_orthant(rank)).vectors) == rank
-    for op in (dual_cone, hilbert_basis):
-        with pytest.raises(ResourceCapError, match=r"LIMITS\['lattice_rank'\]"):
-            op(_orthant(rank + 1))
+def test_parallelepiped_points_cap():
+    # cone((1,0), (N-1,N)) x cone((0,1)) has determinant N, so its one
+    # parallelepiped holds N points, and a Hilbert basis of 4
+    def cone(N):
+        return RationalCone.make([(1, 0, 0), (N - 1, N, 0), (0, 0, 1)], rank=3)
+
+    cap = LIMITS["parallelepiped_points"]
+    assert hilbert_basis(cone(cap)).vectors == ((0, 0, 1), (1, 0, 0), (1, 1, 0),
+                                                (cap - 1, cap, 0))
+    # refused from the Smith form, whatever the determinant, on every path
+    for N in (cap + 1, 10 ** 30):
+        for op in (hilbert_basis, lattice_monoid_generators):
+            with pytest.raises(ResourceCapError, match=r"LIMITS\['parallelepiped_points'\]"):
+                op(cone(N))
+    # in Z^2 the chain (1,0), (1,1), ..., (1,N) lists N - 1 of them
+    assert len(hilbert_basis(RationalCone.make([(1, 0), (1, cap + 1)])).vectors) == cap + 2
+    for N in (cap + 2, 10 ** 30):
+        with pytest.raises(ResourceCapError, match=r"LIMITS\['parallelepiped_points'\]"):
+            hilbert_basis(RationalCone.make([(1, 0), (1, N)]))
 
 
 def test_membership_table_cap():
@@ -98,3 +107,8 @@ def test_polynomial_degree_cap():
     for text in (f"q^{cap + 1}", f"q^{cap + 1} - q^{cap + 1}", "q^3000000"):
         with pytest.raises(ZetaError, match=r"LIMITS\['polynomial_degree'\]"):
             parse_counting_polynomial(text)
+    # and for a sum of tori, before the coefficient list is built
+    assert CountingPolynomial.of_tori([0, cap]).degree == cap
+    for ranks in ([cap + 1], {10 ** 9: 1}):
+        with pytest.raises(ZetaError, match=r"LIMITS\['polynomial_degree'\]"):
+            CountingPolynomial.of_tori(ranks)
