@@ -169,4 +169,4 @@ def counting_polynomial(X: MScheme) -> CountingFunction:
 def orbit_count_polynomial(fan: Fan) -> CountingPolynomial:
     """Fan-side count: sum over cones of (q-1)^(n - dim), via the orbit
     decomposition; the independent route against the stalk formula."""
-    return CountingPolynomial.of_tori(fan.rank - fan.cone_dim(c) for c in fan.cones)
+    return CountingPolynomial.of_tori(fan.rank - len(c) for c in fan.cones)

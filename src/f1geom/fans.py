@@ -9,7 +9,8 @@ cone to the spectrum of the lattice-point monoid of its dual cone, glued
 along common faces.  That scheme is read off the fan by the orbit-cone
 correspondence (Kato 1994, Deitmar 2008): its points are the cones,
 specialization is cone inclusion and the stalk at tau is tau^dual cap Z^n.
-``kato`` hands that data to the scheme it builds, so nothing is glued;
+``kato`` hands the points and order to the scheme it builds, so nothing
+is glued, and the scheme localizes a chart when a stalk is asked for;
 ``spectrum.glue`` stays the route for hand-built gluing diagrams, and for
 fans the tests use it as the oracle.
 
@@ -19,12 +20,13 @@ form of the rays gives sigma^dual cap Z^n with no dual cone and no Hilbert
 basis; singular cones take double description and a Hilbert basis.
 ``make_fan`` checks that each cone's rays are independent and reads common
 faces off the signs of relations among rays; given that, the
-fan-of-monoids conditions hold by construction (``fan_in_zn``).
+fan-of-monoids conditions hold by construction, and of them ``fan_in_zn``
+reads face closure alone off a hand-built ``Fan``: the rest follows.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .cones import RationalCone, double_description, dual_monoid_generators
@@ -53,9 +55,6 @@ class Fan:
 
     def cone_obj(self, c: frozenset) -> RationalCone:
         return RationalCone.make([self.rays[i] for i in sorted(c)], rank=self.rank)
-
-    def cone_dim(self, c: frozenset) -> int:
-        return len(c)  # rays of a fan cone are linearly independent
 
     def sorted_cones(self) -> tuple[frozenset, ...]:
         return tuple(sorted(self.cones, key=lambda c: (len(c), sorted(c))))
@@ -170,7 +169,8 @@ class FanInZn:
     that fail for it: (1) each member is finitely generated and saturated,
     with trivial units and a torsion-free Z^n / Quot; (2) the prime
     complements of a member are members; (3) two members meet in a common
-    prime complement.  ``violations`` lists (condition, cones, reason).
+    prime complement.  (1) holds by construction and (3) follows from (2),
+    so ``violations`` lists (2, cone, reason), one entry per missing face.
     """
 
     fan: Fan
@@ -191,85 +191,58 @@ def fan_in_zn(fan: Fan) -> FanInZn:
     are independent, as ``make_fan`` checks, so sigma is pointed (the member
     has no units) and full-dimensional in its span, whence Quot is
     span cap Z^n and Z^n / Quot is torsion-free (Fulton 1993, Sec. 1.2, 2.1).
-    (2) and (3) hold for a fan ``make_fan`` builds too; they are still read
-    off the ray-index sets for a ``Fan`` built by hand.  Simplicial cones
-    that meet in common faces have the monoids of the faces of c as the
-    prime complements of c cap Z^n, and two members meet in the member of
-    c & d.  (2) is then face closure and (3) asks that c & d be a cone.
+    Simplicial cones that meet in common faces have the monoids of the
+    faces of c as the prime complements of c cap Z^n, and two members meet
+    in the member of c & d.  (2) is then face closure, which a fan
+    ``make_fan`` builds has, and it is still read off the ray-index sets
+    for a ``Fan`` built by hand.  (3) asks that c & d be a cone, and follows
+    from (2): c & d is a subset of c's rays, so a face of c.
     """
     cones = set(fan.cones)
-    order = fan.sorted_cones()
-    violations = [(2, tuple(sorted(c)), "prime complement missing from the fan")
-                  for c in order for f in _faces(c) if f not in cones]
-    violations += [(3, (tuple(sorted(c)), tuple(sorted(d))),
-                    "intersection is not a common prime complement")
-                   for c, d in itertools.combinations(order, 2) if c & d not in cones]
-    return FanInZn(fan, tuple(violations))
+    return FanInZn(fan, tuple((2, tuple(sorted(c)), "prime complement missing from the fan")
+                              for c in fan.sorted_cones() for f in _faces(c) if f not in cones))
 
 
 # --- fan -> scheme functor -------------------------------------------------------
-
-@dataclass(frozen=True)
-class FanData:
-    """Toric bookkeeping attached to a fan scheme: which fan cone each
-    point is."""
-
-    fan: Fan
-    cone_of_point: dict = field(compare=False)  # Point.key -> frozenset
-
 
 def kato(fan: Fan) -> MScheme:
     """The monoid scheme of a fan: one chart per maximal cone sigma, the
     chart monoid being sigma^dual cap Z^n, glued along the localizations
     at common faces (identity gluing records).
 
-    The points, order and stalks come from the orbit-cone correspondence
-    and are passed to the scheme as it is built; nothing is glued.  The
-    point of a cone tau is the prime of the first maximal cone containing
-    it whose complement is the face of the chart vanishing on tau; its
-    stalk units are Z^(n - dim(tau)), its stalk is that chart localized there
+    The points and order come from the orbit-cone correspondence and are
+    passed to the scheme as it is built; nothing is glued.  The prime of a
+    face tau of a maximal cone is the one whose complement is the face of
+    the chart vanishing on tau; it is built once per (chart, face), and the
+    points and gluing records both read it.  The point of tau is its prime
+    in the first maximal cone containing it, with stalk units
+    Z^(n - dim(tau)); its stalk is that chart localized there
     (tau^dual cap Z^n), and the points below it are those of its faces.
-    ``glue`` on the same charts and records derives the same data; the
-    tests compare the two routes.  A smooth maximal cone's chart is read off
-    one Smith form of its rays (``dual_monoid_generators``), with no dual.
+    As the fan is face-closed, the faces of the maximal cones are exactly
+    its cones, and two maximal cones meet in a face of both.  ``glue`` on
+    the same charts and records derives the same data; the tests compare
+    the two routes.  A smooth maximal cone's chart is read off one Smith
+    form of its rays (``dual_monoid_generators``), with no dual.
     """
     n = fan.rank
     maxcones = fan.maximal_cones
-    charts = [AffineMonoid.make(n, dual_monoid_generators(fan.cone_obj(c)))
-              for c in maxcones]
-
-    def face_of(ci: int, tau: frozenset) -> tuple[int, ...]:
-        """Generator indices of chart ci vanishing on the rays of tau."""
-        return tuple(
-            i for i, g in enumerate(charts[ci].generators)
-            if all(dot(g, fan.rays[r]) == 0 for r in tau)
-        )
-
-    ident = tuple(tuple(1 if a == b else 0 for a in range(n)) for b in range(n))
-    cones = set(fan.cones)
-    gluings = []
-    for i, j in itertools.combinations(range(len(maxcones)), 2):
-        sigma = maxcones[i] & maxcones[j]
-        if sigma not in cones:
-            raise FanError("maximal cones intersect outside the fan")
-        gluings.append(GluingData(i, PrimeIdeal(charts[i], face_of(i, sigma)),
-                                  j, PrimeIdeal(charts[j], face_of(j, sigma)), ident))
-
-    point_of_cone, cone_of_point, stalks, class_of = {}, {}, {}, {}
-    for ci, mc in enumerate(maxcones):
-        A = charts[ci]
+    charts = tuple(AffineMonoid.make(n, dual_monoid_generators(fan.cone_obj(c)))
+                   for c in maxcones)
+    prime_at, point_of_cone, class_of = {}, {}, {}
+    for ci, (mc, A) in enumerate(zip(maxcones, charts)):
+        # the rays of mc each generator vanishes on; tau's face is the
+        # generators vanishing on all of tau
+        zeros = [frozenset(r for r in mc if dot(g, fan.rays[r]) == 0) for g in A.generators]
         for tau in _faces(mc):
-            prime = PrimeIdeal(A, face_of(ci, tau))
+            prime = prime_at[ci, tau] = PrimeIdeal(
+                A, tuple(i for i, z in enumerate(zeros) if tau <= z))
             if tau not in point_of_cone:
-                pt = Point(ci, prime, AbelianGroup(n - fan.cone_dim(tau)))
-                point_of_cone[tau] = pt
-                cone_of_point[pt.key] = tau
-                stalks[pt.key] = A._localized(prime.face)
-            class_of[(ci, prime)] = point_of_cone[tau]
-    if set(point_of_cone) != cones:
-        raise FanError("fan cones and scheme points do not correspond")
+                point_of_cone[tau] = Point(ci, prime, AbelianGroup(n - len(tau)))
+            class_of[ci, prime] = point_of_cone[tau]
+    ident = tuple(tuple(1 if a == b else 0 for a in range(n)) for b in range(n))
+    gluings = tuple(GluingData(i, prime_at[i, a & b], j, prime_at[j, a & b], ident)
+                    for (i, a), (j, b) in itertools.combinations(enumerate(maxcones), 2))
     points = tuple(sorted(point_of_cone.values(), key=lambda p: p.key))
     down = {point_of_cone[tau].key: frozenset(point_of_cone[f].key for f in _faces(tau))
-            for tau in cones}
-    return MScheme(tuple(charts), tuple(gluings), points, down, stalks, class_of,
-                   FanData(fan, cone_of_point))
+            for tau in fan.cones}
+    return MScheme(charts, gluings, points, down, class_of, fan)

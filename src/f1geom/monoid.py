@@ -491,7 +491,7 @@ class TableMonoid:
         idempotents = [e for e in self.elements if e != self.zero and self.op(e, e) == e]
         return sorted((PrimeIdeal(self, elements=frozenset(
             a for a in self.elements if all(self.op(a, b) != e for b in self.elements)))
-            for e in idempotents), key=PrimeIdeal.sort_key)
+            for e in idempotents), key=lambda p: (len(p.elements), p.key))
 
     def localize(self, p: "PrimeIdeal"):
         """Fractions a/s, s outside p, as the monoid eM, e the idempotent
@@ -615,17 +615,6 @@ class PrimeIdeal:
         if self.face is not None:
             return ("face", self.face)
         return ("set", tuple(sorted(map(str, self.elements))))
-
-    def sort_key(self):
-        if self.face is not None:
-            return (-self.owner._face_dim(self.face), self.face)
-        return (len(self.elements), tuple(sorted(map(str, self.elements))))
-
-    def contains(self, x) -> bool:
-        if self.face is not None:
-            A = self.owner
-            return A.contains(x) and not A.face_submonoid(self.face).contains(x)
-        return x in self.elements
 
     def pointed_in(self, owner) -> "PrimeIdeal":
         """This prime as a prime of ``owner``, its monoid with a zero

@@ -6,11 +6,12 @@ localizations, and the spectrum of a monoid A is the one-chart scheme
 ``MScheme.affine(A)``.  The Zariski topology of a finite scheme is the
 Alexandrov topology of its specialization order, so an open set is a
 union of down-sets and the structure sheaf is a stalk per point with a
-restriction hom along every specialization.  A scheme's points, order,
-stalks and stalk unit groups are derived once, by the constructor that
-builds it: ``glue`` localizes the charts at their primes, ``fans.kato``
-reads them off the fan and ``plus_zero`` carries them over from the
-scheme without zero.
+restriction hom along every specialization.  A scheme's points, order
+and stalk unit groups are derived once, by the constructor that builds
+it: ``glue`` localizes the charts at their primes, ``fans.kato`` reads
+them off the fan and ``plus_zero`` carries them over from the scheme
+without zero.  A stalk is not kept: it is the point's chart localized at
+the point's prime, built when asked for.
 """
 from __future__ import annotations
 
@@ -84,15 +85,16 @@ class MScheme:
     fan and ``plus_zero`` carries it over.  ``down`` maps each point's key
     to the keys of the points below it in the specialization order, itself
     included; ``class_of`` maps (chart index, prime) to the prime's point.
+    Stalks are charts localized on demand (``stalk``).  ``fan`` is the fan
+    a scheme was built from by ``fans.kato``, None otherwise.
     """
 
     charts: tuple
     gluings: tuple
     points: tuple[Point, ...] = field(compare=False, repr=False)
     down: dict = field(compare=False, repr=False)
-    stalks: dict = field(compare=False, repr=False)
     class_of: dict = field(compare=False, repr=False)
-    fan_data: object = field(default=None, compare=False)
+    fan: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.charts:
@@ -114,7 +116,8 @@ class MScheme:
         return a.key in self.down[b.key]
 
     def stalk(self, pt: Point):
-        return self.stalks[pt.key]
+        """O_pt: the point's chart localized at the point's prime."""
+        return self.charts[pt.chart_index].localize(pt.prime)[0]
 
     def is_open(self, points) -> bool:
         """Open iff a union of down-sets (closed under generization)."""
@@ -194,10 +197,11 @@ def glue(charts, gluings) -> MScheme:
 
 
 def _build_scheme_data(charts, gluings):
-    """Points, down-sets, stalks and (chart, prime) -> point map of the
-    charts glued along the records, derived from the charts' primes and
-    localizations.  This is the reference route: the tests compare
-    ``kato`` and ``plus_zero`` against it."""
+    """Points, down-sets and (chart, prime) -> point map of the charts
+    glued along the records, derived from the charts' primes; each point's
+    stalk unit group is read off its chart localized at its prime, and the
+    stalk itself is not kept.  This is the reference route: the tests
+    compare ``kato`` and ``plus_zero`` against it."""
     chart_primes = {A: A.primes() for A in dict.fromkeys(charts)}  # equal charts share one
     prime_at = {(ci, p.key): p for ci, A in enumerate(charts) for p in chart_primes[A]}
     pairs = []
@@ -206,17 +210,14 @@ def _build_scheme_data(charts, gluings):
         pairs += [((rec.chart_a, a), (rec.chart_b, b))
                   for a, b in _gluing_point_pairs(charts, rec)]
 
-    points, point_at, stalks, local = [], {}, {}, {}
+    points, point_at, units = [], {}, {}
     for members in _classes(prime_at, pairs):
         rep = min(members)
         A, prime = charts[rep[0]], prime_at[rep]
-        if (A, prime.key) not in local:  # equal charts share their stalks too
-            loc, _ = A.localize(prime)
-            local[A, prime.key] = loc, loc.units()
-        loc, units = local[A, prime.key]
-        pt = Point(rep[0], prime, units)
+        if (A, prime.key) not in units:  # equal charts share their unit groups too
+            units[A, prime.key] = A.localize(prime)[0].units()
+        pt = Point(rep[0], prime, units[A, prime.key])
         points.append(pt)
-        stalks[pt.key] = loc
         point_at.update(dict.fromkeys(members, pt))
     points.sort(key=lambda p: p.key)
 
@@ -237,7 +238,7 @@ def _build_scheme_data(charts, gluings):
             grew = grew or bool(more)
 
     class_of = {(ci, prime_at[(ci, k)]): pt for (ci, k), pt in point_at.items()}
-    return tuple(points), {k: frozenset(v) for k, v in down.items()}, stalks, class_of
+    return tuple(points), {k: frozenset(v) for k, v in down.items()}, class_of
 
 
 def _validate_gluing(charts, rec: GluingData):
@@ -352,10 +353,10 @@ def plus_zero(X: MScheme) -> MScheme:
 
     A monoid and its pointed extension have the same primes up to
     re-owning, so X's points, order and (chart, prime) -> point map carry
-    over with their primes re-owned; nothing is glued again.  Each stalk
-    is the pointed chart localized at its point's prime: that is X's
-    stalk with a zero, and for a table chart it also carries the labels
-    the localization of the pointed table gives.
+    over with their primes re-owned; nothing is glued or localized again.
+    A stalk, asked for, is the pointed chart localized at its point's
+    prime: that is X's stalk with a zero, and for a table chart it also
+    carries the labels the localization of the pointed table gives.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -370,30 +371,25 @@ def plus_zero(X: MScheme) -> MScheme:
         charts, records,
         tuple(sorted(moved.values(), key=lambda p: p.key)),
         {moved[k].key: frozenset(moved[a].key for a in below) for k, below in X.down.items()},
-        {pt.key: charts[pt.chart_index].localize(pt.prime)[0] for pt in moved.values()},
         {(ci, p.pointed_in(charts[ci])): moved[pt.key] for (ci, p), pt in X.class_of.items()},
-        X.fan_data)
+        X.fan)
 
 
 def classify(X: MScheme) -> dict:
     """Connectedness, integrality, finite type and exponent-1 flags.
 
-    finite_type is recorded as always true: the chart representation can
-    only express finitely generated stalks.
+    X is integral when every stalk is, and that is read off the charts:
+    a chart is its own stalk at its closed point (A localized at the
+    non-units is A), and every stalk is a localization of a chart, which
+    is cancellative when the chart is.  finite_type is recorded as always
+    true: the chart representation can only express finitely generated
+    stalks.
     """
-    connected = len(X.connected_components) == 1
-    integral = True
-    exponent_one = True
-    for pt in X.points:
-        if not X.stalk(pt).is_integral:
-            integral = False
-        if pt.units.invariant_factors:
-            exponent_one = False
     return {
-        "connected": connected,
-        "integral": integral,
+        "connected": len(X.connected_components) == 1,
+        "integral": all(c.is_integral for c in X.charts),
         "finite_type": True,
-        "exponent_one": exponent_one,
+        "exponent_one": not any(pt.units.invariant_factors for pt in X.points),
     }
 
 

@@ -160,20 +160,20 @@ def orbit_torification(X: MScheme) -> Torification:
     """One torus per fan cone, of rank n - dim(cone); the chart assignment
     collects the faces of each maximal cone, so the torification is
     affine by construction."""
-    if X.fan_data is None:
+    if X.fan is None:
         raise TorifyError("orbit torification needs a fan-built scheme")
-    fan = X.fan_data.fan
+    fan = X.fan
     n = fan.rank
     cone_key = {c: tuple(sorted(c)) for c in fan.cones}
     ranks, labels = [], []
     for c in fan.sorted_cones():
-        ranks.append(n - fan.cone_dim(c))
+        ranks.append(n - len(c))
         labels.append(cone_key[c])
     charts = {}
     for mi, mc in enumerate(fan.maximal_cones):
         faces = [c for c in fan.cones if c <= mc]
         charts[mi] = (sorted(cone_key[c] for c in faces),
-                      CountingPolynomial.of_tori(n - fan.cone_dim(c) for c in faces))
+                      CountingPolynomial.of_tori(n - len(c) for c in faces))
     return Torification.make(ranks, labels, charts)
 
 

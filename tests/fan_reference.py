@@ -1,6 +1,7 @@
 """The search route for the fan-of-monoids conditions, the reference that
-`fans.fan_in_zn` is checked against, and the double-description route for
-two cones meeting in a common face, the reference for `make_fan`'s check.
+`fans.fan_in_zn` is checked against, the double-description route for
+two cones meeting in a common face, the reference for `make_fan`'s check,
+and the fan cone of a point of a fan scheme, read back off its chart.
 
 `fan_in_zn` builds no monoid: condition (1) holds by construction.  Here
 both monoids of every cone are built again and condition (1) is proved on
@@ -12,7 +13,7 @@ from oracles import is_saturated
 from f1geom.cones import (RationalCone, dual_cone, intersection, lattice_monoid_generators,
                           signed_rows)
 from f1geom.fans import Fan
-from f1geom.intlinalg import primitive_vector, quotient_invariants
+from f1geom.intlinalg import dot, primitive_vector, quotient_invariants
 from f1geom.monoid import AbelianGroup, AffineMonoid
 
 
@@ -49,6 +50,16 @@ def fan_monoids(fan: Fan):
         if not is_saturated(charts[c]):
             violations.append((1, tuple(sorted(c)), "chart monoid not saturated"))
     return members, charts, violations
+
+
+def cone_of_point(X, pt) -> frozenset:
+    """The fan cone of a point of ``kato(X.fan)``: the rays of its chart's
+    maximal cone on which every generator of its prime's complement
+    vanishes.  That face of the dual cone is tau^perp cap sigma^dual, whose
+    dual face is tau (Fulton 1993, Sec. 1.2)."""
+    fan, A = X.fan, X.charts[pt.chart_index]
+    return frozenset(r for r in fan.maximal_cones[pt.chart_index]
+                     if all(dot(A.generators[i], fan.rays[r]) == 0 for i in pt.prime.face))
 
 
 def violation_2(c):

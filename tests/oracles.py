@@ -247,6 +247,12 @@ def table_is_cancellative(M) -> bool:
                    for a in nz for x in nz)
 
 
+def integral_by_stalks(X) -> bool:
+    """The per-stalk route to a scheme's integrality: every point's stalk,
+    its chart localized at its prime, is cancellative."""
+    return all(X.stalk(p).is_integral for p in X.points)
+
+
 def generated_lattice_points(gens, bound: int):
     """All nonnegative-integer combinations of gens with coordinate sums
     <= bound, by dynamic programming."""

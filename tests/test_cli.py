@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import reduce
 from pathlib import Path
 
 try:
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 
 import f1geom.spectrum as spectrum
 from f1geom import cli
+from f1geom.fans import product_fan, standard_fans
 from f1geom.io import emit
 from f1geom.limits import LIMITS
 from f1geom.torified import Torification, schubert_torification
@@ -159,6 +161,34 @@ def test_large_output_is_pinned_by_its_hash(case):
     rc, out, err = run_cli(argv)
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Fan verbs on fans past the shipped data, pinned by the sha256 of their JSON
+# as printed before fan schemes built their stalks on demand.
+SCALED_FANS = {
+    "p1^6": lambda: reduce(product_fan, [standard_fans("projective_space", 1)] * 6),
+    "p6": lambda: standard_fans("projective_space", 6),
+}
+SCALED_OUTPUTS = {
+    ("p1^6", "fan"): "1772e946c5df3c42e9e9c7dae7f13e9216a37cf06b65d25abcee2a99b4352630",
+    ("p1^6", "count"): "333cf9a3f69cab793d3eb3ddcb5de829e79c82fea32c2ca58bd2f49b023fb933",
+    ("p1^6", "torify"): "6d4da8bdd4b60e665c04f904eb845e38c5db8a614dfdd8cf3a80c48eedee939a",
+    ("p6", "fan"): "9ff77d196160fcc3665bdb93bcb5c6a0b39b3628986df407f6457708226aa825",
+    ("p6", "count"): "3475d93953606c9c650157c414dc7e7fc4d86525ebaaa2cc0ef9aad2e79b311c",
+    ("p6", "torify"): "5f440641879271f3e12f9030ecc32f5152ca1a8ca95c8f715377e4078ea999ff",
+}
+
+
+@pytest.mark.parametrize("name,verb", sorted(SCALED_OUTPUTS))
+def test_fan_verbs_on_scaled_fans_are_pinned_by_their_hash(name, verb, tmp_path):
+    path = tmp_path / f"{name}.fan.json"
+    emit(SCALED_FANS[name](), path)
+    argv = {"fan": ["fan", "--fan", str(path)],
+            "count": ["count", "--fan", str(path), "--q", "2,3,4,5,7"],
+            "torify": ["torify", "--fan", str(path), "--charts"]}[verb]
+    rc, out, err = run_cli(argv + ["--json"])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SCALED_OUTPUTS[name, verb]
 
 
 @pytest.mark.parametrize("case", sorted(CASES) + sorted(

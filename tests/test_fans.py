@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fan_reference import fan_monoids, incomplete_fan_in_zn, meets_in_common_face
+from fan_reference import (
+    cone_of_point,
+    fan_monoids,
+    incomplete_fan_in_zn,
+    meets_in_common_face,
+)
 from f1geom.counting import orbit_count_polynomial
 from f1geom.fans import (
     Fan,
@@ -143,10 +148,9 @@ def test_kato_point_counts():
 def test_kato_point_order_matches_cone_inclusion():
     for name in ("P2", "H1", "A2"):
         X = kato(FAN_CORPUS[name])
-        fd = X.fan_data
         for a in X.points:
             for b in X.points:
-                ca, cb = fd.cone_of_point[a.key], fd.cone_of_point[b.key]
+                ca, cb = cone_of_point(X, a), cone_of_point(X, b)
                 assert X.le(a, b) == (ca <= cb), (name, a, b)
 
 
@@ -154,8 +158,7 @@ def test_kato_ranks_are_codimensions():
     for name, fan in FAN_CORPUS.items():
         X = kato(fan)
         for pt in X.points:
-            c = X.fan_data.cone_of_point[pt.key]
-            assert pt.rank == fan.rank - fan.cone_dim(c)
+            assert pt.rank == fan.rank - len(cone_of_point(X, pt))
 
 
 def test_kato_classification_all_true():

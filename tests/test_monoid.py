@@ -12,6 +12,7 @@ import oracles
 from oracles import (
     count_group_homs,
     generated_lattice_points,
+    integral_by_stalks,
     is_saturated,
     truncated_primes_of_free_monoid,
 )
@@ -27,6 +28,7 @@ from f1geom.monoid import (
     saturate,
 )
 from f1geom.intlinalg import dot
+from f1geom.spectrum import MScheme, classify, plus_zero
 
 
 # --- primes ---------------------------------------------------------------------
@@ -226,6 +228,14 @@ def test_table_monoid_routes_equal_the_oracles(name):
     rank, factors = oracles.table_unit_invariants(M)
     assert M.units() == AbelianGroup(rank, tuple(factors))
     assert M.is_integral == oracles.table_is_cancellative(M)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CORPUS))
+def test_table_scheme_integrality_equals_the_stalk_route(name):
+    # plus_zero adjoins a zero to an unpointed chart and keeps a pointed one
+    X = MScheme.affine(TABLE_CORPUS[name])
+    for Y in (X, plus_zero(X)):
+        assert classify(Y)["integral"] == integral_by_stalks(Y)
 
 
 def test_table_monoid_corpus_covers_each_family():

@@ -160,7 +160,7 @@ def test_table_chart_restrictions():
             Ap, hom_p = X.stalk(p), homs[p.key]
             # the image of a/s is hom_p(a) hom_p(s)^-1, for every fraction a/s
             for s in M.elements:
-                if q.prime.contains(s):
+                if s in q.prime.elements:
                     continue
                 for a in M.elements:
                     label = Aq.op(hom_q.apply(a), _inverse(Aq, hom_q.apply(s)))
