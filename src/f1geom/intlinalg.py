@@ -3,8 +3,8 @@
 Matrices are plain lists of lists of Python ints: arbitrary precision and
 no floating point anywhere.  Two eliminations carry every result.
 `smith_normal_form`, one pivot loop giving U A V = D with d1 | d2 | ...,
-serves the lattice work: integer kernels and solves, column lattices and
-invariant factors (`subgroup_invariants` is a kernel and a quotient, two
+serves the lattice work: integer kernels, column lattices and invariant
+factors (`subgroup_invariants` is a column lattice and a quotient, two
 Smith forms).  `_eliminate`, fraction-free Gauss-Jordan over Python ints
 that keeps every row primitive by dividing out its gcd, serves rational
 rank, greedy independent subsets and scaled inverses (D, D M^-1), hence
@@ -19,10 +19,6 @@ from math import gcd, lcm
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(A, x):
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in A]
 
 
 def transpose(A):
@@ -128,30 +124,6 @@ def unimodular_inverse(U: list[list[int]]) -> list[list[int]]:
     return P
 
 
-def integer_solver(A: list[list[int]]):
-    """The map b -> one integer solution x of A x = b, or None if none
-    exists, computing A's Smith form once.
-
-    With U A V = D, A x = b has an integer solution iff U b is divisible
-    entrywise by the diagonal of D (and zero where it is zero).
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return lambda b: [0] * n
-    U, D, V = smith_normal_form(A)
-    diag = diagonal_of(D) + [0] * (m - min(m, n))
-
-    def solve(b):
-        c = mat_vec(U, b)
-        if any(x % d if d else x for x, d in zip(c, diag)):
-            return None
-        y = [x // d if d else 0 for x, d in zip(c, diag)] + [0] * n
-        return mat_vec(V, y[:n])
-
-    return solve
-
-
 def column_lattice_basis(A: list[list[int]]) -> list[list[int]]:
     """Basis (as column vectors) of the lattice spanned by the columns of A:
     with U A V = D, A V = U^-1 D, whose nonzero columns d_i (U^-1)_i are one."""
@@ -169,15 +141,17 @@ def subgroup_invariants(vectors: list[list[int]], free_rank: int, torsion: list[
 
     Returns (rank, factors) with factors in divisibility order, 1s dropped.
     With L the lattice the lifts span and K the torsion relations d_j e_{r+j},
-    H = (L + K)/K is Z^m modulo {c : sum c_i v_i in K}: the first m
-    coordinates of the kernel of the columns [v_1 ... v_m | K].
+    H = (L + K)/K.  Over a basis of L + K (s <= r + t vectors), K is
+    spanned by the relations' coordinates, read through s independent rows,
+    so H is Z^s modulo at most t vectors.
     """
-    m, r, t = len(vectors), free_rank, len(torsion)
-    if m == 0 or r + t == 0:
-        return 0, []
-    cols = [list(v) for v in vectors] + [[d if i == r + j else 0 for i in range(r + t)]
-                                        for j, d in enumerate(torsion)]
-    return quotient_invariants(m, [c[:m] for c in kernel_basis(transpose(cols))])
+    r, t = free_rank, len(torsion)
+    relations = [[d if i == r + j else 0 for i in range(r + t)] for j, d in enumerate(torsion)]
+    basis = column_lattice_basis(transpose([list(v) for v in vectors] + relations))
+    rows = independent_indices(transpose(basis))
+    D, P = scaled_inverse([[b[i] for b in basis] for i in rows])
+    return quotient_invariants(len(basis), [[dot(p, [k[i] for i in rows]) // D for p in P]
+                                            for k in relations])
 
 
 def quotient_invariants(ambient_rank: int, sub_basis: list[list[int]]):

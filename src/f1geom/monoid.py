@@ -27,9 +27,11 @@ Primes, localizations, saturations and unit groups are all computed
 exactly.  Prime ideals of an affine monoid correspond to the faces of its
 recession cone; those of a table monoid M correspond to its idempotents
 e, and the localization at e's prime is eM.  ``AffineMonoid.contains``
-reads membership off a residue table (Apery set) over one generator per
-extremal ray where the monoid has no torsion, no units and a simplicial
-cone, and searches the generators' multiples everywhere else.
+asks a monoid with units about the class of an element in its sharp
+quotient A/A^x.  A sharp monoid with a simplicial cone reads membership off
+a residue table (Apery set) over one generator per extremal ray, keyed by
+class modulo those generators, torsion included; on other cones, or past
+the table's cap, it searches the generators' multiples.
 """
 from __future__ import annotations
 
@@ -38,17 +40,18 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import gcd
-from operator import add
+from operator import add, mod
 
 from . import cones
 from .cones import RationalCone
 from .intlinalg import (
     column_lattice_basis,
+    diagonal_of,
     dot,
     independent_indices,
-    integer_solver,
     rat_rank,
     scaled_inverse,
+    smith_normal_form,
     subgroup_invariants,
     transpose,
 )
@@ -172,28 +175,13 @@ class AffineMonoid:
 
     @cached_property
     def unit_generator_indices(self) -> tuple[int, ...]:
-        """Indices of generators whose free part lies in the lineality of the
-        recession cone; these generate the unit group.
-
-        Rank route: let U be the generators whose free part is zero or has
-        its negative among the free parts, so U lies in the lineality.  If
-        the other free parts G are linearly independent modulo span(U), the
-        cone is span(U) + cone(G) and its lineality is span(U):
-        x = u + sum a_i g_i and -x = u' + sum b_i g_i with a, b >= 0 give
-        sum (a_i + b_i) g_i in span(U), so a = b = 0.  No g in G lies in
-        span(U), so the units are exactly U.  Every monoid of a smooth fan
-        takes this route; otherwise the recession cone's double description
-        decides each generator."""
-        frees = [self.free_part(g) for g in self.generators]
-        present = set(frees)
-        units = tuple(i for i, f in enumerate(frees)
-                      if not any(f) or tuple(-x for x in f) in present)
-        span = [frees[i] for i in units]
-        if rat_rank(frees) == rat_rank(span) + len(frees) - len(span):
-            return units
-        cone = self.recession_cone  # holds every f, so f is a unit iff -f is in it
-        return tuple(i for i, f in enumerate(frees)
-                     if not any(f) or cone.contains(tuple(-x for x in f)))
+        """Indices of the generators whose free part f lies in the lineality
+        of the recession cone, that is -f lies in the cone (which holds every
+        free part); these generate the unit group.  Pure-torsion generators
+        are units."""
+        cone = self.recession_cone
+        return tuple(i for i, g in enumerate(self.generators)
+                     if not any(f := self.free_part(g)) or cone.contains(tuple(-x for x in f)))
 
     def units(self) -> AbelianGroup:
         vecs = [list(self.generators[i]) for i in self.unit_generator_indices]
@@ -211,88 +199,117 @@ class AffineMonoid:
         return x if self.contains(x) else None
 
     def contains(self, v) -> bool:
-        """Exact membership v = sum n_i g_i, n_i >= 0: looked up in `_membership_table`
-        where it exists (no torsion or units, a simplicial cone, a table within
-        its cap), else found by a depth-first search over nonunit multiples."""
+        """Exact membership v = sum n_i g_i, n_i >= 0.  A monoid with units
+        asks its sharp quotient A/A^x about the class of v, as A is a union
+        of classes of A^x.  A sharp one looks v up in `_membership_table`
+        where that exists (a simplicial cone, a table within its cap), and
+        otherwise searches its generators' multiples depth first on an
+        explicit stack."""
         v = self._reduce(tuple(v))
         if not any(v):
             return True
+        if self.unit_generator_indices:
+            to_class, sharp = self._sharp_quotient
+            return sharp.contains(to_class(v))
         if self._membership_table is not None:
-            coords, P, D, basis, kept = self._membership_table
+            to_class, coords, P, kept = self._membership_table
             y = [dot(p, [v[i] for i in coords]) for p in P]
-            if any(dot([b[i] for b in basis], y) != D * x for i, x in enumerate(v)):
-                return False  # v is not in span(basis)
-            return any(all(a <= b for a, b in zip(p, y))
-                       for p in kept.get(tuple(c % D for c in y), ()))
-        rows, steps, unit_solver = self._search_setup
+            return any(all(a <= b for a, b in zip(p, y)) for p in kept.get(to_class(v), ()))
+        rows, steps = self._search_setup
         slack = [dot(a, self.free_part(v)) for a in rows]
-        if any(s < 0 for s in slack):
-            return False
-
-        def search(k, rem, slack) -> bool:
-            if k == len(steps):
-                if unit_solver is None:
-                    return not any(rem)
-                return unit_solver(rem) is not None
-            g, ag = steps[k]
-            top = min(s // x for s, x in zip(slack, ag) if x > 0)
-            return any(search(k + 1, tuple(x - n * y for x, y in zip(rem, g)),
+        stack = [(0, v, slack)] if min(slack, default=0) >= 0 else []
+        while stack:
+            k, rem, slack = stack.pop()
+            if k < len(steps):
+                g, ag = steps[k]
+                top = min(s // x for s, x in zip(slack, ag) if x > 0)
+                stack.extend((k + 1, tuple(x - n * y for x, y in zip(rem, g)),
                               [s - n * x for s, x in zip(slack, ag)])
-                       for n in range(top + 1))
+                             for n in range(top, -1, -1))  # n = 0 is tried first
+            elif not any(self._torsion_mod(rem)):
+                return True
+        return False
 
-        return search(0, v, slack)
+    def _class_map(self, vectors):
+        """(to_class, rank, factors): x -> the class of x in G/H, G the
+        ambient group and H the subgroup the vectors generate, written in
+        Z^rank (+) Z/factors.  With U M V = S the Smith form of
+        `lattice_matrix` (a zero column added, so M has one), G/H is Z^width
+        modulo the columns of M, and the class is U x read as is where
+        s_i = 0, mod s_i where s_i > 1, and dropped where s_i = 1."""
+        U, S, _ = smith_normal_form(self.lattice_matrix([*vectors, self.identity]))
+        diag = diagonal_of(S) + [0] * self.width
+        free = [row for row, s in zip(U, diag) if s == 0]
+        tors = [(row, s) for row, s in zip(U, diag) if s > 1]
+
+        def to_class(x):
+            return (tuple(dot(row, x) for row in free)
+                    + tuple(dot(row, x) % s for row, s in tors))
+
+        return to_class, len(free), tuple(s for _, s in tors)
+
+    @cached_property
+    def _sharp_quotient(self):
+        """(to_class, A/A^x): the image of A in G/A^x, G the ambient group,
+        with the class map of `_class_map`.  A is the union of the classes
+        its image meets, and the image is sharp: a + b in A^x makes a a
+        unit."""
+        units = set(self.unit_generator_indices)
+        to_class, rank, factors = self._class_map(self.generators[i] for i in units)
+        gens = [to_class(g) for i, g in enumerate(self.generators) if i not in units]
+        return to_class, AffineMonoid.make(rank, gens, torsion=factors)
 
     @cached_property
     def _search_setup(self):
-        """The search's cone rows, nonunit steps and unit solver.  For rem in
+        """The search's cone rows and steps, on a sharp monoid.  For rem in
         the cone, rem - n g stays in it iff n <= (a.rem) // (a.g) for every
-        row a with a.g > 0, and each nonunit g has such a row.  Carrying the
-        slacks a.rem bounds every multiple tried, so each rem searched is in
-        the cone; torsion is reduced only by the unit solve."""
+        row a with a.g > 0, and each generator has such a row, the cone being
+        pointed.  Carrying the slacks a.rem bounds every multiple tried, so
+        each rem searched is in the cone; torsion is reduced at the end."""
         rows = self.recession_cone.inequalities
-        unit_idx = self.unit_generator_indices
-        steps = [(g, [dot(a, self.free_part(g)) for a in rows])
-                 for i, g in enumerate(self.generators) if i not in unit_idx]
-        unit_matrix = self.lattice_matrix(self.generators[i] for i in unit_idx)
-        return rows, steps, integer_solver(unit_matrix) if unit_matrix else None
+        return rows, [(g, [dot(a, self.free_part(g)) for a in rows]) for g in self.generators]
 
     @cached_property
     def _membership_table(self):
-        """(coords, P, D, basis, kept) where A has no torsion, no unit
-        generators (so its cone is pointed) and dim extremal rays, and at most
-        LIMITS['membership_table'] vectors are kept; else None.  B holds the
-        least generator on each extremal ray, C the rest.  With P = D B_I^-1
-        for dim independent coordinates I, y = P x_I is D times x over B, and
-        x is in span(B) iff B y = D x.  Per residue of y mod D, `kept` holds
-        the minimal sums of C (the Apery set of A over B): x is in A iff some
-        kept p <= y has y's residue, as then x - p is in N B.  Sums leave a
-        heap by coordinate sum, so no kept vector is dominated later; each
-        residue keeps an antichain, finite by Dickson's lemma."""
-        if self.torsion or self.unit_generator_indices:
-            return None
+        """(to_class, coords, P, kept) where A is sharp with dim extremal
+        rays and at most LIMITS['membership_table'] vectors are kept; else
+        None.  B holds the least generator on each extremal ray, C the rest.
+        With P = D B_I^-1 for dim independent free coordinates I, y = P x_I
+        is D times the free part of x over B.  Per class in G/<B>
+        (`_class_map`), `kept` holds the minimal sums of C (the Apery set of
+        A over B): x is in A iff some kept p <= y has x's class, as then
+        x - p is in <B> with coordinates (y - P p_I) / D >= 0.  A class
+        outside the torsion of G/<B>, so x outside span(B), holds no sum.
+        Sums leave a heap by coordinate sum, so no kept vector is dominated
+        later; each class keeps an antichain, finite by Dickson's lemma."""
         cone = self.recession_cone
         extremal = [cone.rays[i] for s in cones.face_index_sets(cone) if len(s) == 1 for i in s]
         if len(extremal) != cone.dim:
             return None
-        basis = [min((g for g in self.generators if cones.primitive_vector(g) == r),
+        basis = [min((g for g in self.generators
+                      if cones.primitive_vector(self.free_part(g)) == r),
                      key=lambda g: sum(map(abs, g))) for r in extremal]
-        coords = independent_indices(transpose(basis))
-        D, P = scaled_inverse([[b[i] for b in basis] for i in coords])
-        steps = [[dot(p, [c[i] for i in coords]) for p in P]
+        to_class, rank, factors = self._class_map(basis)
+        coords = independent_indices(transpose([self.free_part(b) for b in basis]))
+        _, P = scaled_inverse([[b[i] for b in basis] for i in coords])
+        # every sum of generators lies in span(B), so only the torsion
+        # coordinates of its class, the last len(factors), are nonzero
+        free = (0,) * rank
+        steps = [(tuple(dot(p, [c[i] for i in coords]) for p in P), to_class(c)[rank:])
                  for c in self.generators if c not in basis]
-        kept, size, heap = {}, 0, [(0, (0,) * len(basis))]
+        kept, size, heap = {}, 0, [(0, (0,) * len(basis), (0,) * len(factors))]
         while heap:
-            _, y = heapq.heappop(heap)
-            same = kept.setdefault(tuple(c % D for c in y), [])
+            _, y, t = heapq.heappop(heap)
+            same = kept.setdefault(free + t, [])
             if any(all(a <= b for a, b in zip(p, y)) for p in same):
                 continue
             if (size := size + 1) > MEMBERSHIP_TABLE_CAP:
                 return None
             same.append(y)
-            for step in steps:
-                z = tuple(a + b for a, b in zip(y, step))
-                heapq.heappush(heap, (sum(z), z))
-        return coords, P, D, basis, kept
+            for dy, dt in steps:
+                z = tuple(map(add, y, dy))
+                heapq.heappush(heap, (sum(z), z, tuple(map(mod, map(add, t, dt), factors))))
+        return to_class, coords, P, kept
 
     def same_submonoid(self, other: "AffineMonoid") -> bool:
         """Equality as submonoids of a shared ambient group.  Equal monoids

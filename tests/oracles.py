@@ -113,6 +113,21 @@ def subgroup_order_counts(vectors, torsion) -> dict:
     return counts
 
 
+def subgroup_invariants_by_kernel(vectors, free_rank, torsion):
+    """The kernel route to the subgroup H of Z^r (+) Z/d_1 (+) ... that the
+    vectors v_1, ..., v_m generate: H = Z^m modulo {c : sum c_i v_i lies in
+    the torsion relations}, the first m coordinates of the kernel of the
+    columns [v_1 ... v_m | d_j e_{r+j}]."""
+    from f1geom.intlinalg import kernel_basis, quotient_invariants, transpose
+
+    m, r, t = len(vectors), free_rank, len(torsion)
+    if m == 0 or r + t == 0:
+        return 0, []
+    cols = [list(v) for v in vectors] + [[d if i == r + j else 0 for i in range(r + t)]
+                                        for j, d in enumerate(torsion)]
+    return quotient_invariants(m, [c[:m] for c in kernel_basis(transpose(cols))])
+
+
 def truncated_primes_of_free_monoid(n: int, degree: int = 2):
     """Prime-like subsets of the degree-bounded monomials of N^n.
 
@@ -253,9 +268,12 @@ def integral_by_stalks(X) -> bool:
     return all(X.stalk(p).is_integral for p in X.points)
 
 
-def generated_lattice_points(gens, bound: int):
-    """All nonnegative-integer combinations of gens with coordinate sums
-    <= bound, by dynamic programming."""
+def generated_lattice_points(gens, bound: int, torsion=()):
+    """All nonnegative-integer combinations of gens whose free coordinates
+    (all but the last len(torsion)) have absolute values summing to at most
+    bound, by dynamic programming; the last coordinates are read mod the
+    torsion factors."""
+    r = len(gens[0]) - len(torsion)
     seen = {tuple(0 for _ in gens[0])}
     frontier = set(seen)
     while frontier:
@@ -263,7 +281,8 @@ def generated_lattice_points(gens, bound: int):
         for x in frontier:
             for g in gens:
                 y = tuple(a + b for a, b in zip(x, g))
-                if sum(abs(v) for v in y) <= bound and y not in seen:
+                y = y[:r] + tuple(a % d for a, d in zip(y[r:], torsion))
+                if sum(abs(v) for v in y[:r]) <= bound and y not in seen:
                     new.add(y)
         seen |= new
         frontier = new

@@ -321,6 +321,52 @@ def test_a_kind_that_is_no_string_is_an_unknown_kind(tmp_path, kind):
     assert _error(["spec", "--monoid", str(path)]).startswith(f"unknown kind {kind!r}")
 
 
+@pytest.mark.parametrize("argv, data, expected", [
+    (["spec", "--monoid"], '{"kind": "monoid",', "invalid JSON in {path}"),
+    (["spec", "--monoid"], [1, 2], "input must be an object with a 'kind' field"),
+    (["spec", "--monoid"], {"ambient_rank": 1}, "input must be an object with a 'kind' field"),
+    (["spec", "--monoid"], {"kind": "monoid", "ambient_rank": 1, "generators": 5},
+     "'generators' must be a list of vectors"),
+    (["spec", "--monoid"], {"kind": "monoid", "ambient_rank": 2, "generators": [[1]]},
+     "generators[0] has length 1, expected 2"),
+    (["spec", "--monoid"], {"kind": "monoid", "ambient_rank": 1, "torsion": [1],
+                            "generators": [[1, 0]]}, "torsion invariant factors must be >= 2"),
+    (["spec", "--monoid"], {"kind": "table_monoid", "elements": [], "table": []},
+     "'elements' must be a nonempty list"),
+    (["spec", "--monoid"], {"kind": "table_monoid", "elements": [1, 2], "table": [[1, 2]]},
+     "'table' must be a 2x2 matrix of elements"),
+    (["spec", "--monoid"], {"kind": "table_monoid", "elements": [1, 1],
+                            "table": [[1, 1], [1, 1]]}, "duplicate elements"),
+    (["spec", "--monoid"], {"kind": "table_monoid", "elements": [1], "table": [[1]],
+                            "identity": 2}, "identity not among elements"),
+    (["spec", "--monoid"], {"kind": "table_monoid", "elements": [1], "table": [[1]],
+                            "zero": 0}, "zero not among elements"),
+    (["fan", "--fan"], {"kind": "fan", "rank": 0, "rays": [], "cones": []},
+     "'rank' must be a positive integer"),
+    (["fan", "--fan"], {"kind": "fan", "rank": 2, "rays": [[1, 0, 0]], "cones": []},
+     "rays[0] has length 3, expected 2"),
+    (["fan", "--fan"], {"kind": "fan", "rank": 2, "rays": [[1, 0]], "cones": {}},
+     "'cones' must be a list of ray index lists"),
+    (["fan", "--fan"], {"kind": "fan", "rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 2]]},
+     "cone [0, 2] references a missing ray"),
+    (["verify", "--torification"], {"kind": "torification", "ranks": [0], "counting": [1],
+                                    "charts": []}, "'charts' must map chart ids to records"),
+    (["torify", "--cells"], {"kind": "cells", "cells": {}},
+     "'cells' must be a list of [dim, base] pairs"),
+    (["torify", "--cells"], {"kind": "cells", "cells": [[1, 2, 3]]},
+     "cells[0] must be a [dim, base] pair"),
+], ids=["invalid-json", "not-an-object", "no-kind", "generators-not-a-list",
+        "generator-length", "torsion-below-2", "no-elements", "table-shape",
+        "duplicate-elements", "identity-missing", "zero-missing", "fan-rank",
+        "ray-length", "cones-not-a-list", "missing-ray", "charts-not-an-object",
+        "cells-not-a-list", "cell-not-a-pair"])
+def test_malformed_input_files_are_json_errors(tmp_path, argv, data, expected):
+    path = tmp_path / "bad.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    message = _error(argv + [str(path)])
+    assert expected.format(path=path) in message, message
+
+
 @pytest.mark.parametrize("verb", ["fan", "count", "torify"])
 def test_empty_fan_is_an_error(tmp_path, verb):
     path = tmp_path / "empty.fan.json"

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mat_mul, subgroup_order_counts
+from oracles import mat_mul, subgroup_invariants_by_kernel, subgroup_order_counts
 from f1geom.intlinalg import (
     column_lattice_basis,
     diagonal_of,
     identity_matrix,
     independent_indices,
-    integer_solver,
     kernel_basis,
-    mat_vec,
     primitive_vector,
     quotient_invariants,
     rat_rank,
@@ -73,23 +71,8 @@ def test_snf_reconstruction_and_divisibility(A):
 @given(small_matrices)
 def test_kernel_members_are_killed(A):
     for v in kernel_basis(A):
-        assert all(x == 0 for x in mat_vec(A, v))
+        assert mat_mul(A, [[x] for x in v]) == [[0]] * len(A)
     assert rat_rank(A) + len(kernel_basis(A)) == len(A[0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(small_matrices, st.lists(st.integers(-3, 3), min_size=1, max_size=4))
-def test_solve_integer_solutions_check_out(A, x):
-    x = (x * 4)[: len(A[0])]
-    b = mat_vec(A, x)
-    sol = integer_solver(A)(b)
-    assert sol is not None
-    assert mat_vec(A, sol) == b
-
-
-def test_solve_integer_detects_unsolvable():
-    assert integer_solver([[2]])([3]) is None
-    assert integer_solver([[1, 0], [0, 0]])([1, 1]) is None
 
 
 def test_unimodular_inverse_round_trip():
@@ -181,10 +164,13 @@ def test_column_lattice_basis_spans():
     basis = column_lattice_basis(transpose([[2, 0], [0, 1], [2, 1]]))
     # lattice spanned by (2,0),(0,1),(2,1) is 2Z x Z
     assert len(basis) == 2
-    for target in ([2, 0], [0, 1], [2, 3]):
-        cols = transpose(basis)
-        assert integer_solver(cols)(target) is not None
-    assert integer_solver(transpose(basis))([1, 0]) is None
+    # a basis of index 2 in Z^2, as 2Z x Z is; a point lies in its lattice
+    # iff its rational coordinates over the basis are integers
+    B = _sympy(transpose(basis))
+    assert abs(B.det()) == 2
+    for target, inside in (([2, 0], True), ([0, 1], True), ([2, 3], True), ([1, 0], False)):
+        coords = B.inv() * _sympy([[x] for x in target])
+        assert all(c.is_integer for c in coords) == inside, target
 
 
 def test_subgroup_invariants_examples():
@@ -219,6 +205,16 @@ def test_subgroup_invariants_rank_is_the_free_parts_rank(free_rank, torsion, dat
                                  max_size=4))
     rank, _ = subgroup_invariants(vectors, free_rank, torsion)
     assert rank == rat_rank([v[:free_rank] for v in vectors])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(2, 6), max_size=2), st.data())
+def test_subgroup_invariants_equal_the_kernel_route(free_rank, torsion, data):
+    width = free_rank + len(torsion)
+    vectors = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+                                 max_size=5))
+    expected = subgroup_invariants_by_kernel(vectors, free_rank, torsion)
+    assert subgroup_invariants(vectors, free_rank, torsion) == expected
 
 
 def test_quotient_invariants_examples():

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import warnings
 from fractions import Fraction
 from functools import cached_property
@@ -398,22 +399,20 @@ def test_unit_generators_equal_the_recession_cone_route(A):
     assert A.unit_generator_indices == oracles.unit_generator_indices(A)
 
 
-@pytest.mark.parametrize("gens, torsion, units, by_cone", [
-    ([[1, 0], [0, 1]], (), [], False),
-    ([[1, 0], [-1, 0], [1, 2]], (), [[1, 0], [-1, 0]], False),
-    ([[1, 0], [0, 1], [0, 3]], (4,), [[0, 1], [0, 3]], False),     # pure torsion
-    ([[1, 0, 1], [-1, 0, 0], [0, 1, 1]], (2,), [[1, 0, 1], [-1, 0, 0]], False),
-    ([[1, 0], [0, 1], [-1, -1]], (), [[1, 0], [0, 1], [-1, -1]], True),  # no +- pair
-    ([[1, 0], [-2, 0]], (), [[1, 0], [-2, 0]], True),          # a line, no +- pair
-    ([[1, 0], [2, 0]], (), [], True),                           # one ray, twice
-    ([[1], [-1], [2]], (), [[1], [-1], [2]], True),
+@pytest.mark.parametrize("gens, torsion, units", [
+    ([[1, 0], [0, 1]], (), []),
+    ([[1, 0], [-1, 0], [1, 2]], (), [[1, 0], [-1, 0]]),
+    ([[1, 0], [0, 1], [0, 3]], (4,), [[0, 1], [0, 3]]),     # pure torsion
+    ([[1, 0, 1], [-1, 0, 0], [0, 1, 1]], (2,), [[1, 0, 1], [-1, 0, 0]]),
+    ([[1, 0], [0, 1], [-1, -1]], (), [[1, 0], [0, 1], [-1, -1]]),  # no +- pair
+    ([[1, 0], [-2, 0]], (), [[1, 0], [-2, 0]]),          # a line, no +- pair
+    ([[1, 0], [2, 0]], (), []),                           # one ray, twice
+    ([[1], [-1], [2]], (), [[1], [-1], [2]]),
 ])
-def test_unit_generators_fall_back_to_the_cone_only_when_dependent(gens, torsion, units,
-                                                                   by_cone):
+def test_unit_generators_fall_back_to_the_cone_only_when_dependent(gens, torsion, units):
     A = AffineMonoid.make(len(gens[0]) - len(torsion), gens, torsion=torsion)
     assert A.unit_generator_indices == oracles.unit_generator_indices(A)
     assert {A.generators[i] for i in A.unit_generator_indices} == set(map(tuple, units))
-    assert ("recession_cone" in A.__dict__) == by_cone
 
 
 def test_adjoin_zero():
@@ -475,23 +474,23 @@ def test_membership_oracle():
 
 
 def test_contains_computes_one_smith_form_per_monoid(monkeypatch):
-    import f1geom.intlinalg as intlinalg
+    import f1geom.monoid as monoid
 
     A = AffineMonoid.make(2, [[1, 0], [-1, 0], [1, 3], [2, 5]])
     A.recession_cone.facet_normals, A.unit_generator_indices  # warm the cone data
     calls = []
-    snf = intlinalg.smith_normal_form
-    monkeypatch.setattr(intlinalg, "smith_normal_form",
-                        lambda M: calls.append(1) or snf(M))
+    snf = monoid.smith_normal_form
+    monkeypatch.setattr(monoid, "smith_normal_form", lambda M: calls.append(1) or snf(M))
     assert A.contains((7, 9))
-    assert len(calls) == 1
-    assert not A.contains((7, 4))  # the search's unit solver is built once
-    assert len(calls) == 1
+    # one for the class map of A/A^x, here <3, 5> in Z, one for its table
+    assert len(calls) == 2
+    assert not A.contains((7, 4))
     # (x, y) is in A iff y is in the numerical semigroup <3, 5>
     semigroup = {3 * a + 5 * b for a in range(5) for b in range(3)}
     for x in range(-4, 9):
         for y in range(-2, 13):
             assert A.contains((x, y)) == (y in semigroup)
+    assert len(calls) == 2
 
 
 def _searched(A):
@@ -507,14 +506,15 @@ def _table_size(A):
 
 @st.composite
 def pointed_monoids(draw):
-    """(A, simplicial): a pointed submonoid of Z^2 or Z^3 on d <= rank
-    rays with entries in -3..3, independent because ray i has a nonzero
-    entry in coordinate i and rays after it have 0 there (coordinates are
-    then permuted).  Each ray carries generators at one or two of its
-    multiples 1..5, and up to three nonnegative integer combinations of the
-    rays are added.  In a third of the draws with d = 3 a generator on
-    r1 + r2 - r3 makes the cone a pointed cone over a quadrilateral, whose
-    membership the search decides."""
+    """(A, simplicial): a pointed submonoid of Z^2 or Z^3, or of that
+    group (+) Z/t for t = 2 or 3, on d <= rank rays with entries in -3..3,
+    independent because ray i has a nonzero entry in coordinate i and rays
+    after it have 0 there (coordinates are then permuted).  Each ray
+    carries generators at one or two of its multiples 1..5, and up to three
+    nonnegative integer combinations of the rays are added.  With torsion,
+    each generator takes a drawn torsion coordinate.  In a third of the
+    draws with d = 3 a generator on r1 + r2 - r3 makes the cone a pointed
+    cone over a quadrilateral, whose membership the search decides."""
     rank = draw(st.sampled_from([2, 3]))
     d = draw(st.integers(1, rank))
     entry, pivot = st.integers(-3, 3), st.sampled_from([1, 2, 3, -1, -2, -3])
@@ -530,7 +530,9 @@ def pointed_monoids(draw):
     square = d == 3 and draw(st.integers(0, 2)) == 0
     if square:
         gens.append(tuple(a + b - c for a, b, c in zip(*rays)))
-    return AffineMonoid.make(rank, gens), not square
+    torsion = draw(st.sampled_from([(), (), (2,), (3,)]))
+    gens = [g + tuple(draw(st.integers(0, t - 1)) for t in torsion) for g in gens if any(g)]
+    return AffineMonoid.make(rank, gens, torsion=torsion), not square
 
 
 def test_contains_agrees_with_the_search_and_enumeration():
@@ -540,28 +542,32 @@ def test_contains_agrees_with_the_search_and_enumeration():
     @given(pointed_monoids())
     def check(drawn):
         A, simplicial = drawn
-        routes.append(A._membership_table is not None)
-        assert routes[-1] == simplicial
+        routes.append((A._membership_table is not None, bool(A.torsion)))
+        assert routes[-1][0] == simplicial
         searched = _searched(A)
         # the sum of the facet normals, l, is positive on the cone minus 0;
-        # with c = max |g|_1 / l(g), every partial sum of a representation
-        # of x has an L1 norm of at most c l(x)
+        # with c = max |free(g)|_1 / l(g), every partial sum of a
+        # representation of x has a free part of L1 norm at most c l(x)
         grading = [sum(col) for col in zip(*A.recession_cone.facet_normals)]
-        c = max(Fraction(sum(map(abs, g)), dot(grading, g)) for g in A.generators)
+        c = max(Fraction(sum(map(abs, A.free_part(g))), dot(grading, g))
+                for g in A.generators)
         bound, side = (14, 4) if A.ambient_rank == 2 else (8, 2)
-        lifted = generated_lattice_points(list(A.generators), bound)
-        box = itertools.product(range(-side, side + 1), repeat=A.ambient_rank)
-        steps = [tuple(s * (i == j) for j in range(A.ambient_rank))
-                 for i in range(A.ambient_rank) for s in (1, -1)]
-        near = {tuple(a + b for a, b in zip(y, e)) for y in lifted for e in steps}
+        lifted = generated_lattice_points(list(A.generators), bound, A.torsion)
+        box = itertools.product(*[range(-side, side + 1)] * A.ambient_rank,
+                                *[range(t) for t in A.torsion])
+        steps = [tuple(s * (i == j) for j in range(A.width))
+                 for i in range(A.width) for s in (1, -1)]
+        near = {A.op(y, e) for y in lifted for e in steps}
         for x in lifted | near | set(box):
             assert A.contains(x) == searched.contains(x), (A, x)
             if c * dot(grading, x) <= bound:
                 assert A.contains(x) == (x in lifted), (A, x)
 
     check()
-    # only the quadrilateral draws may search: the table answers at least half
-    assert sum(routes) >= len(routes) // 2, routes
+    # only the quadrilateral draws may search: the table answers at least
+    # half, torsion draws included
+    assert sum(tabled for tabled, _ in routes) >= len(routes) // 2, routes
+    assert (True, True) in routes and (True, False) in routes, routes
 
 
 def test_apery_set_of_a_two_generator_numerical_semigroup():
@@ -585,6 +591,15 @@ def test_rank_four_monoid_with_interior_generators():
     lifted = generated_lattice_points(gens, 12)  # nonnegative: partial sums stay below x
     for x in itertools.product(range(4), range(4), range(4), range(-1, 4)):
         assert A.contains(x) == (x in lifted) == searched.contains(x), x
+
+
+def test_the_search_runs_past_the_recursion_limit():
+    # <(1, t) : t in Z/n> with n generators, one level of the search each
+    n = sys.getrecursionlimit() + 10
+    A = _searched(AffineMonoid.make(1, [[1, t] for t in range(n)], torsion=[n]))
+    assert A.contains((1, n - 1)) and A.contains((1, 2 * n - 2))
+    assert not A.contains((0, 1)) and not A.contains((-1, 0))
+    assert A.contains((0, 0)) and not A.contains((0, n - 1))
 
 
 def test_membership_table_is_built_once_per_monoid(monkeypatch):
