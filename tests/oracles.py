@@ -463,3 +463,96 @@ def table_law_failure(elements, t: dict, identity, zero=None):
                 if t[(t[(a, b)], c)] != t[(a, t[(b, c)])]:
                     return f"associativity fails at ({a},{b},{c})"
     return None
+
+
+# The element-level ring API and route of the Frobenius-lift run: every
+# step builds a sorted ring element, and every product is a library
+# ring_mul, one per step.
+
+def ring_one(A):
+    from f1geom.semiring import SemigroupRingElement
+
+    return SemigroupRingElement.make(A, {A.identity: 1})
+
+
+def ring_add(x, y):
+    from f1geom.semiring import RingError, SemigroupRingElement
+
+    if x.owner != y.owner:
+        raise RingError("elements of different semigroup rings")
+    out = x.as_dict()
+    for k, c in y.coeffs:
+        out[k] = out.get(k, 0) + c
+    return SemigroupRingElement._unchecked(x.owner, out)
+
+
+def ring_neg(x):
+    from f1geom.semiring import SemigroupRingElement
+
+    return SemigroupRingElement._unchecked(x.owner, {k: -c for k, c in x.coeffs})
+
+
+def ring_sub(x, y):
+    return ring_add(x, ring_neg(y))
+
+
+def ring_pow(x, n: int, modulus: int = 0):
+    """x^n as n repeated products with x, from the identity."""
+    from f1geom.semiring import ring_mul
+
+    out = ring_one(x.owner)
+    for _ in range(n):
+        out = ring_mul(out, x, modulus)
+    return out
+
+
+def monomial_power_map(x, k: int):
+    """Coefficients kept, every support element a raised to a^k."""
+    from f1geom.semiring import SemigroupRingElement
+
+    A, out = x.owner, {}
+    for a, c in x.coeffs:
+        ak = A.power(a, k)
+        out[ak] = out.get(ak, 0) + c
+    out.pop(A.zero, None)
+    return SemigroupRingElement._unchecked(A, out)
+
+
+def psi(x, p: int):
+    """psi_p, the lift of Frobenius: monomials a -> a^p."""
+    from f1geom.semiring import RingError
+
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise RingError(f"{p} is not prime")
+    return monomial_power_map(x, p)
+
+
+def is_frobenius_image(y, x, p: int) -> bool:
+    """y == x^p coefficientwise mod p, with x^p taken in F_p[A]."""
+    return all(c % p == 0 for _, c in ring_sub(y, ring_pow(x, p, modulus=p)).coeffs)
+
+
+def frobenius_check(x, p: int) -> bool:
+    """psi_p(x) == x^p coefficientwise mod p (the Frobenius square)."""
+    return is_frobenius_image(psi(x, p), x, p)
+
+
+def psi_commute(x, ps) -> bool:
+    """psi_p o psi_q == psi_q o psi_p on x for every pair of ps."""
+    ps = list(ps)
+    for i, p in enumerate(ps):
+        for q in ps[i + 1:]:
+            if psi(psi(x, p), q) != psi(psi(x, q), p):
+                return False
+    return True
+
+
+def frobenius_lift_by_elements(elements, ps):
+    """(frobenius, commuting, control_failed) of the property run, each
+    check a separate pass over the elements; the control is the corrupted
+    family a -> a^(p+1)."""
+    frobenius = all(frobenius_check(x, p) for x in elements for p in ps)
+    commuting = all(psi_commute(x, ps) for x in elements)
+    control_failed = not all(is_frobenius_image(monomial_power_map(x, p + 1), x, p)
+                             for x in elements for p in ps)
+    return frobenius, commuting, control_failed

@@ -460,6 +460,13 @@ def test_lambda_check_at_a_large_prime_stops_at_the_ring_mul_cap():
     assert "LIMITS['ring_mul_terms']" in message, message
 
 
+@pytest.mark.parametrize("primes", ["31,4", "4"])
+def test_lambda_check_checks_its_primes_before_any_product(primes):
+    # 31 alone stops at the ring_mul cap, so 4 must be read before that
+    message = _error(["lambda-check", "--monoid", str(DATA / "n2.mon.json"), "--p", primes])
+    assert message == "4 is not prime", message
+
+
 def test_lambda_check_on_a_finite_monoid_runs_at_large_primes():
     rc, out, err = run_cli(["lambda-check", "--monoid", str(DATA / "mu3.mon.json"),
                             "--p", "31,37,41", "--json"])

@@ -42,6 +42,9 @@ UNREFERENCED_ON_PURPOSE = {
     ("monoid", "AffineMonoid.same_submonoid"),
     # the structure sheaf's restriction maps, which the sheaf tests check
     ("spectrum", "MScheme.restriction"),
+    # the element-level product: ROADMAP item 10's lambda_ops and the
+    # ring-law tests
+    ("semiring", "ring_mul"),
 }
 
 

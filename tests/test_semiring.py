@@ -1,26 +1,37 @@
+import random
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from f1geom.io import parse_input
 from f1geom.monoid import AffineMonoid, TableMonoid, free_monoid
-from oracles import cyclic_product, polynomial_product, table_convolution
+from oracles import (
+    cyclic_product,
+    frobenius_check,
+    frobenius_lift_by_elements,
+    monomial_power_map,
+    polynomial_product,
+    psi,
+    ring_add,
+    ring_neg,
+    ring_one,
+    ring_pow,
+    ring_sub,
+    table_convolution,
+)
 from f1geom.semiring import (
     RingError,
     SemigroupRingElement,
-    frobenius_check,
-    monomial_power_map,
-    psi,
-    psi_commute,
+    _pow,
+    frobenius_lift_run,
     random_ring_elements,
-    ring_add,
     ring_mul,
-    ring_neg,
-    ring_pow,
-    ring_sub,
 )
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 N = free_monoid(1)
 N2 = free_monoid(2)
 
@@ -36,7 +47,7 @@ def mono(owner, key, c=1):
 
 
 def test_basic_products():
-    one = SemigroupRingElement.one(N)
+    one = ring_one(N)
     t = mono(N, (1,))
     assert ring_mul(ring_add(one, t), ring_sub(one, t)) == \
         ring_sub(one, ring_mul(t, t))
@@ -57,7 +68,7 @@ def test_pointed_zero_absorbs():
 
 def test_owner_mismatch_rejected():
     with pytest.raises(RingError):
-        ring_add(SemigroupRingElement.one(N), SemigroupRingElement.one(N2))
+        ring_add(ring_one(N), ring_one(N2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,7 +82,7 @@ def test_ring_laws(x, y, z):
 
 
 def test_psi_examples():
-    one = SemigroupRingElement.one(N)
+    one = ring_one(N)
     t = mono(N, (1,))
     assert psi(ring_add(one, t), 2) == ring_add(one, mono(N, (2,)))
     el = ring_add(mono(N, (1,), 2), mono(N, (2,), 5))
@@ -88,7 +99,7 @@ def test_psi_is_a_ring_homomorphism(x, y, p):
 
 
 def test_psi_commuting_example():
-    one = SemigroupRingElement.one(N)
+    one = ring_one(N)
     el = ring_add(ring_add(one, mono(N, (1,))), mono(N, (2,)))
     both = psi(psi(el, 2), 3)
     assert both == psi(psi(el, 3), 2)
@@ -96,14 +107,14 @@ def test_psi_commuting_example():
 
 
 def test_frobenius_examples():
-    one = SemigroupRingElement.one(N)
+    one = ring_one(N)
     t = mono(N, (1,))
     assert frobenius_check(ring_add(one, t), 2)
     assert frobenius_check(mono(N, (1,), 3), 3)   # psi_3(3t)=3t^3 vs 27t^3
 
 
 def test_corrupted_family_fails():
-    one = SemigroupRingElement.one(N)
+    one = ring_one(N)
     x = ring_add(one, mono(N, (1,)))
     bad = monomial_power_map(x, 3)  # pretend power map for p = 2
     diff = ring_sub(bad, ring_pow(x, 2))
@@ -114,9 +125,7 @@ def test_seeded_frobenius_suite_is_fast_and_green():
     elements = random_ring_elements(N2, 200, seed=1729)
     assert len(elements) == 200
     start = time.monotonic()
-    for x in elements:
-        assert all(frobenius_check(x, p) for p in (2, 3, 5))
-        assert psi_commute(x, (2, 3, 5))
+    assert frobenius_lift_run(N2, elements, (2, 3, 5)) == (True, True, True)
     assert time.monotonic() - start < 2.0
 
 
@@ -125,7 +134,7 @@ def test_seeded_elements_stay_inside_a_non_free_monoid():
     A = AffineMonoid.make(2, [[1, 0], [1, 1], [1, 2]])
     elements = random_ring_elements(A, 40, seed=1729)
     assert all(A.contains(k) for x in elements for k, _ in x.coeffs)
-    assert all(frobenius_check(x, p) for x in elements for p in (2, 3))
+    assert frobenius_lift_run(A, elements, (2, 3)) == (True, True, True)
 
 
 def test_seeded_elements_are_reproducible():
@@ -144,7 +153,7 @@ def test_psi_on_pointed_table_ring():
         identity="1", zero="0")
     x = mono(M, "x")
     assert psi(x, 2) == SemigroupRingElement.zero(M)  # x^2 = 0 collapses
-    assert frobenius_check(ring_add(SemigroupRingElement.one(M), x), 2)
+    assert frobenius_check(ring_add(ring_one(M), x), 2)
 
 
 # --- the product kernel against independent routes
@@ -165,33 +174,56 @@ def _mod(d, m):
     return {k: c % m for k, c in d.items() if c % m}
 
 
+def _power(X, n, m=0):
+    return _pow(X.owner, X.as_dict(), n, m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(elements_of_n3, elements_of_n3, st.integers(0, 3), st.sampled_from([2, 3, 7]))
+@example({(0, 0, 0): 1, (1, 0, 0): 1}, {}, 2, 2)  # the cross term 2t cancels mod 2
+@example({(1, 0, 0): 3}, {}, 2, 3)  # the square 9t^2 cancels mod 3
 def test_products_on_a_free_monoid_are_sympy_polynomial_products(x, y, n, m):
     X, Y = (SemigroupRingElement.make(N3, d) for d in (x, y))
     assert ring_mul(X, Y).as_dict() == polynomial_product(x, y, 3)
+    square = polynomial_product(x, x, 3)  # X * X is the unordered-pair square
+    assert ring_mul(X, X).as_dict() == square
+    assert ring_mul(X, X, modulus=m).as_dict() == _mod(square, m)
     power = _by_repeated_product(lambda u, v: polynomial_product(u, v, 3), {(0, 0, 0): 1}, x, n)
-    assert ring_pow(X, n).as_dict() == power
-    assert ring_pow(X, n, modulus=m).as_dict() == _mod(power, m)
+    assert _power(X, n) == power
+    assert _power(X, n, m) == _mod(power, m)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6).flatmap(lambda d: st.tuples(
     st.just(d),
     *[st.dictionaries(st.integers(0, d - 1), st.integers(-9, 9), max_size=d)] * 2,
-    st.integers(0, 4))))
+    st.integers(0, 4), st.sampled_from([2, 3, 5]))))
+@example((2, {0: 1, 1: 1}, {}, 2, 2))  # (1 + g)^2 = 2 + 2g cancels mod 2
 def test_products_on_a_cyclic_group_reduce_mod_t_to_the_d_minus_1(case):
-    d, x, y, n = case
+    d, x, y, n, m = case
     Zd = AffineMonoid.make(0, [[1]], torsion=[d])
     X, Y = (SemigroupRingElement.make(Zd, {(e,): c for e, c in z.items()}) for z in (x, y))
-    assert ring_mul(X, Y).as_dict() == {(e,): c for e, c in cyclic_product(x, y, d).items()}
+
+    def keyed(z):
+        return {(e,): c for e, c in z.items()}
+
+    assert ring_mul(X, Y).as_dict() == keyed(cyclic_product(x, y, d))
+    square = cyclic_product(x, x, d)
+    assert ring_mul(X, X).as_dict() == keyed(square)
+    assert ring_mul(X, X, modulus=m).as_dict() == keyed(_mod(square, m))
     power = _by_repeated_product(lambda u, v: cyclic_product(u, v, d), {0: 1}, x, n)
-    assert ring_pow(X, n).as_dict() == {(e,): c for e, c in power.items()}
+    assert _power(X, n) == keyed(power)
+    assert _power(X, n, m) == keyed(_mod(power, m))
 
 
-# x^2 = 0 with zero, and Z/3 with zero adjoined, each on unordered pairs
+# x^2 = 0 with zero, x^3 = 0 with zero, and Z/3 with zero adjoined, each on
+# unordered pairs
 TRUNCATED = ("1", "x", "0"), {("1", "1"): "1", ("1", "x"): "x", ("1", "0"): "0",
                               ("x", "x"): "0", ("x", "0"): "0", ("0", "0"): "0"}
+NILPOTENT = ("1", "x", "x2", "0"), {
+    ("1", "1"): "1", ("1", "x"): "x", ("1", "x2"): "x2", ("1", "0"): "0",
+    ("x", "x"): "x2", ("x", "x2"): "0", ("x", "0"): "0",
+    ("x2", "x2"): "0", ("x2", "0"): "0", ("0", "0"): "0"}
 Z3_ZERO = ("0", "1", "g", "g2"), {
     ("0", "0"): "0", ("0", "1"): "0", ("0", "g"): "0", ("0", "g2"): "0",
     ("1", "1"): "1", ("1", "g"): "g", ("1", "g2"): "g2",
@@ -199,20 +231,26 @@ Z3_ZERO = ("0", "1", "g", "g2"), {
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([TRUNCATED, Z3_ZERO]).flatmap(lambda t: st.tuples(
+@given(st.sampled_from([TRUNCATED, NILPOTENT, Z3_ZERO]).flatmap(lambda t: st.tuples(
     st.just(t),
     *[st.dictionaries(st.sampled_from(t[0]), st.integers(-9, 9), max_size=4)] * 2,
-    st.integers(0, 5))))
+    st.integers(0, 5), st.sampled_from([2, 3]))))
+@example((NILPOTENT, {"x": 1, "x2": 4}, {}, 3, 2))  # x*x2, x2*x2 and x^3 are the zero
+@example((NILPOTENT, {"1": 1, "x": 1}, {}, 2, 2))  # (1 + x)^2 = 1 + x2 mod 2
 def test_products_on_a_table_monoid_are_table_convolutions(case):
-    (elements, table), x, y, n = case
+    (elements, table), x, y, n, m = case
     M = TableMonoid.make(elements, table, identity="1", zero="0")
     X, Y = (SemigroupRingElement.make(M, d) for d in (x, y))
     x = {k: c for k, c in x.items() if k != "0"}
     y = {k: c for k, c in y.items() if k != "0"}
     assert ring_mul(X, Y).as_dict() == table_convolution(x, y, table, zero="0")
+    square = table_convolution(x, x, table, zero="0")
+    assert ring_mul(X, X).as_dict() == square
+    assert ring_mul(X, X, modulus=m).as_dict() == _mod(square, m)
     power = _by_repeated_product(lambda u, v: table_convolution(u, v, table, zero="0"),
                                  {"1": 1}, x, n)
-    assert ring_pow(X, n).as_dict() == power
+    assert _power(X, n) == power
+    assert _power(X, n, m) == _mod(power, m)
 
 
 @pytest.mark.parametrize("table", [TRUNCATED, Z3_ZERO], ids=["truncated", "z3zero"])
@@ -235,19 +273,20 @@ def test_ring_pow_squares_and_multiplies_without_the_identity(monkeypatch, n):
     import f1geom.semiring as semiring
 
     calls = []
+    kernel = semiring._mul
 
-    def counted(x, y, modulus=0):
+    def counted(A, x, y, modulus=0):
         calls.append(modulus)
-        return ring_mul(x, y, modulus)
+        return kernel(A, x, y, modulus)
 
-    monkeypatch.setattr(semiring, "ring_mul", counted)
+    monkeypatch.setattr(semiring, "_mul", counted)
     x = SemigroupRingElement.make(N, {(0,): 7, (1,): 5, (2,): -3})
-    power = semiring.ring_pow(x, n, modulus=5)
+    power = semiring._pow(N, x.as_dict(), n, 5)
     assert len(calls) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0)
     assert set(calls) <= {5}
     want = _by_repeated_product(lambda u, v: polynomial_product(u, v, 1), {(0,): 1},
                                 x.as_dict(), n)
-    assert power.as_dict() == _mod(want, 5)
+    assert power == _mod(want, 5)
 
 
 MIXED = [
@@ -273,3 +312,52 @@ def test_affine_op_and_power_reduce_the_coordinatewise_sum_and_multiple(case):
     a, b = member(m1), member(m2)
     assert A.op(a, b) == A._reduce(tuple(x + y for x, y in zip(a, b)))
     assert A.power(a, n) == A._reduce(tuple(n * x for x in a))
+
+
+# --- the Frobenius-lift run against the element-level route
+
+class ShiftedPowers:
+    """A monoid read with the power map a -> a^(n+1), so that its psi_p is
+    the corrupted family a -> a^(p+1)."""
+
+    def __init__(self, monoid):
+        self.monoid = monoid
+
+    def __getattr__(self, name):
+        return getattr(self.monoid, name)
+
+    def power(self, a, n):
+        return self.monoid.power(a, n + 1)
+
+
+LIFT_MONOIDS = {
+    **{name: parse_input(DATA / f"{name}.mon.json") for name in ("n2", "mu3", "z3zero")},
+    "free2": N2,
+    **{f"mixed{i}": A for i, A in enumerate(MIXED)},
+    "nilpotent": TableMonoid.make(*NILPOTENT, identity="1", zero="0"),
+}
+
+
+def _seeded_elements(A, seed):
+    """random_ring_elements, and for a table monoid also elements with each
+    nonzero element in the support: the random monomials of a nilpotent
+    monoid are mostly its zero."""
+    rng = random.Random(seed)
+    dense = [{a: rng.randint(-9, 9) for a in A.elements if a != A.zero}
+             for _ in range(30)] if hasattr(A, "elements") else []
+    return random_ring_elements(A, 30, seed) + [SemigroupRingElement.make(A, d) for d in dense]
+
+
+@pytest.mark.parametrize("ps", [(2, 3, 5), (2, 7)], ids=str)
+@pytest.mark.parametrize("name", sorted(LIFT_MONOIDS))
+def test_the_lift_run_equals_the_element_route(name, ps):
+    A = LIFT_MONOIDS[name]
+    for seed in (1, 1729):
+        elements = _seeded_elements(A, seed)
+        assert frobenius_lift_run(A, elements, ps) == frobenius_lift_by_elements(elements, ps) \
+            == (True, True, True)
+        wrong = ShiftedPowers(A)
+        elements = _seeded_elements(wrong, seed)
+        assert frobenius_lift_run(wrong, elements, ps) == \
+            frobenius_lift_by_elements(elements, ps) == (False, True, True)
+
